@@ -37,10 +37,6 @@ class InfeasibleConstraints(DasimError):
     """Post-processing constraints cannot be satisfied simultaneously."""
 
 
-class SeedError(DasimError):
-    """Independent runs were requested with identical seeds."""
-
-
 class UsageError(DasimError):
     """Estimator inputs violate the independence discipline they require."""
 

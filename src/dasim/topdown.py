@@ -7,17 +7,31 @@ jointly to its own noisy measurements by weighted least squares (weights
 are inverse noise variances, zero-variance measurements become hard
 equalities), subject to summing exactly per cell to the already-fixed
 parent, configured invariant statistics held exactly to the enumeration
-truth, and non-negativity.  A controlled largest-remainder rounding then
-integerizes each generation while preserving parent sums, and a unit
-reallocation pass restores invariant statistics exactly.
+truth, and non-negativity.
 
-The estimators downstream only require this map to be a deterministic,
-constraint-satisfying function of the noisy measurements, which it is:
-ties in rounding are broken by index order, never at random.
+The Hessian of a generation is block diagonal, one level Hessian per
+child, and only the parent sums couple the children.  So each child's
+own KKT matrix is factored alone, and the parent-sum multipliers come
+from the C x C Schur complement.  Under non-negativity a cell whose
+parent is 0 is 0 in every child and is dropped before solving (exact,
+and most block-level cells are such zeros).  Bounds are handled by a
+batched primal-dual active set that refactors only re-pinned children;
+should it cycle, meet an inconsistent pin set or reach its cap, a
+Goldfarb-Idnani dual active set re-solves the group, which terminates
+and reports infeasibility only when no non-negative solution exists.
+
+A controlled largest-remainder rounding then integerizes each generation
+while preserving parent sums, and a unit reallocation pass restores
+invariant statistics exactly.  Rounding snaps to a 1e-6 grid first, so
+released integers do not follow solver float noise, and breaks ties by
+index order, never at random: the map is a deterministic,
+constraint-satisfying function of the noisy measurements, which is all
+the estimators downstream require.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -25,23 +39,21 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import geo
-from .errors import (
-    CoverageError,
-    InfeasibleConstraints,
-    SchemaError,
-    SeedError,
-)
+from .errors import CoverageError, InfeasibleConstraints, SchemaError
 from .histograms import (
     AggregationMatrix,
     CefDataset,
     HistogramDataset,
     default_statistics,
 )
-from .noise import NoisyMeasurements, QueryMatrix, make_noisy_measurements
+from .noise import NoisyMeasurements
 
 logger = logging.getLogger(__name__)
 
 _LEVEL_INDEX = {lv: i for i, lv in enumerate(geo.NMF_LEVEL_ORDER)}
+_GRID = 10**6  # rounding snaps continuous values to multiples of 1/_GRID
+_CAP = 200  # batched active-set steps before the dual method takes over
+_EQ_TOL = 1e3  # equality residual allowed, in units of the bound tolerance
 
 
 @dataclass(frozen=True)
@@ -70,144 +82,242 @@ class PostProcessedDataset(HistogramDataset):
 
 
 # ----------------------------------------------------------------------
-# constrained weighted least squares
+# structured constrained weighted least squares
 
 
-def _kkt_solve(H: np.ndarray, A: np.ndarray, g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the equality-constrained quadratic: stationary point of
-    1/2 x'Hx - g'x + lam'(Ax - b).  Falls back to least squares when the
-    KKT matrix is singular (consistent redundant constraints)."""
-    n = H.shape[0]
-    m = A.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = A.T
-    kkt[n:, :n] = A
-    rhs = np.concatenate([g, b])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        if not np.isfinite(sol).all():
-            raise np.linalg.LinAlgError
-        resid = np.abs(kkt @ sol - rhs).max()
-        if resid > 1e-6 * (1.0 + np.abs(rhs).max()):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:n], sol[n:]
+class _Children:
+    """Equality-constrained solves of one node group for any pin set.
 
-
-def _constrained_wls(
-    H: np.ndarray,
-    g: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    nonneg: bool,
-) -> np.ndarray:
-    """Minimize 1/2 x'Hx - g'x subject to Ax = b and optionally x >= 0.
-
-    Bounds are handled by a primal active-set loop: negative entries are
-    pinned to zero, pins with negative multipliers are released one at a
-    time.  Raises InfeasibleConstraints if the equalities cannot be met.
+    Child i's KKT matrix is the level Hessian H bordered by the rows E;
+    a pinned cell's row and column are replaced by the identity, which
+    holds it at zero.  Each child keeps the inverse of its own matrix,
+    so re-pinning one child refactors that child alone.
     """
-    n = H.shape[0]
-    scale = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
-    tol = 1e-8 * scale
-    active = np.zeros(n, dtype=bool)
-    x = np.zeros(n)
-    lam = np.zeros(A.shape[0])
-    for _ in range(200):
-        free = np.nonzero(~active)[0]
-        xf, lam = _kkt_solve(
-            H[np.ix_(free, free)], A[:, free], g[free], b
-        )
-        x = np.zeros(n)
-        x[free] = xf
-        if not nonneg:
-            break
-        neg = free[xf < -tol]
-        if neg.size:
-            active[neg] = True
-            continue
-        if not active.any():
-            break
-        grad = H @ x - g + A.T @ lam
-        mult = grad[active]
-        worst = mult.min()
-        if worst < -tol:
-            idx = np.nonzero(active)[0][int(np.argmin(mult))]
-            active[idx] = False
-            continue
-        break
-    else:
-        logger.warning("active-set iteration cap hit; keeping last iterate")
-    if A.size and np.abs(A @ x - b).max() > 1e-5 * scale:
+
+    def __init__(self, H: np.ndarray, E: np.ndarray, k: int):
+        self.H, self.E = H, E
+        self.kkt = np.block([[H, E.T], [E, np.zeros((E.shape[0],) * 2)]])
+        self.pins = np.zeros((k, H.shape[0]), dtype=bool)
+        # unpinned children share one matrix, so one inverse serves them all
+        self.inv = np.repeat(self._invert(self.kkt[None]), k, axis=0)
+
+    def _invert(self, K: np.ndarray) -> np.ndarray:
+        try:
+            inv = np.linalg.inv(K)
+            bad = np.abs(K @ inv - np.eye(K.shape[1])).max(axis=(1, 2)) > 1e-8
+        except np.linalg.LinAlgError:
+            inv, bad = np.empty_like(K), np.ones(K.shape[0], dtype=bool)
+        for b in np.nonzero(bad)[0]:
+            # redundant rows, e.g. exact queries that repeat an invariant
+            inv[b] = np.linalg.pinv(K[b])
+        return inv
+
+    def _factor(self, rows: np.ndarray) -> None:
+        n = self.H.shape[0]
+        keep = np.ones((rows.size, self.kkt.shape[0]), dtype=bool)
+        keep[:, :n] = ~self.pins[rows]
+        K = self.kkt * (keep[:, :, None] & keep[:, None, :])
+        K[:, np.arange(n), np.arange(n)] += ~keep[:, :n]
+        self.inv[rows] = self._invert(K)
+
+    def repin(self, pins: np.ndarray) -> None:
+        changed = np.nonzero((pins != self.pins).any(axis=1))[0]
+        self.pins = pins.copy()
+        if changed.size:
+            self._factor(changed)
+
+    def solve(self, G: np.ndarray, e: np.ndarray,
+              parent: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Minimize sum_i 1/2 x_i'H x_i - G_i'x_i subject to E x_i = e_i,
+        sum_i x_i = parent (unless None) and the pins.  Returns x and the
+        multiplier of every pin (zero on free cells)."""
+        n, free = self.H.shape[0], ~self.pins
+        sol = np.einsum("kij,kj->ki", self.inv, np.concatenate([G * free, e], axis=1))
+        mu = np.zeros(n)
+        if parent is not None:
+            # response of each child's [x; lambda] to the parent-sum multipliers
+            R = self.inv[:, :, :n] * free[:, None, :]
+            mu = _schur_solve(R[:, :n].sum(axis=0), self.E, sol[:, :n].sum(axis=0) - parent)
+            sol -= R @ mu
+        x, lam = sol[:, :n], sol[:, n:]
+        return x, np.where(self.pins, x @ self.H - G + lam @ self.E + mu, 0.0)
+
+
+def _schur_solve(S: np.ndarray, E: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve S mu = r for the parent-sum multipliers.  A shift of mu along
+    any row of E is absorbed by the children's own multipliers, so those
+    rows span null directions of S; adding E'E makes S definite without
+    changing x.  Pins that empty a cell in every child leave S singular,
+    and the least-squares answer then shows up as an inconsistent x."""
+    A = S + max(S.diagonal().max(initial=0.0), 1.0) * (E.T @ E)
+    try:
+        return np.linalg.solve(A, r)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(A, r, rcond=None)[0]
+
+
+def _violation(x: np.ndarray, E: np.ndarray, e: np.ndarray,
+               parent: Optional[np.ndarray]) -> float:
+    """Largest equality residual of a group solution."""
+    worst = float(np.abs(x @ E.T - e).max(initial=0.0))
+    if parent is not None:
+        worst = max(worst, float(np.abs(x.sum(axis=0) - parent).max(initial=0.0)))
+    return worst
+
+
+def _batched_active_set(kids: _Children, G, e, parent, tol: float, where: str):
+    """Primal-dual active set: each step pins every negative free cell
+    and releases every pin whose multiplier is negative.  Returns None
+    when the steps cycle, meet an inconsistent pin set or hit the cap."""
+    seen = {kids.pins.tobytes()}
+    for _ in range(_CAP):
+        x, nu = kids.solve(G, e, parent)
+        if _violation(x, kids.E, e, parent) > _EQ_TOL * tol:
+            return None
+        pins = (kids.pins & (nu >= -tol)) | (x < -tol)
+        if (pins == kids.pins).all():
+            return x
+        if pins.tobytes() in seen:
+            return None
+        seen.add(pins.tobytes())
+        kids.repin(pins)
+    logger.warning("active-set iteration cap hit at %s after %d iterations; "
+                   "re-solving by the dual active set", where, _CAP)
+    return None
+
+
+def _dual_active_set(kids: _Children, G, e, parent, tol: float, where: str):
+    """Dual active set over the bounds, after Goldfarb and Idnani.
+
+    Starts from the solution without pins, which is dual feasible, and
+    raises the multiplier of the most negative free cell until that cell
+    reaches zero and is pinned, dropping on the way every pin whose
+    multiplier falls to zero.  A pin enters only when it is linearly
+    independent of the active rows, and each one raises the dual
+    objective, so no pin set repeats and the loop ends.  A negative cell
+    that no step can lift proves that the group has no non-negative
+    solution.
+    """
+    kids.repin(np.zeros_like(kids.pins))
+    x, nu = kids.solve(G, e, parent)
+    if _violation(x, kids.E, e, parent) > _EQ_TOL * tol:
         raise InfeasibleConstraints(
-            "equality constraints are mutually inconsistent at this node group"
+            f"equality constraints are mutually inconsistent at {where}"
         )
-    if nonneg:
-        x = np.clip(x, 0.0, None)
-    return x
+    zero_e, zero_p = np.zeros_like(e), None if parent is None else np.zeros_like(parent)
+    lift_tol = 1e-10 / max(float(kids.H.diagonal().max()), 1e-12)
+    cap = _CAP + 2 * G.size
+    steps = 0
+    while True:
+        viol = np.where(kids.pins, 0.0, x)
+        j = np.unravel_index(np.argmin(viol), viol.shape)
+        if viol[j] >= -tol:
+            return x
+        unit = np.zeros_like(G)
+        unit[j] = 1.0
+        while True:  # raise cell j's multiplier until the cell reaches zero
+            steps += 1
+            if steps > cap:
+                logger.warning("active-set iteration cap hit at %s after %d "
+                               "dual iterations; keeping last iterate", where, cap)
+                return x
+            z, dnu = kids.solve(unit, zero_e, zero_p)
+            full = -x[j] / z[j] if z[j] > lift_tol else np.inf
+            falling = kids.pins & (dnu < -1e-12)
+            ratio = np.where(falling, np.maximum(nu, 0.0) / np.where(falling, -dnu, 1.0), np.inf)
+            drop = np.unravel_index(np.argmin(ratio), ratio.shape)
+            pins = kids.pins.copy()
+            if min(full, ratio[drop]) == np.inf:
+                raise InfeasibleConstraints(f"no non-negative solution at {where}")
+            if full <= ratio[drop]:
+                pins[j] = True
+                kids.repin(pins)
+                x, nu = kids.solve(G, e, parent)
+                break
+            x, nu = x + ratio[drop] * z, nu + ratio[drop] * dnu
+            pins[drop], nu[drop] = False, 0.0
+            kids.repin(pins)
+
+
+def _solve_group(H: np.ndarray, G: np.ndarray, E: np.ndarray, e: np.ndarray,
+                 parent: Optional[np.ndarray], nonneg: bool, where: str) -> np.ndarray:
+    """Minimize sum_i 1/2 x_i'H x_i - G_i'x_i over the k rows of x subject
+    to E x_i = e_i, sum_i x_i = parent (None at the root) and optionally
+    x >= 0.  Raises InfeasibleConstraints if no such x exists."""
+    k, C = G.shape
+    scale = max(1.0, float(np.abs(e).max(initial=0.0)),
+                0.0 if parent is None else float(np.abs(parent).max(initial=0.0)))
+    tol = 1e-8 * scale
+    cells = np.arange(C)
+    if nonneg and parent is not None:
+        cells = np.nonzero(parent > 0)[0]
+    rows = np.nonzero(E[:, cells].any(axis=1))[0]
+    x = np.zeros((k, C))
+    if cells.size:
+        sub = (G[:, cells], e[:, rows], None if parent is None else parent[cells])
+        kids = _Children(H[np.ix_(cells, cells)], E[np.ix_(rows, cells)], k)
+        if not nonneg:
+            x[:, cells] = kids.solve(*sub)[0]
+        else:
+            xs = _batched_active_set(kids, *sub, tol, where)
+            x[:, cells] = _dual_active_set(kids, *sub, tol, where) if xs is None else xs
+    if _violation(x, E, e, parent) > _EQ_TOL * tol:
+        raise InfeasibleConstraints(
+            f"equality constraints are mutually inconsistent at {where}"
+        )
+    return np.clip(x, 0.0, None) if nonneg else x
 
 
 # ----------------------------------------------------------------------
 # controlled rounding
 
 
-def _largest_remainder(values: np.ndarray, target: int) -> np.ndarray:
+def _largest_remainder(values: np.ndarray, target) -> np.ndarray:
     """Round non-negative values to integers summing exactly to target.
 
-    The classic controlled rounding: floor everything, then hand out the
-    missing units in order of largest fractional part, ties broken by
-    index order.
+    The classic controlled rounding: snap to the 1e-6 grid, floor
+    everything, then hand out the missing units in order of largest
+    fractional part, ties broken by index order.  A 2-D array is
+    rounded column by column against one target per column.
     """
     v = np.clip(np.asarray(values, dtype=float), 0.0, None)
-    base = np.floor(v + 1e-9).astype(np.int64)
-    frac = v - base
-    out = base.copy()
-    need = int(target) - int(base.sum())
-    n = v.size
-    if need > 0:
-        whole, rem = divmod(need, n)
-        out += whole
-        order = np.lexsort((np.arange(n), -frac))
-        out[order[:rem]] += 1
-    elif need < 0:
-        order = np.lexsort((np.arange(n), frac))  # smallest fraction first
-        take = -need
-        while take > 0:
-            progress = False
-            for idx in order:
-                if take == 0:
-                    break
-                if out[idx] > 0:
-                    out[idx] -= 1
-                    take -= 1
-                    progress = True
-            if not progress:
-                raise InfeasibleConstraints(
-                    f"cannot round to non-negative integers with target {target}"
-                )
-    return out
+    units = np.rint(v.reshape(v.shape[0], -1) * _GRID).astype(np.int64)
+    out, frac = np.divmod(units, _GRID)
+    targets = np.asarray(target, dtype=np.int64).reshape(-1)
+    need = targets - out.sum(axis=0)
+    n = units.shape[0]
+    whole, rem = np.divmod(np.maximum(need, 0), n)
+    order = np.argsort(-frac, axis=0, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n)[:, None], axis=0)
+    out += whole + (rank < rem)
+    for c in np.nonzero(need < 0)[0]:
+        col, take = out[:, c], int(-need[c])
+        if col.sum() < take:
+            raise InfeasibleConstraints(
+                f"cannot round to non-negative integers with target {targets[c]}"
+            )
+        order = np.argsort(frac[:, c], kind="stable")  # smallest fraction first
+        while take:
+            hit = order[col[order] > 0][:take]
+            col[hit] -= 1
+            take -= hit.size
+    return out.reshape(v.shape)
 
 
 @dataclass(frozen=True)
 class _Invariant:
     label: str
     support: np.ndarray  # bool mask over cells
-    # one target per node in the group being processed
-    targets: np.ndarray
+    targets: np.ndarray  # one per node of the group being processed
 
 
 def _check_nested(invariants: Sequence[_Invariant]) -> None:
-    for i in range(len(invariants)):
-        for j in range(i + 1, len(invariants)):
-            a = invariants[i].support
-            b = invariants[j].support
-            inter = a & b
-            if inter.any() and not (a <= b).all() and not (b <= a).all():
-                raise InfeasibleConstraints(
-                    "overlapping invariant supports must be nested or disjoint"
-                )
+    for a, b in itertools.combinations([inv.support for inv in invariants], 2):
+        if (a & b).any() and not (a <= b).all() and not (b <= a).all():
+            raise InfeasibleConstraints(
+                "overlapping invariant supports must be nested or disjoint"
+            )
 
 
 def _repair_invariants(X: np.ndarray, invariants: Sequence[_Invariant], nonneg: bool) -> None:
@@ -228,21 +338,14 @@ def _repair_invariants(X: np.ndarray, invariants: Sequence[_Invariant], nonneg: 
         while (s > 0).any():
             i = int(np.nonzero(s > 0)[0][0])
             j = int(np.nonzero(s < 0)[0][0])
-            cell = -1
-            for c in free:
-                if X[i, c] >= 1:
-                    cell = c
-                    break
-            if cell < 0:
-                if nonneg:
-                    raise InfeasibleConstraints(
-                        f"no movable mass to repair invariant {inv.label!r}"
-                    )
-                cell = int(free[np.argmax(X[i, free])])
-            X[i, cell] -= 1
-            X[j, cell] += 1
-            s[i] -= 1
-            s[j] += 1
+            movable = free[X[i, free] >= 1]
+            if movable.size == 0 and nonneg:
+                raise InfeasibleConstraints(
+                    f"no movable mass to repair invariant {inv.label!r}"
+                )
+            cell = movable[0] if movable.size else free[np.argmax(X[i, free])]
+            X[[i, j], cell] += (-1, 1)
+            s[[i, j]] += (-1, 1)
         done |= inv.support
 
 
@@ -250,10 +353,7 @@ def _round_group(X: np.ndarray, parent: np.ndarray,
                  invariants: Sequence[_Invariant], nonneg: bool) -> np.ndarray:
     """Integerize children jointly: per-cell largest remainder against
     the parent's (already integer) cell values, then invariant repair."""
-    k, C = X.shape
-    out = np.empty((k, C), dtype=np.int64)
-    for c in range(C):
-        out[:, c] = _largest_remainder(X[:, c], int(parent[c]))
+    out = _largest_remainder(X, parent)
     _repair_invariants(out, invariants, nonneg)
     return out
 
@@ -321,17 +421,26 @@ def _resolve_invariants(
     return by_level
 
 
+def _level_hessian(H: np.ndarray) -> np.ndarray:
+    """The level Hessian, made definite where the weighted queries leave
+    it singular (no detail queries, or none noisy).  Only then is the
+    solution not unique, and the small ridge picks one."""
+    top = float(H.diagonal().max(initial=0.0))
+    if top > 0.0 and np.linalg.eigvalsh(H)[0] > 1e-9 * top:
+        return H
+    return H + (1e-6 * top if top > 0.0 else 1.0) * np.eye(H.shape[0])
+
+
 def topdown_postprocess(
     nms: NoisyMeasurements,
     cef: CefDataset,
     cfg: Optional[PostProcessConfig] = None,
-    seed: Optional[int] = None,
     agg: Optional[AggregationMatrix] = None,
 ) -> PostProcessedDataset:
     """Map noisy measurements to a consistent synthetic population.
 
-    ``seed`` is accepted for interface stability but the map is fully
-    deterministic: rounding ties are resolved by index order.
+    The map is fully deterministic: rounding ties are resolved by index
+    order.
     """
     cfg = cfg or PostProcessConfig()
     agg = agg or default_statistics(cef.schema)
@@ -341,35 +450,31 @@ def topdown_postprocess(
     spine = cef.spine
     inv_by_level = _resolve_invariants(cfg, agg)
 
-    # per-level query split: weighted rows vs exact rows
+    # per-level query split: weighted rows vs exact rows, which with the
+    # invariant supports form every child's equality rows
     per_level: dict[geo.GeoLevel, dict] = {}
     qmat = q.matrix.astype(float)
     for lv in geo.NMF_LEVEL_ORDER:
         variances = q.variances_for(lv)
         wmask = variances > 0
         Qw = qmat[wmask]
-        w = 1.0 / variances[wmask]
-        QtW = Qw.T * w
+        QtW = Qw.T * (1.0 / variances[wmask])
         per_level[lv] = {
             "wmask": wmask,
-            "emask": ~wmask,
-            "Q0": qmat[~wmask],
-            "H": 2.0 * (QtW @ Qw),
-            "QtW": QtW,
+            "E": np.vstack([qmat[~wmask]] + [s[None, :] for _, s in inv_by_level[lv]]),
+            "H": _level_hessian(2.0 * (QtW @ Qw)),
+            "QtW2": 2.0 * QtW,
         }
 
-    def invariant_objects(level, nodes) -> list[_Invariant]:
-        out = []
-        for label, support in inv_by_level[level]:
-            targets = np.array(
-                [int(cef.node_histogram(n)[support].sum()) for n in nodes],
-                dtype=np.int64,
-            )
-            out.append(_Invariant(label, support, targets))
-        return out
-
-    C = cef.schema.size
-    solved: dict[str, np.ndarray] = {}
+    def fit(level, nodes, parent, where) -> tuple[np.ndarray, list[_Invariant]]:
+        lvdat = per_level[level]
+        vals = np.array([nms[n].values for n in nodes], dtype=float)
+        invs = [_Invariant(label, support, np.array(
+                    [int(cef.node_histogram(n)[support].sum()) for n in nodes]))
+                for label, support in inv_by_level[level]]
+        e = np.column_stack([vals[:, ~lvdat["wmask"]]] + [inv.targets for inv in invs])
+        G = vals[:, lvdat["wmask"]] @ lvdat["QtW2"].T
+        return _solve_group(lvdat["H"], G, lvdat["E"], e, parent, cfg.nonneg, where), invs
 
     needed = [geo.NATION_ID]
     for lv in geo.NMF_LEVEL_ORDER[1:]:
@@ -382,55 +487,24 @@ def topdown_postprocess(
         )
 
     # root
-    lvdat = per_level[geo.GeoLevel.NATION]
-    ms = nms[geo.NATION_ID]
-    mw = ms.values[lvdat["wmask"]].astype(float)
-    m0 = ms.values[lvdat["emask"]].astype(float)
-    invs = invariant_objects(geo.GeoLevel.NATION, [geo.NATION_ID])
-    A_rows = [lvdat["Q0"]] + [inv.support.astype(float)[None, :] for inv in invs]
-    b_rows = [m0] + [inv.targets.astype(float) for inv in invs]
-    A = np.vstack(A_rows) if A_rows else np.zeros((0, C))
-    b = np.concatenate(b_rows) if b_rows else np.zeros(0)
-    x = _constrained_wls(lvdat["H"], 2.0 * (lvdat["QtW"] @ mw), A, b, cfg.nonneg)
-    if cfg.integerize:
-        root = _round_root(x, invs).astype(float)
-    else:
-        root = x
-    solved[geo.NATION_ID] = root
+    x, invs = fit(geo.GeoLevel.NATION, [geo.NATION_ID], None, f"{geo.NATION_ID} (root)")
+    root = _round_root(x[0], invs).astype(float) if cfg.integerize else x[0]
+    solved: dict[str, np.ndarray] = {geo.NATION_ID: root}
 
     # descend one generation at a time
     for parent_level, child_level in zip(geo.NMF_LEVEL_ORDER, geo.NMF_LEVEL_ORDER[1:]):
-        lvdat = per_level[child_level]
         for parent in spine.nodes_at(parent_level):
             kids = spine.children(parent)
-            k = len(kids)
             pvec = solved[parent]
-            if k == 1:
+            if len(kids) == 1:
                 solved[kids[0]] = pvec.copy()
                 continue
-            mw_list = [nms[kid].values[lvdat["wmask"]].astype(float) for kid in kids]
-            m0_list = [nms[kid].values[lvdat["emask"]].astype(float) for kid in kids]
-            invs = invariant_objects(child_level, kids)
-            H = np.kron(np.eye(k), lvdat["H"])
-            g = np.concatenate([2.0 * (lvdat["QtW"] @ mw) for mw in mw_list])
-            blocks_A = [np.tile(np.eye(C), (1, k))]
-            blocks_b = [pvec.astype(float)]
-            if lvdat["Q0"].shape[0]:
-                blocks_A.append(np.kron(np.eye(k), lvdat["Q0"]))
-                blocks_b.append(np.concatenate(m0_list))
-            for inv in invs:
-                blocks_A.append(np.kron(np.eye(k), inv.support.astype(float)[None, :]))
-                blocks_b.append(inv.targets.astype(float))
-            A = np.vstack(blocks_A)
-            b = np.concatenate(blocks_b)
-            x = _constrained_wls(H, g, A, b, cfg.nonneg).reshape(k, C)
+            where = f"parent {parent} ({child_level.value} children)"
+            x, invs = fit(child_level, kids, pvec, where)
             if cfg.integerize:
-                X = _round_group(x, pvec.astype(np.int64), invs, cfg.nonneg)
-                for kid, row in zip(kids, X):
-                    solved[kid] = row.astype(float)
-            else:
-                for kid, row in zip(kids, x):
-                    solved[kid] = row
+                x = _round_group(x, pvec.astype(np.int64), invs, cfg.nonneg).astype(float)
+            for kid, row in zip(kids, x):
+                solved[kid] = row
 
     block_counts = {
         raw: (solved[raw].astype(np.int64) if cfg.integerize else solved[raw])
@@ -457,26 +531,3 @@ def _validate_postprocessed(
                     raise InfeasibleConstraints(
                         f"invariant {label!r} broken at {node}: {got} != {want}"
                     )
-
-
-def run_twice(
-    cef: CefDataset,
-    q: QueryMatrix,
-    cfg: Optional[PostProcessConfig] = None,
-    seed1: int = 0,
-    seed2: int = 1,
-    agg: Optional[AggregationMatrix] = None,
-) -> tuple[PostProcessedDataset, PostProcessedDataset]:
-    """Two statistically independent end-to-end runs.
-
-    Raises SeedError when the seeds coincide: identical seeds would
-    reuse noise streams and silently break every independence-based
-    estimator downstream.
-    """
-    if int(seed1) == int(seed2):
-        raise SeedError(f"independent runs need distinct seeds, got {seed1} twice")
-    out = []
-    for s in (seed1, seed2):
-        nms = make_noisy_measurements(cef, q, seed=s)
-        out.append(topdown_postprocess(nms, cef, cfg, agg=agg))
-    return out[0], out[1]

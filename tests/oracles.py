@@ -59,3 +59,46 @@ def brute_force_integer_fit(
         if best_obj is None or obj < best_obj - 1e-12:
             best, best_obj = (x1, x2), obj
     return list(best)
+
+
+def kkt_active_set_oracle(H, G, E, e, parent):
+    """Exhaustive active-set reference for one TopDown node group.
+
+    Minimizes sum_i 1/2 x_i'H x_i - G_i'x_i over x >= 0 subject to
+    E x_i = e_i for every child i and, unless parent is None,
+    sum_i x_i = parent.  Every set of cells held at zero is tried: its
+    equality-constrained problem is solved from the full KKT system, and
+    the first point that is feasible with non-negative multipliers on
+    the held cells is returned.  That point satisfies the KKT conditions,
+    so it is the optimum.  Exponential in the unknowns; at most eight.
+    """
+    import itertools
+
+    k, C = G.shape
+    N = k * C
+    assert N <= 8
+    rows = [np.kron(np.eye(k), E)]
+    rhs = [np.asarray(e, dtype=float).reshape(-1)]
+    if parent is not None:
+        rows.append(np.tile(np.eye(C), (1, k)))
+        rhs.append(np.asarray(parent, dtype=float))
+    A, b = np.vstack(rows), np.concatenate(rhs)
+    Hb, g = np.kron(np.eye(k), H), np.asarray(G, dtype=float).reshape(-1)
+    x_scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    g_scale = max(1.0, float(np.abs(g).max(initial=0.0)))
+    for held in itertools.product((False, True), repeat=N):
+        P = np.eye(N)[list(held)]
+        Aw = np.vstack([A, P])
+        m = Aw.shape[0]
+        kkt = np.block([[Hb, Aw.T], [Aw, np.zeros((m, m))]])
+        full_rhs = np.concatenate([g, b, np.zeros(P.shape[0])])
+        sol = np.linalg.lstsq(kkt, full_rhs, rcond=None)[0]
+        if np.abs(kkt @ sol - full_rhs).max() > 1e-9 * max(x_scale, g_scale):
+            continue  # the held cells contradict the equalities
+        x = sol[:N]
+        # stationarity Hx - g + A'lam + P'eta = 0, so the bound multiplier is -eta
+        bound_mult = -sol[N + A.shape[0]:]
+        if (x < -1e-9 * x_scale).any() or (bound_mult < -1e-9 * g_scale).any():
+            continue
+        return x.reshape(k, C)
+    raise ValueError("no KKT point: the group is infeasible")
