@@ -52,9 +52,9 @@ from .estimators import (
 )
 from .histograms import (
     AggregationMatrix,
-    CefDataset,
     CellSchema,
     DESK_SCHEMA,
+    HistogramDataset,
     default_statistics,
     generate_synthetic_cef,
 )
@@ -67,7 +67,8 @@ from .noise import (
     nm_statistics,
     sample_discrete_gaussian_array,
 )
-from .swapping import SwapConfig, swapped_dataset
+from .pipeline import swap_release
+from .swapping import SwapConfig
 from .topdown import PostProcessConfig, topdown_postprocess
 
 
@@ -172,9 +173,8 @@ def _pair_world():
         ),
         seed=11,
     )
-    blocks = sorted(spine.blocks)
-    counts = {blocks[0]: np.array([2, 4]), blocks[1]: np.array([3, 5])}
-    return spine, CefDataset(spine, _PAIR_SCHEMA, counts), blocks
+    cef = HistogramDataset(spine, _PAIR_SCHEMA, np.array([[2, 4], [3, 5]]), "enumeration")
+    return spine, cef, list(spine.blocks)
 
 
 def _pair_query(block_variance: float) -> QueryMatrix:
@@ -234,14 +234,6 @@ def _combined_variance(q: QueryMatrix, level: geo.GeoLevel, stat_row) -> float:
             return 0.0
         inv += 1.0 / path_var
     return 1.0 / inv
-
-
-def _target_truth(cef: CefDataset, target: geo.GeoId) -> np.ndarray:
-    """True histogram of any standard-census target, summed from blocks."""
-    total = np.zeros(cef.schema.size, dtype=np.int64)
-    for raw in cef.spine.blocks_of_target(target):
-        total += cef.block_histogram(raw)
-    return total
 
 
 def _single_stat(agg: AggregationMatrix, label: str) -> AggregationMatrix:
@@ -350,7 +342,7 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
             checks.expect(False, f"test spine has no {level.value} units")
             continue
         target = geo.GeoId(level, sorted(units)[0])
-        truth = agg.matrix @ _target_truth(cef, target)
+        truth = agg.matrix @ cef.target_histogram(target)
         for est, want in zip(nm_statistics(nms0, q0, agg, spine, target), truth):
             checks.expect(
                 est.value == want and est.variance == 0.0,
@@ -375,7 +367,7 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
         (tract, _single_stat(agg, "hispanic")),
         (bgroup, _single_stat(agg, "voting_age")),
     ]
-    truths = [float(a.matrix[0] @ _target_truth(cef, t)) for t, a in pairs]
+    truths = [float(a.matrix[0] @ cef.target_histogram(t)) for t, a in pairs]
     needed = set()
     for target, _ in pairs:
         needed.update(geo.compose_target(spine, target).parts)
@@ -535,8 +527,8 @@ def check_swap_variance_conservative() -> tuple[bool, str]:
     diffs = np.empty((reps, len(sel.cells)))
     swapped_total = 0
     for r in range(reps):
-        sw = swapped_dataset(cef, cfg, seed=r)
-        swapped_total += sw.stats.n_swapped
+        _, stats, sw = swap_release(cef, cfg, seed=r)
+        swapped_total += stats.n_swapped
         nms = make_noisy_measurements(cef, q, seed=1_000_000 + r, nodes=needed)
         noisy = noisy_stat_table(nms, q, agg, spine, sel)
         table = dataset_stat_table(sw, agg, sel)
@@ -606,9 +598,9 @@ def check_swap_invariants() -> tuple[bool, str]:
     aggressive_swaps = 0
     for cfg in policies:
         for seed in (1, 5, 9):
-            sw = swapped_dataset(cef, cfg, seed=seed)
+            _, stats, sw = swap_release(cef, cfg, seed=seed)
             if cfg.base_rate == 0.5:
-                aggressive_swaps += sw.stats.n_swapped
+                aggressive_swaps += stats.n_swapped
             for raw in spine.blocks:
                 before = cef.block_histogram(raw)
                 after = sw.block_histogram(raw)
@@ -995,7 +987,7 @@ def check_error_ordering() -> tuple[bool, str]:
             f"{k}-block district variance {reported:.3f} != k x block "
             f"variance {k * block_var:.3f}",
         )
-        truth = float(_target_truth(cef, target).sum())
+        truth = float(cef.target_histogram(target).sum())
         reps_nm = 2000
         errs = np.empty(reps_nm)
         for r in range(reps_nm):
@@ -1050,9 +1042,9 @@ def check_degenerate_inputs() -> tuple[bool, str]:
 
     spine2 = geo.make_synthetic_spine(_MID_SPEC, seed=7)
     cef2 = generate_synthetic_cef(spine2, seed=7)
-    sw = swapped_dataset(cef2, SwapConfig(base_rate=0.0), seed=13)
+    _, stats, sw = swap_release(cef2, SwapConfig(base_rate=0.0), seed=13)
     checks.expect(
-        sw.stats.n_swapped == 0
+        stats.n_swapped == 0
         and all(np.array_equal(sw.block_histogram(b), cef2.block_histogram(b))
                 for b in spine2.blocks),
         "zero-rate swap is not the identity",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geo
 from .errors import SchemaError
-from .histograms import CefDataset, CellSchema, HistogramDataset
+from .histograms import CellSchema, HistogramDataset
 from .noise import NoisyMeasurementSet, NoisyMeasurements, QueryMatrix
 
 PathLike = Union[str, Path]
@@ -67,58 +67,78 @@ def read_geocodes_csv(path: PathLike) -> geo.Spine:
 # histograms (enumeration, post-processed, swapped)
 
 
-def write_histogram_csv(ds: HistogramDataset, path: PathLike) -> None:
-    size = ds.schema.size
+def _histogram_header(size: int) -> list[str]:
     width = len(str(size - 1))
+    return ["geocode"] + [f"cell_{i:0{width}d}" for i in range(size)]
+
+
+def write_histogram_csv(ds: HistogramDataset, path: PathLike) -> None:
+    """One row per block in spine order; integer counts as integers,
+    float counts in round-trip form (csv writes floats by repr)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["geocode"] + [f"cell_{i:0{width}d}" for i in range(size)])
-        for raw in ds.spine.blocks:
-            h = ds.block_histogram(raw)
-            if h.dtype == np.int64:
-                w.writerow([raw] + [str(int(v)) for v in h])
-            else:
-                w.writerow([raw] + [_fmt(v) for v in h])
+        w.writerow(_histogram_header(ds.schema.size))
+        w.writerows([raw, *h] for raw, h in zip(ds.spine.blocks, ds.counts.tolist()))
+
+
+def _csv_rows(path: PathLike, header: Sequence[str]):
+    """(line number, row) pairs of a CSV whose header must be ``header``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(header):
+                raise SchemaError(f"{path}: header is not {','.join(header)}")
+            for row in reader:
+                yield reader.line_num, row
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: unreadable CSV ({exc})") from None
 
 
 def read_histogram_csv(
     path: PathLike,
     spine: geo.Spine,
     schema: CellSchema,
-    require_int: bool = True,
-) -> dict[str, np.ndarray]:
+    dtype: type = np.int64,
+    kind: str = "dataset",
+    run_seed: Optional[int] = None,
+) -> HistogramDataset:
+    """Read a dataset written by write_histogram_csv.  Every spine block
+    must appear exactly once, with one ``dtype`` count per cell."""
     size = schema.size
-    counts: dict[str, np.ndarray] = {}
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or header[0] != "geocode" or len(header) != size + 1:
-            raise SchemaError(f"{path}: header does not match a {size}-cell schema")
-        for row in r:
-            raw = row[0]
-            if require_int:
-                counts[raw] = np.array([int(v) for v in row[1:]], dtype=np.int64)
-            else:
-                counts[raw] = np.array([float(v) for v in row[1:]])
-    missing = set(spine.blocks) - set(counts)
-    if missing:
-        raise SchemaError(f"{path}: {len(missing)} spine blocks missing")
-    return counts
-
-
-def read_cef_csv(path: PathLike, spine: geo.Spine, schema: CellSchema) -> CefDataset:
-    return CefDataset(spine, schema, read_histogram_csv(path, spine, schema))
+    counts = np.zeros((len(spine.blocks), size), dtype=dtype)
+    seen = np.zeros(len(spine.blocks), dtype=bool)
+    for line, row in _csv_rows(path, _histogram_header(size)):
+        raw = row[0] if row else ""
+        i = spine.block_index.get(raw)
+        if i is None:
+            raise SchemaError(f"{path}:{line}: {raw!r} is not a block of the spine")
+        if seen[i]:
+            raise SchemaError(f"{path}:{line}: second row for block {raw}")
+        if len(row) != size + 1:
+            raise SchemaError(f"{path}:{line}: {len(row) - 1} counts, the schema has {size}")
+        try:
+            counts[i] = np.array(row[1:]).astype(dtype)
+        except (ValueError, OverflowError):
+            raise SchemaError(
+                f"{path}:{line}: block {raw} has a count that is not {np.dtype(dtype).name}"
+            ) from None
+        seen[i] = True
+    if not seen.all():
+        raise SchemaError(f"{path}: {int((~seen).sum())} spine blocks missing")
+    return HistogramDataset(spine, schema, counts, kind, run_seed)
 
 
 # ----------------------------------------------------------------------
 # noisy measurements
+
+NMF_COLUMNS = ("node_id", "row_index", "row_id", "value", "variance")
 
 
 def write_nmf_csv(nms: NoisyMeasurements, path: PathLike) -> None:
     q = nms.query
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["node_id", "row_index", "row_id", "value", "variance"])
+        w.writerow(NMF_COLUMNS)
         for node_id in sorted(nms):
             ms = nms[node_id]
             for i, (v, s2) in enumerate(zip(ms.values, ms.variances)):
@@ -128,25 +148,39 @@ def write_nmf_csv(nms: NoisyMeasurements, path: PathLike) -> None:
 def read_nmf_csv(
     path: PathLike, q: QueryMatrix, seed: Optional[int]
 ) -> NoisyMeasurements:
-    n_rows = len(q.row_ids)
-    values: dict[str, list] = {}
-    variances: dict[str, list] = {}
-    with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        for row in r:
-            values.setdefault(row["node_id"], []).append(int(row["value"]))
-            variances.setdefault(row["node_id"], []).append(float(row["variance"]))
+    """Read measurements written by write_nmf_csv.  Each node's rows must
+    run through the query's rows in order, by index and by id."""
+    n_rows = q.n_rows
+    expected = [[str(i), row_id] for i, row_id in enumerate(q.row_ids)]
+    values: dict[str, list[int]] = {}
+    variances: dict[str, list[float]] = {}
+    for line, row in _csv_rows(path, NMF_COLUMNS):
+        if len(row) != len(NMF_COLUMNS):
+            raise SchemaError(f"{path}:{line}: {len(row)} fields, want {len(NMF_COLUMNS)}")
+        vals = values.setdefault(row[0], [])
+        i = len(vals)
+        if i == n_rows or row[1:3] != expected[i]:
+            want = f"row {i} ({q.row_ids[i]})" if i < n_rows else f"only {n_rows} rows"
+            raise SchemaError(
+                f"{path}:{line}: node {row[0]} has row {row[1]} ({row[2]}), "
+                f"the query has {want}"
+            )
+        try:
+            vals.append(int(row[3]))
+            variances.setdefault(row[0], []).append(float(row[4]))
+        except ValueError:
+            raise SchemaError(f"{path}:{line}: value or variance is not a number") from None
     per_node = {}
     for node_id, vals in values.items():
         if len(vals) != n_rows:
             raise SchemaError(
                 f"{path}: node {node_id} has {len(vals)} rows, query needs {n_rows}"
             )
-        per_node[node_id] = NoisyMeasurementSet(
-            node_id,
-            np.array(vals, dtype=np.int64),
-            np.array(variances[node_id]),
-        )
+        try:
+            counts = np.array(vals, dtype=np.int64)
+        except OverflowError:
+            raise SchemaError(f"{path}: node {node_id} has a value beyond int64") from None
+        per_node[node_id] = NoisyMeasurementSet(node_id, counts, np.array(variances[node_id]))
     return NoisyMeasurements(per_node, q, seed)
 
 
@@ -268,8 +302,11 @@ def write_schema_json(schema: CellSchema, path: PathLike) -> None:
 
 
 def read_schema_json(path: PathLike) -> CellSchema:
-    data = json.loads(Path(path).read_text())
-    return CellSchema(tuple((str(n), int(c)) for n, c in data["axes"]))
+    text = Path(path).read_text()
+    try:
+        return CellSchema(tuple((str(n), int(c)) for n, c in json.loads(text)["axes"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SchemaError(f"{path}: not a cell schema ({exc!r})") from None
 
 
 def write_manifest(out_dir: PathLike, config_hash: str, file_names: Sequence[str]) -> None:
@@ -283,16 +320,22 @@ def write_manifest(out_dir: PathLike, config_hash: str, file_names: Sequence[str
 
 
 def read_manifest(out_dir: PathLike) -> dict:
-    return json.loads((Path(out_dir) / "manifest.json").read_text())
+    try:
+        manifest = json.loads((Path(out_dir) / "manifest.json").read_text())
+    except ValueError as exc:
+        raise SchemaError(f"{out_dir}: manifest.json is not JSON ({exc})") from None
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
+        raise SchemaError(f"{out_dir}: manifest.json lists no file checksums")
+    return manifest
 
 
 def verify_manifest(out_dir: PathLike) -> list[str]:
     """Names of files whose checksum no longer matches the manifest."""
     out = Path(out_dir)
-    manifest = read_manifest(out_dir)
     bad = []
-    for name, digest in manifest["files"].items():
+    for name, digest in read_manifest(out_dir)["files"].items():
         p = out / name
-        if not p.exists() or sha256_file(p) != digest:
+        if not p.is_file() or sha256_file(p) != digest:
             bad.append(name)
     return bad

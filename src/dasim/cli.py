@@ -17,12 +17,15 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import geo
 from .artifacts import (
     read_geocodes_csv,
     read_histogram_csv,
     read_nmf_csv,
     read_schema_json,
+    verify_manifest,
     write_crosswalk_csv,
     write_error_report_csv,
     write_error_report_json,
@@ -37,7 +40,7 @@ from .artifacts import (
 )
 from .config import RunConfig
 from .errors import DasimError, InfeasibleConstraints, ParameterError
-from .histograms import HistogramDataset, default_statistics
+from .histograms import default_statistics
 from .noise import QueryMatrix
 from .pipeline import Replicate, build_world, error_report, replicate_seeds, run_replicate
 
@@ -49,22 +52,7 @@ from . import __version__
 
 
 def _crosswalk_row(raw: str, vtd: str = "", place: str = "") -> dict[str, str]:
-    code = geo.parse_geocode(raw)
-    geoid = code.geoid
-    return {
-        "geocode": raw,
-        "state": code.geoid_state,
-        "county": geoid[:5],
-        "tract": geoid[:11],
-        "blockgroup": geoid[:11] + code.bg_digit,
-        "block": geoid,
-        "vtd": vtd,
-        "place": place,
-        "nmf_state": code.state_fips,
-        "nmf_county": raw[:8],
-        "nmf_tract": raw[:12],
-        "opt_blockgroup": raw[:15],
-    }
+    return {**geo.enclosing_units(raw), "geocode": raw, "vtd": vtd, "place": place}
 
 
 def _read_geocode_input(path: Path) -> list[tuple[int, str, str, str]]:
@@ -131,11 +119,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     world = build_world(cfg)
-    total = sum(
-        int(world.cef.block_histogram(b).sum()) for b in world.spine.blocks
-    )
     print(
-        f"world: {len(world.spine.blocks)} blocks, {total} persons, "
+        f"world: {len(world.spine.blocks)} blocks, {world.cef.total_population} persons, "
         f"seed {cfg.seed}, {cfg.replicates} replicate(s)"
     )
 
@@ -172,34 +157,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_replicates(out_dir: Path, cfg: RunConfig, spine, schema, q) -> list[Replicate]:
+    release_dtype = np.int64 if cfg.postprocess.integerize else float
     reps = []
-    require_int = cfg.postprocess.integerize
     for r in range(cfg.replicates):
         names = _rep_names(r)
-        for name in names.values():
-            if name != names["households"] and not (out_dir / name).exists():
-                raise FileNotFoundError(out_dir / name)
         seed_a, seed_b = replicate_seeds(cfg.seed, r)
-        nms_a = read_nmf_csv(out_dir / names["nmf_a"], q, seed_a)
-        nms_b = read_nmf_csv(out_dir / names["nmf_b"], q, seed_b)
-        post_a = HistogramDataset(
-            spine, schema,
-            read_histogram_csv(out_dir / names["post_a"], spine, schema, require_int),
-            require_int=require_int,
-        )
-        post_b = HistogramDataset(
-            spine, schema,
-            read_histogram_csv(out_dir / names["post_b"], spine, schema, require_int),
-            require_int=require_int,
-        )
-        swapped = HistogramDataset(
-            spine, schema, read_histogram_csv(out_dir / names["swap"], spine, schema)
-        )
+
+        def release(name, kind, seed, dtype=release_dtype):
+            return read_histogram_csv(out_dir / names[name], spine, schema, dtype, kind, seed)
+
         reps.append(
             Replicate(
                 index=r, seed_a=seed_a, seed_b=seed_b,
-                nms_a=nms_a, nms_b=nms_b,
-                post_a=post_a, post_b=post_b, swapped=swapped,
+                nms_a=read_nmf_csv(out_dir / names["nmf_a"], q, seed_a),
+                nms_b=read_nmf_csv(out_dir / names["nmf_b"], q, seed_b),
+                post_a=release("post_a", "postprocessed", seed_a),
+                post_b=release("post_b", "postprocessed", seed_b),
+                swapped=release("swap", "swapped", seed_a, np.int64),
             )
         )
     return reps
@@ -207,6 +181,11 @@ def _load_replicates(out_dir: Path, cfg: RunConfig, spine, schema, q) -> list[Re
 
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
+    bad = verify_manifest(out_dir)
+    if bad:
+        print(f"error: files changed since simulate wrote {out_dir}: {', '.join(bad)}",
+              file=sys.stderr)
+        return 1
     cfg = RunConfig.from_file(out_dir / "config.json")
     spine = read_geocodes_csv(out_dir / "geocodes.csv")
     schema = read_schema_json(out_dir / "schema.json")
@@ -248,10 +227,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import acceptance
 
+    wanted = None
     if args.criteria:
-        wanted = {int(c) for c in args.criteria.split(",")}
-    else:
-        wanted = None
+        try:
+            wanted = {int(c) for c in args.criteria.split(",")}
+        except ValueError:
+            raise ParameterError(
+                f"--criteria wants comma-separated check numbers, got {args.criteria!r}"
+            ) from None
     results = acceptance.run_all(wanted)
     failed = [r for r in results if not r.passed]
     for r in results:

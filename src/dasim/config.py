@@ -92,6 +92,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
+        """Parse a config object.  Every malformed value, a wrong JSON
+        type included, raises ConfigError or another DasimError."""
+        try:
+            return cls._parse(data)
+        except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, data: Mapping) -> "RunConfig":
         if not isinstance(data, Mapping):
             raise ConfigError("config must be a JSON object")
         _check_keys(data, _TOP_KEYS, "config")

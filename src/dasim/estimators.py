@@ -92,43 +92,16 @@ class StatTable:
         return len(self.cells)
 
 
-_KIND_BY_CLASS = {
-    "CefDataset": "enumeration",
-    "PostProcessedDataset": "postprocessed",
-    "SwappedDataset": "swapped",
-}
-
-
 def dataset_stat_table(
-    ds: HistogramDataset,
-    agg: AggregationMatrix,
-    selection: GeoSelection,
-    kind: Optional[str] = None,
-    run_seed: Optional[int] = None,
+    ds: HistogramDataset, agg: AggregationMatrix, selection: GeoSelection
 ) -> StatTable:
-    """Exact statistic values of a dataset over a selection.
-
-    ``kind`` and ``run_seed`` default to what the dataset object knows
-    about itself; pass them explicitly for datasets loaded from files,
-    which carry no provenance of their own.
-    """
-    kind = kind or _KIND_BY_CLASS.get(type(ds).__name__, "dataset")
-    labels = list(agg.labels)
-    values = np.empty(len(selection), dtype=float)
-    i = 0
-    for target in selection.targets:
-        stats = aggregate(ds.target_histogram(target), agg)
-        for s in selection.statistics:
-            values[i] = float(stats[labels.index(s)])
-            i += 1
-    if run_seed is None:
-        run_seed = getattr(ds, "run_seed", None)
-    return StatTable(
-        kind=kind,
-        cells=selection.cells,
-        values=values,
-        run_seed=run_seed,
+    """Exact statistic values of a dataset over a selection, tagged with
+    the dataset's own kind and run seed."""
+    rows = [agg.labels.index(s) for s in selection.statistics]
+    values = np.concatenate(
+        [aggregate(ds.target_histogram(t), agg)[rows] for t in selection.targets]
     )
+    return StatTable(kind=ds.kind, cells=selection.cells, values=values, run_seed=ds.run_seed)
 
 
 def noisy_stat_table(
@@ -139,22 +112,17 @@ def noisy_stat_table(
     selection: GeoSelection,
 ) -> StatTable:
     """Unbiased noisy statistic values with their exact variances."""
-    values = np.empty(len(selection), dtype=float)
-    variances = np.empty(len(selection), dtype=float)
-    i = 0
-    for target in selection.targets:
-        by_label = {e.statistic: e for e in nm_statistics(nms, q, agg, spine, target)}
-        for s in selection.statistics:
-            if s not in by_label:
-                raise ParameterError(f"statistic {s!r} not in the aggregation matrix")
-            values[i] = by_label[s].value
-            variances[i] = by_label[s].variance
-            i += 1
+    for s in selection.statistics:
+        if s not in agg.labels:
+            raise ParameterError(f"statistic {s!r} not in the aggregation matrix")
+    paths = {s: q.paths_for_row(agg.row(s)) for s in selection.statistics}
+    estimates = [e for target in selection.targets
+                 for e in nm_statistics(nms, q, agg, spine, target, paths)]
     return StatTable(
         kind="noisy",
         cells=selection.cells,
-        values=values,
-        variances=variances,
+        values=np.array([e.value for e in estimates]),
+        variances=np.array([e.variance for e in estimates]),
         run_seed=nms.seed,
     )
 

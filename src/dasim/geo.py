@@ -30,8 +30,8 @@ redundant position 27 is dropped.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -227,11 +227,42 @@ class Composition:
     parts: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class _BlockRecord:
-    geocode: GeoCode
-    vtd: Optional[str]
-    place: Optional[str]
+def enclosing_units(raw: str) -> dict[str, str]:
+    """Every enclosing unit of a block on both spines, keyed like the
+    crosswalk columns.  Raises like parse_geocode."""
+    c = parse_geocode(raw)
+    geoid = c.geoid
+    return {
+        "nmf_state": c.state_fips,
+        "nmf_county": raw[: _NMF_PREFIX["county"]],
+        "nmf_tract": raw[: _NMF_PREFIX["tract"]],
+        "opt_blockgroup": raw[: _NMF_PREFIX["opt_blockgroup"]],
+        "state": c.geoid_state,
+        "county": geoid[:5],
+        "tract": geoid[:11],
+        "blockgroup": geoid[:11] + c.bg_digit,
+        "block": geoid,
+    }
+
+
+# enclosing_units key of each optimized-spine level below the nation
+# (blocks are keyed by their own geocode)
+_NMF_KEY = {
+    GeoLevel.STATE: "nmf_state",
+    GeoLevel.COUNTY: "nmf_county",
+    GeoLevel.TRACT: "nmf_tract",
+    GeoLevel.OPT_BLOCKGROUP: "opt_blockgroup",
+}
+
+
+def _group_rows(ids: Sequence[Optional[str]]) -> dict[str, np.ndarray]:
+    """Sorted row indices of every distinct id, ids in sorted order; a
+    None id belongs to no group."""
+    rows: dict[str, list[int]] = {}
+    for i, key in enumerate(ids):
+        if key is not None:
+            rows.setdefault(key, []).append(i)
+    return {key: np.array(rows[key], dtype=np.intp) for key in sorted(rows)}
 
 
 class Spine:
@@ -239,107 +270,62 @@ class Spine:
 
     Built from block geocodes plus optional VTD/place assignments; every
     grouping on either spine is derived from the geocode digits, so the
-    parser and the pipeline share one code path.
+    parser and the pipeline share one code path.  Blocks are sorted by
+    geocode, and every optimized-spine node and standard unit is an
+    array of row indices into that order.  The rows of a node need not
+    be contiguous: the geocode sorts on the AI/AN flag before the state
+    digits, so a state's AI/AN blocks sit apart from its other blocks.
     """
 
     def __init__(self, records: Iterable[tuple[str, Optional[str], Optional[str]]]):
-        self._blocks: dict[str, _BlockRecord] = {}
+        self._members: dict[str, dict[str, str]] = {}
         for raw, vtd, place in records:
-            code = parse_geocode(raw)
-            if raw in self._blocks:
+            member = enclosing_units(raw)
+            if raw in self._members:
                 raise InconsistentGeocode(f"duplicate block geocode {raw}")
-            if vtd is not None:
-                GeoId(GeoLevel.VTD, vtd)
-            if place is not None:
-                GeoId(GeoLevel.PLACE, place)
-            self._blocks[raw] = _BlockRecord(code, vtd, place)
-        if not self._blocks:
+            for level, code_ in ((GeoLevel.VTD, vtd), (GeoLevel.PLACE, place)):
+                if code_ is not None:
+                    GeoId(level, code_)
+                    member[level.value] = code_
+            self._members[raw] = member
+        if not self._members:
             raise EmptyTarget("a spine needs at least one block")
 
-        nmf_blocks: dict[str, set[str]] = {NATION_ID: set()}
-        children: dict[str, set[str]] = {NATION_ID: set()}
-        std_units: dict[GeoLevel, dict[str, set[str]]] = {
-            lv: {} for lv in GeoLevel if lv is not GeoLevel.OPT_BLOCKGROUP
-        }
-        for raw in sorted(self._blocks):
-            rec = self._blocks[raw]
-            c = rec.geocode
-            state = c.state_fips
-            county = raw[: _NMF_PREFIX["county"]]
-            tract = raw[: _NMF_PREFIX["tract"]]
-            obg = raw[: _NMF_PREFIX["opt_blockgroup"]]
-            chain = (NATION_ID, state, county, tract, obg, raw)
-            for parent, child in zip(chain, chain[1:]):
-                children.setdefault(parent, set()).add(child)
-                children.setdefault(child, set())
-            for node in chain:
-                nmf_blocks.setdefault(node, set()).add(raw)
-
-            geoid = c.geoid
-            std = {
-                GeoLevel.NATION: NATION_ID,
-                GeoLevel.STATE: c.geoid_state,
-                GeoLevel.COUNTY: geoid[:5],
-                GeoLevel.TRACT: geoid[:11],
-                GeoLevel.BLOCKGROUP: geoid[:11] + c.bg_digit,
-                GeoLevel.BLOCK: geoid,
-            }
-            for lv, code_ in std.items():
-                std_units[lv].setdefault(code_, set()).add(raw)
-            if rec.vtd is not None:
-                std_units[GeoLevel.VTD].setdefault(rec.vtd, set()).add(raw)
-            if rec.place is not None:
-                std_units[GeoLevel.PLACE].setdefault(rec.place, set()).add(raw)
-
-        self._nmf_blocks = {k: frozenset(v) for k, v in nmf_blocks.items()}
-        self._children = {k: tuple(sorted(v)) for k, v in children.items()}
-        self._std_units = {
-            lv: {code_: frozenset(v) for code_, v in by_code.items()}
-            for lv, by_code in std_units.items()
-        }
+        # all block geocodes, sorted: the row order of every dataset
+        self.blocks: tuple[str, ...] = tuple(sorted(self._members))
+        self.block_index = {raw: i for i, raw in enumerate(self.blocks)}
+        members = [self._members[raw] for raw in self.blocks]
+        ids = {GeoLevel.NATION: [NATION_ID] * len(members), GeoLevel.BLOCK: self.blocks}
+        ids.update({lv: [m[key] for m in members] for lv, key in _NMF_KEY.items()})
+        self._rows: dict[str, np.ndarray] = {}
         self._nodes_by_level: dict[GeoLevel, tuple[str, ...]] = {}
-        for node in self._nmf_blocks:
-            self._nodes_by_level.setdefault(node_level(node), ())
         for lv in NMF_LEVEL_ORDER:
-            self._nodes_by_level[lv] = tuple(
-                sorted(n for n in self._nmf_blocks if node_level(n) is lv)
-            )
+            groups = _group_rows(ids[lv])
+            self._rows.update(groups)
+            self._nodes_by_level[lv] = tuple(groups)
+        children: dict[str, list[str]] = {node: [] for node in self._rows}
+        for parent_lv, child_lv in zip(NMF_LEVEL_ORDER, NMF_LEVEL_ORDER[1:]):
+            for child in self._nodes_by_level[child_lv]:
+                children[ids[parent_lv][self._rows[child][0]]].append(child)
+        self._children = {node: tuple(kids) for node, kids in children.items()}
+        self._units = {
+            lv: _group_rows([m.get(lv.value) for m in members])
+            for lv in GeoLevel if lv not in (GeoLevel.NATION, GeoLevel.OPT_BLOCKGROUP)
+        }
+        self._units[GeoLevel.NATION] = {NATION_ID: self._rows[NATION_ID]}
+
+    def _block_set(self, rows: np.ndarray) -> frozenset[str]:
+        return frozenset(self.blocks[i] for i in rows)
 
     # ------------------------------------------------------------------
     # block accessors
 
-    @property
-    def blocks(self) -> tuple[str, ...]:
-        """All block geocodes, sorted."""
-        return self._nodes_by_level[GeoLevel.BLOCK]
-
-    def geocode(self, raw: str) -> GeoCode:
-        return self._blocks[raw].geocode
-
     def block_geoid(self, raw: str) -> str:
-        return self._blocks[raw].geocode.geoid
+        return self._members[raw]["block"]
 
     def membership(self, raw: str) -> dict[str, str]:
         """Every enclosing unit of a block on both spines."""
-        rec = self._blocks[raw]
-        c = rec.geocode
-        geoid = c.geoid
-        out = {
-            "nmf_state": c.state_fips,
-            "nmf_county": raw[:8],
-            "nmf_tract": raw[:12],
-            "opt_blockgroup": raw[:15],
-            "state": c.geoid_state,
-            "county": geoid[:5],
-            "tract": geoid[:11],
-            "blockgroup": geoid[:11] + c.bg_digit,
-            "block": geoid,
-        }
-        if rec.vtd is not None:
-            out["vtd"] = rec.vtd
-        if rec.place is not None:
-            out["place"] = rec.place
-        return out
+        return dict(self._members[raw])
 
     # ------------------------------------------------------------------
     # optimized-spine accessors
@@ -353,12 +339,16 @@ class Spine:
     def children(self, node_id: str) -> tuple[str, ...]:
         return self._children[node_id]
 
+    def node_rows(self, node_id: str) -> np.ndarray:
+        """Sorted block rows under an optimized-spine node."""
+        return self._rows[node_id]
+
     def nmf_blocks(self, node_id: str) -> frozenset[str]:
         """Block geocodes under an optimized-spine node."""
-        return self._nmf_blocks[node_id]
+        return self._block_set(self._rows[node_id])
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._nmf_blocks
+        return node_id in self._rows
 
     # ------------------------------------------------------------------
     # standard-spine accessors
@@ -367,42 +357,46 @@ class Spine:
         """Map of GEOID -> block geocodes for a standard level."""
         if level is GeoLevel.OPT_BLOCKGROUP:
             raise ParameterError("optimized block groups are spine nodes, not GEOID units")
-        return dict(self._std_units[level])
+        return {code_: self._block_set(rows) for code_, rows in self._units[level].items()}
 
-    def blocks_of_target(self, target: GeoId) -> frozenset[str]:
-        """Block set of a standard-census target; EmptyTarget if unknown."""
-        units = self._std_units[target.level]
-        if target.code not in units:
+    def target_rows(self, target: GeoId) -> np.ndarray:
+        """Sorted block rows of a standard-census target; EmptyTarget if unknown."""
+        rows = self._units[target.level].get(target.code)
+        if rows is None:
             raise EmptyTarget(
                 f"unknown {target.level.value} {target.code!r} (not on this spine)"
             )
-        blocks = units[target.code]
-        if not blocks:
-            raise EmptyTarget(f"{target.level.value} {target.code!r} contains no blocks")
-        return blocks
+        return rows
+
+    def blocks_of_target(self, target: GeoId) -> frozenset[str]:
+        """Block set of a standard-census target; EmptyTarget if unknown."""
+        return self._block_set(self.target_rows(target))
 
 
 def compose_target(spine: Spine, target: GeoId) -> Composition:
     """Cover a target geography with disjoint optimized-spine units.
 
     Greedy hierarchical fill: descend the optimized spine root-down and
-    take every node whose block set lies fully inside the still-uncovered
-    part of the target; whatever remains is covered block by block.
+    take every node whose blocks all lie in the target and are not yet
+    covered, level by level in node order; only nodes that straddle the
+    target's edge are opened further, down to single blocks.
     Summation-only by construction — no unit is ever subtracted — so the
     parts stay disjoint and their noisy measurements stay independent.
     """
-    blocks = spine.blocks_of_target(target)
-    uncovered = set(blocks)
+    inside = np.zeros(len(spine.blocks), dtype=bool)
+    inside[spine.target_rows(target)] = True
     parts: list[str] = []
-    for level in NMF_LEVEL_ORDER[:-1]:
-        if not uncovered:
-            break
-        for node in spine.nodes_at(level):
-            nb = spine.nmf_blocks(node)
-            if nb <= uncovered:
-                parts.append(node)
-                uncovered -= nb
-    parts.extend(sorted(uncovered))
+    frontier = [NATION_ID]
+    for _ in NMF_LEVEL_ORDER:
+        taken, straddling = [], []
+        for node in frontier:
+            hit = inside[spine.node_rows(node)]
+            if hit.all():
+                taken.append(node)
+            elif hit.any():
+                straddling.extend(spine.children(node))
+        parts.extend(sorted(taken))
+        frontier = straddling
     return Composition(target=target, parts=tuple(parts))
 
 

@@ -13,7 +13,7 @@ matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -72,33 +72,6 @@ FULL_SCHEMA = CellSchema(
 # is the 63 non-empty subsets of these six base groups, indexed by
 # bitmask - 1 (so index 0 = white alone, index 2 = white+black, ...).
 RACE_BASE = ("white", "black", "aian", "asian", "nhpi", "other")
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Non-negative integer counts over the cells of one geography."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.counts)
-        if arr.ndim != 1:
-            raise SchemaError("histogram counts must be one-dimensional")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise SchemaError("histogram counts must be integers")
-        if (arr < 0).any():
-            raise SchemaError("histogram counts must be non-negative")
-        object.__setattr__(self, "counts", arr.astype(np.int64))
-
-    def __len__(self) -> int:
-        return self.counts.size
-
-    def __add__(self, other: "Histogram") -> "Histogram":
-        return Histogram(self.counts + other.counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -164,9 +137,9 @@ def default_statistics(schema: CellSchema) -> AggregationMatrix:
     return AggregationMatrix(tuple(labels), np.array(rows, dtype=np.int64))
 
 
-def aggregate(hist: Union[Histogram, np.ndarray], agg: AggregationMatrix) -> np.ndarray:
+def aggregate(counts: np.ndarray, agg: AggregationMatrix) -> np.ndarray:
     """Statistic values of one histogram, aligned to ``agg.labels``."""
-    counts = hist.counts if isinstance(hist, Histogram) else np.asarray(hist)
+    counts = np.asarray(counts)
     if counts.shape[0] != agg.matrix.shape[1]:
         raise SchemaError(
             f"histogram has {counts.shape[0]} cells, aggregation expects {agg.matrix.shape[1]}"
@@ -175,69 +148,60 @@ def aggregate(hist: Union[Histogram, np.ndarray], agg: AggregationMatrix) -> np.
 
 
 class HistogramDataset:
-    """Per-block histograms plus derived aggregates on both spines.
+    """Block histograms of one dataset: a (blocks x cells) matrix whose
+    row i is the histogram of ``spine.blocks[i]``.
 
-    Parents are sums of their children by construction, so hierarchy
-    consistency is automatic for any dataset represented this way.
+    The dtype is validated once: non-negative int64 counts, or finite
+    floats for a continuous release.  Every node and target histogram is
+    a sum of whole rows, so hierarchy consistency is automatic.  ``kind``
+    and ``run_seed`` record the provenance the estimators check.
     """
 
-    def __init__(self, spine: geo.Spine, schema: CellSchema,
-                 block_counts: Mapping[str, np.ndarray], require_int: bool = True):
+    def __init__(self, spine: geo.Spine, schema: CellSchema, counts: np.ndarray,
+                 kind: str = "dataset", run_seed: Optional[int] = None):
+        arr = np.asarray(counts)
+        want = (len(spine.blocks), schema.size)
+        if arr.shape != want:
+            raise SchemaError(f"block counts have shape {arr.shape}, want {want}")
+        if np.issubdtype(arr.dtype, np.integer):
+            if (arr < 0).any():
+                raise SchemaError("histogram counts must be non-negative")
+            arr = arr.astype(np.int64)
+        elif np.issubdtype(arr.dtype, np.floating):
+            if not np.isfinite(arr).all():
+                raise SchemaError("histogram counts must be finite")
+            arr = arr.astype(float)
+        else:
+            raise SchemaError(f"histogram counts must be integers or floats, not {arr.dtype}")
+        arr.flags.writeable = False
         self.spine = spine
         self.schema = schema
-        missing = set(spine.blocks) - set(block_counts)
-        extra = set(block_counts) - set(spine.blocks)
-        if missing or extra:
-            raise SchemaError(
-                f"block counts must cover the spine exactly "
-                f"({len(missing)} missing, {len(extra)} unknown)"
-            )
-        size = schema.size
-        self._block_counts: dict[str, np.ndarray] = {}
-        for raw in spine.blocks:
-            arr = np.asarray(block_counts[raw])
-            if arr.shape != (size,):
-                raise SchemaError(f"histogram for {raw} has shape {arr.shape}, want ({size},)")
-            if require_int:
-                Histogram(arr)  # validates dtype and sign
-                self._block_counts[raw] = arr.astype(np.int64)
-            else:
-                if not np.isfinite(arr).all():
-                    raise SchemaError(f"histogram for {raw} has non-finite entries")
-                self._block_counts[raw] = arr.astype(float)
-        self._dtype = np.int64 if require_int else float
-        self._node_cache: dict[str, np.ndarray] = {}
+        self.counts = arr
+        self.kind = kind
+        self.run_seed = run_seed
 
     def block_histogram(self, raw: str) -> np.ndarray:
-        return self._block_counts[raw]
+        return self.counts[self.spine.block_index[raw]]
 
     def node_histogram(self, node_id: str) -> np.ndarray:
         """Histogram of an optimized-spine node (sum of its blocks)."""
-        if node_id not in self._node_cache:
-            blocks = self.spine.nmf_blocks(node_id)
-            out = np.zeros(self.schema.size, dtype=self._dtype)
-            for b in blocks:
-                out += self._block_counts[b]
-            self._node_cache[node_id] = out
-        return self._node_cache[node_id]
+        return self.counts[self.spine.node_rows(node_id)].sum(axis=0)
+
+    def level_histograms(self, level: geo.GeoLevel) -> np.ndarray:
+        """Histograms of every optimized-spine node at one level, one row
+        per node in ``spine.nodes_at(level)`` order."""
+        return np.array([self.node_histogram(n) for n in self.spine.nodes_at(level)])
 
     def target_histogram(self, target: geo.GeoId) -> np.ndarray:
         """Histogram of any standard-census target (sum of whole blocks)."""
-        out = np.zeros(self.schema.size, dtype=self._dtype)
-        for b in sorted(self.spine.blocks_of_target(target)):
-            out += self._block_counts[b]
-        return out
+        return self.counts[self.spine.target_rows(target)].sum(axis=0)
 
     def statistics(self, target: geo.GeoId, agg: AggregationMatrix) -> np.ndarray:
         return aggregate(self.target_histogram(target), agg)
 
     @property
     def total_population(self) -> int:
-        return int(self.node_histogram(geo.NATION_ID).sum())
-
-
-class CefDataset(HistogramDataset):
-    """Ground-truth enumeration histograms for a simulated world."""
+        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -300,7 +264,7 @@ def generate_synthetic_cef(
     seed: int,
     profile: Optional[GenerationProfile] = None,
     schema: CellSchema = DESK_SCHEMA,
-) -> CefDataset:
+) -> HistogramDataset:
     """Draw a deterministic synthetic enumeration for ``spine``.
 
     Each block gets its own RNG stream keyed by (seed, geocode), so
@@ -309,11 +273,10 @@ def generate_synthetic_cef(
     profile = profile or GenerationProfile()
     shape = schema.shape
     mu = float(np.log(profile.median_block_pop))
-    counts: dict[str, np.ndarray] = {}
-    for raw in spine.blocks:
+    counts = np.zeros((len(spine.blocks), schema.size), dtype=np.int64)
+    for i, raw in enumerate(spine.blocks):
         rng = np.random.default_rng(block_seed(seed, raw))
         if rng.random() < profile.zero_pop_prob:
-            counts[raw] = np.zeros(schema.size, dtype=np.int64)
             continue
         pop = max(1, int(round(float(rng.lognormal(mu, profile.log_sigma)))))
         probs = np.ones(shape)
@@ -336,5 +299,5 @@ def generate_synthetic_cef(
             view = [1] * len(shape)
             view[ai] = card
             probs = probs * axis_p.reshape(view)
-        counts[raw] = rng.multinomial(pop, probs.reshape(-1)).astype(np.int64)
-    return CefDataset(spine, schema, counts)
+        counts[i] = rng.multinomial(pop, probs.reshape(-1))
+    return HistogramDataset(spine, schema, counts, kind="enumeration")

@@ -218,7 +218,7 @@ class QueryMatrix:
         if "detail" in self.groups:
             support = np.nonzero(stat_row)[0]
             paths.append((self._detail_rows[support], stat_row[support].astype(float)))
-        is_indicator = bool(np.isin(stat_row, (0, 1)).all())
+        is_indicator = bool(((stat_row == 0) | (stat_row == 1)).all())
         if "total" in self.groups and is_indicator and bool((stat_row == 1).all()):
             paths.append((np.array([self._row_of["total"]]), np.array([1.0])))
         if "marginal" in self.groups and is_indicator:
@@ -238,11 +238,13 @@ class QueryMatrix:
             raise CoverageError("statistic is not derivable from the configured queries")
         return paths
 
-    def check_coverage(self, agg: AggregationMatrix) -> None:
-        """Raise CoverageError unless every statistic has a query path."""
-        for label, row in zip(agg.labels, agg.matrix):
+    def check_coverage(self, agg: AggregationMatrix,
+                       labels: Optional[Sequence[str]] = None) -> None:
+        """Raise CoverageError unless every statistic (or every one named
+        in ``labels``) has a query path."""
+        for label in agg.labels if labels is None else labels:
             try:
-                self.paths_for_row(row)
+                self.paths_for_row(agg.row(label))
             except CoverageError:
                 raise CoverageError(
                     f"statistic {label!r} is not derivable from query groups {self.groups}"
@@ -373,6 +375,7 @@ def nm_statistics(
     agg: AggregationMatrix,
     spine: geo.Spine,
     target: geo.GeoId,
+    paths: Optional[Mapping[str, list]] = None,
 ) -> list[StatEstimate]:
     """Unbiased noisy statistics for any composable target.
 
@@ -380,32 +383,30 @@ def nm_statistics(
     combined by inverse-variance weighting (an exact, zero-variance path
     short-circuits the combination); part estimates then add, and so do
     their variances, because parts are disjoint geographies with
-    independent noise.
+    independent noise.  ``paths`` maps labels to their
+    ``q.paths_for_row``, so that a caller measuring many targets finds
+    them once; only those statistics are returned then, in its order.
     """
     comp = geo.compose_target(spine, target)
+    if paths is None:
+        paths = {label: q.paths_for_row(row) for label, row in zip(agg.labels, agg.matrix)}
+    parts = []
+    for part in comp.parts:
+        if part not in nms:
+            raise CoverageError(
+                f"no measurements for composition part {part!r} of "
+                f"{target.level.value} {target.code}"
+            )
+        parts.append(nms[part])
     out: list[StatEstimate] = []
-    for label, row in zip(agg.labels, agg.matrix):
-        paths = q.paths_for_row(row)
+    for label, label_paths in paths.items():
         value = 0.0
         variance = 0.0
-        for part in comp.parts:
-            try:
-                ms = nms[part]
-            except KeyError:
-                raise CoverageError(
-                    f"no measurements for composition part {part!r} of "
-                    f"{target.level.value} {target.code}"
-                ) from None
-            cands = []
-            for idx, coef in paths:
-                val = float(coef @ ms.values[idx])
-                var = float((coef ** 2) @ ms.variances[idx])
-                cands.append((val, var))
+        for ms in parts:
+            cands = [(float(coef @ ms.values[idx]), float((coef ** 2) @ ms.variances[idx]))
+                     for idx, coef in label_paths]
             exact = [c for c in cands if c[1] == 0.0]
-            if exact:
-                pv, pvar = exact[0]
-            else:
-                pv, pvar = combine_estimates(cands)
+            pv, pvar = exact[0] if exact else combine_estimates(cands)
             value += pv
             variance += pvar
         out.append(StatEstimate(target.code, label, value, variance))

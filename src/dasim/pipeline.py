@@ -26,14 +26,19 @@ from .estimators import (
 )
 from .histograms import (
     AggregationMatrix,
-    CefDataset,
     DESK_SCHEMA,
     HistogramDataset,
     default_statistics,
     generate_synthetic_cef,
 )
 from .noise import NoisyMeasurements, QueryMatrix, make_noisy_measurements
-from .swapping import SwapStats, make_household_file, swap_households
+from .swapping import (
+    HouseholdFile,
+    SwapConfig,
+    SwapStats,
+    make_household_file,
+    swap_households,
+)
 from .topdown import topdown_postprocess
 
 
@@ -43,16 +48,20 @@ class World:
 
     config: RunConfig
     spine: geo.Spine
-    cef: CefDataset
+    cef: HistogramDataset
     query: QueryMatrix
     agg: AggregationMatrix
 
 
 def build_world(cfg: RunConfig) -> World:
+    """The world of a config; CoverageError unless the configured query
+    groups can measure every report statistic."""
+    q = QueryMatrix(DESK_SCHEMA, cfg.budget, cfg.query_groups)
+    agg = default_statistics(DESK_SCHEMA)
+    q.check_coverage(agg, cfg.report_statistics)
     spine = geo.make_synthetic_spine(cfg.spine, cfg.seed)
     cef = generate_synthetic_cef(spine, cfg.seed, cfg.population)
-    q = QueryMatrix(DESK_SCHEMA, cfg.budget, cfg.query_groups)
-    return World(cfg, spine, cef, q, default_statistics(DESK_SCHEMA))
+    return World(cfg, spine, cef, q, agg)
 
 
 def replicate_seeds(base_seed: int, index: int) -> tuple[int, int]:
@@ -75,6 +84,15 @@ class Replicate:
     swap_stats: SwapStats | None = None
 
 
+def swap_release(
+    cef: HistogramDataset, cfg: SwapConfig, seed: int
+) -> tuple[HouseholdFile, SwapStats, HistogramDataset]:
+    """Decompose the enumeration into households, swap them, and rebuild
+    the swapped block histograms."""
+    swapped, stats = swap_households(make_household_file(cef, seed), cfg, seed)
+    return swapped, stats, swapped.to_dataset(kind="swapped", run_seed=seed)
+
+
 def run_replicate(world: World, index: int) -> Replicate:
     cfg = world.config
     seed_a, seed_b = replicate_seeds(cfg.seed, index)
@@ -82,9 +100,7 @@ def run_replicate(world: World, index: int) -> Replicate:
     nms_b = make_noisy_measurements(world.cef, world.query, seed=seed_b)
     post_a = topdown_postprocess(nms_a, world.cef, cfg.postprocess, agg=world.agg)
     post_b = topdown_postprocess(nms_b, world.cef, cfg.postprocess, agg=world.agg)
-    hhfile = make_household_file(world.cef, seed_a)
-    swapped_file, stats = swap_households(hhfile, cfg.swap, seed_a)
-    swapped = swapped_file.to_dataset()
+    swapped_file, stats, swapped = swap_release(world.cef, cfg.swap, seed_a)
     return Replicate(
         index=index,
         seed_a=seed_a,
@@ -136,15 +152,9 @@ def error_report(
             nm_rmse = 0.0
             for rep in reps:
                 noisy_a = noisy_stat_table(rep.nms_a, q, agg, spine, sel)
-                table_a = dataset_stat_table(
-                    rep.post_a, agg, sel, kind="postprocessed", run_seed=rep.seed_a
-                )
-                table_b = dataset_stat_table(
-                    rep.post_b, agg, sel, kind="postprocessed", run_seed=rep.seed_b
-                )
-                table_sw = dataset_stat_table(
-                    rep.swapped, agg, sel, kind="swapped", run_seed=rep.seed_a
-                )
+                table_a = dataset_stat_table(rep.post_a, agg, sel)
+                table_b = dataset_stat_table(rep.post_b, agg, sel)
+                table_sw = dataset_stat_table(rep.swapped, agg, sel)
                 best = estimate_bias_indep(noisy_a, table_b, table_a)
                 td_est.append(best.estimate)
                 td_var.append(best.variance)

@@ -67,29 +67,34 @@ class SwapStats:
 
 
 class HouseholdFile:
-    """Household decomposition of a dataset, plus unswappable persons."""
+    """Household decomposition of a dataset, plus unswappable persons.
+
+    ``gq_counts`` is a (blocks x cells) matrix in ``spine.blocks`` order
+    holding the group-quarters persons, who never join a household.
+    """
 
     def __init__(
         self,
         spine: geo.Spine,
         schema: CellSchema,
         households: Sequence[Household],
-        gq_counts: dict[str, np.ndarray],
+        gq_counts: np.ndarray,
     ):
         self.spine = spine
         self.schema = schema
         self.households = tuple(households)
         self.gq_counts = gq_counts
         for hh in self.households:
-            if hh.block not in spine.blocks:
+            if hh.block not in spine.block_index:
                 raise ParameterError(f"household in unknown block {hh.block!r}")
 
-    def to_dataset(self) -> HistogramDataset:
-        size = self.schema.size
-        counts = {raw: self.gq_counts[raw].copy() for raw in self.spine.blocks}
-        for hh in self.households:
-            counts[hh.block] += np.bincount(hh.cells, minlength=size)
-        return HistogramDataset(self.spine, self.schema, counts)
+    def to_dataset(self, kind: str = "dataset", run_seed: Optional[int] = None) -> HistogramDataset:
+        counts = np.array(self.gq_counts, dtype=np.int64)
+        index = self.spine.block_index
+        rows = [index[hh.block] for hh in self.households for _ in hh.cells]
+        cells = [c for hh in self.households for c in hh.cells]
+        np.add.at(counts, (np.array(rows, dtype=np.intp), np.array(cells, dtype=np.intp)), 1)
+        return HistogramDataset(self.spine, self.schema, counts, kind, run_seed)
 
 
 def _axis_category(schema: CellSchema, axis: str) -> np.ndarray:
@@ -122,11 +127,7 @@ def make_household_file(
     sizes = np.arange(1, pmf.size + 1)
 
     households: list[Household] = []
-    gq_counts: dict[str, np.ndarray] = {}
-    for raw in sorted(cef.spine.blocks):
-        h = cef.block_histogram(raw).astype(np.int64)
-        hh_part = np.where(housing == 0, h, 0)
-        gq_counts[raw] = np.where(housing != 0, h, 0)
+    for raw, hh_part in zip(cef.spine.blocks, np.where(housing == 0, cef.counts, 0)):
         n = int(hh_part.sum())
         if n == 0:
             continue
@@ -143,6 +144,7 @@ def make_household_file(
             adults = int(voting[list(cells)].sum())
             households.append(Household(raw, cells, adults))
             i += take
+    gq_counts = np.where(housing != 0, cef.counts, 0)
     return HouseholdFile(cef.spine, schema, households, gq_counts)
 
 
@@ -234,14 +236,10 @@ def swap_households(
     hhs = hhfile.households
     rng = np.random.default_rng((int(seed), 0x5A9))
 
-    by_block: dict[str, list[int]] = {}
-    for i, hh in enumerate(hhs):
-        by_block.setdefault(hh.block, []).append(i)
-    block_pop = {
-        raw: int(hhfile.gq_counts[raw].sum())
-        + sum(hhs[i].size for i in idxs)
-        for raw, idxs in by_block.items()
-    }
+    rows = np.array([hhfile.spine.block_index[hh.block] for hh in hhs], dtype=np.intp)
+    n_in_block = np.bincount(rows, minlength=len(hhfile.spine.blocks))
+    block_pop = hhfile.gq_counts.sum(axis=1)
+    np.add.at(block_pop, rows, [hh.size for hh in hhs])
     comp_in_block: dict[tuple[str, tuple[int, int]], int] = {}
     for i, hh in enumerate(hhs):
         key = (hh.block, hh.composition)
@@ -251,9 +249,9 @@ def swap_households(
     draws = rng.random(len(hhs))
     for i, hh in enumerate(hhs):
         score = risk_score(
-            block_pop[hh.block],
+            int(block_pop[rows[i]]),
             comp_in_block[(hh.block, hh.composition)],
-            len(by_block[hh.block]),
+            int(n_in_block[rows[i]]),
         )
         if draws[i] < cfg.flag_probability(score):
             flagged.append(i)
@@ -304,25 +302,3 @@ def swap_households(
     )
     out = HouseholdFile(hhfile.spine, hhfile.schema, new_hhs, hhfile.gq_counts)
     return out, stats
-
-
-class SwappedDataset(HistogramDataset):
-    """Block histograms rebuilt after swapping, with run provenance."""
-
-    def __init__(self, spine, schema, block_counts, stats: SwapStats, seed: int):
-        super().__init__(spine, schema, block_counts)
-        self.stats = stats
-        self.run_seed = seed
-
-
-def swapped_dataset(
-    cef: HistogramDataset,
-    cfg: Optional[SwapConfig] = None,
-    seed: int = 0,
-) -> SwappedDataset:
-    """Decompose, swap, and rebuild in one step."""
-    hhfile = make_household_file(cef, seed)
-    swapped, stats = swap_households(hhfile, cfg, seed)
-    rebuilt = swapped.to_dataset()
-    counts = {raw: rebuilt.block_histogram(raw) for raw in cef.spine.blocks}
-    return SwappedDataset(cef.spine, cef.schema, counts, stats, seed)

@@ -40,12 +40,7 @@ import numpy as np
 
 from . import geo
 from .errors import CoverageError, InfeasibleConstraints, SchemaError
-from .histograms import (
-    AggregationMatrix,
-    CefDataset,
-    HistogramDataset,
-    default_statistics,
-)
+from .histograms import AggregationMatrix, HistogramDataset, default_statistics
 from .noise import NoisyMeasurements
 
 logger = logging.getLogger(__name__)
@@ -69,16 +64,6 @@ class PostProcessConfig:
     invariants: tuple[tuple[geo.GeoLevel, str], ...] = ((geo.GeoLevel.STATE, "total"),)
     nonneg: bool = True
     integerize: bool = True
-
-
-class PostProcessedDataset(HistogramDataset):
-    """Full histograms for every spine geography after post-processing."""
-
-    def __init__(self, spine, schema, block_counts, run_seed: Optional[int],
-                 config: PostProcessConfig):
-        super().__init__(spine, schema, block_counts, require_int=config.integerize)
-        self.run_seed = run_seed
-        self.config = config
 
 
 # ----------------------------------------------------------------------
@@ -433,14 +418,15 @@ def _level_hessian(H: np.ndarray) -> np.ndarray:
 
 def topdown_postprocess(
     nms: NoisyMeasurements,
-    cef: CefDataset,
+    cef: HistogramDataset,
     cfg: Optional[PostProcessConfig] = None,
     agg: Optional[AggregationMatrix] = None,
-) -> PostProcessedDataset:
+) -> HistogramDataset:
     """Map noisy measurements to a consistent synthetic population.
 
-    The map is fully deterministic: rounding ties are resolved by index
-    order.
+    Each generation is one (nodes x cells) array in ``spine.nodes_at``
+    order.  The map is fully deterministic: rounding ties are resolved
+    by index order.
     """
     cfg = cfg or PostProcessConfig()
     agg = agg or default_statistics(cef.schema)
@@ -448,86 +434,87 @@ def topdown_postprocess(
     if q.schema.size != cef.schema.size:
         raise SchemaError("query matrix and enumeration schema disagree")
     spine = cef.spine
+    levels = geo.NMF_LEVEL_ORDER
     inv_by_level = _resolve_invariants(cfg, agg)
+    missing = [n for lv in levels for n in spine.nodes_at(lv) if n not in nms]
+    if missing:
+        raise CoverageError(
+            f"post-processing needs measurements at every spine node; "
+            f"{len(missing)} missing, first {missing[0]}"
+        )
+    position = {n: i for lv in levels for i, n in enumerate(spine.nodes_at(lv))}
 
-    # per-level query split: weighted rows vs exact rows, which with the
+    # per-level data: measurements, invariant targets per node, and the
+    # query split into weighted rows vs exact rows, which with the
     # invariant supports form every child's equality rows
     per_level: dict[geo.GeoLevel, dict] = {}
     qmat = q.matrix.astype(float)
-    for lv in geo.NMF_LEVEL_ORDER:
+    for lv in levels:
         variances = q.variances_for(lv)
         wmask = variances > 0
         Qw = qmat[wmask]
         QtW = Qw.T * (1.0 / variances[wmask])
+        truth = cef.level_histograms(lv) if inv_by_level[lv] else None
         per_level[lv] = {
+            "vals": np.array([nms[n].values for n in spine.nodes_at(lv)], dtype=float),
+            "targets": [truth[:, s].sum(axis=1) for _, s in inv_by_level[lv]],
             "wmask": wmask,
             "E": np.vstack([qmat[~wmask]] + [s[None, :] for _, s in inv_by_level[lv]]),
             "H": _level_hessian(2.0 * (QtW @ Qw)),
             "QtW2": 2.0 * QtW,
         }
 
-    def fit(level, nodes, parent, where) -> tuple[np.ndarray, list[_Invariant]]:
+    def fit(level, rows, parent, where) -> tuple[np.ndarray, list[_Invariant]]:
         lvdat = per_level[level]
-        vals = np.array([nms[n].values for n in nodes], dtype=float)
-        invs = [_Invariant(label, support, np.array(
-                    [int(cef.node_histogram(n)[support].sum()) for n in nodes]))
-                for label, support in inv_by_level[level]]
+        vals = lvdat["vals"][rows]
+        invs = [_Invariant(label, support, t[rows])
+                for (label, support), t in zip(inv_by_level[level], lvdat["targets"])]
         e = np.column_stack([vals[:, ~lvdat["wmask"]]] + [inv.targets for inv in invs])
         G = vals[:, lvdat["wmask"]] @ lvdat["QtW2"].T
         return _solve_group(lvdat["H"], G, lvdat["E"], e, parent, cfg.nonneg, where), invs
 
-    needed = [geo.NATION_ID]
-    for lv in geo.NMF_LEVEL_ORDER[1:]:
-        needed.extend(spine.nodes_at(lv))
-    missing = [n for n in needed if n not in nms]
-    if missing:
-        raise CoverageError(
-            f"post-processing needs measurements at every spine node; "
-            f"{len(missing)} missing, first {missing[0]}"
-        )
-
-    # root
-    x, invs = fit(geo.GeoLevel.NATION, [geo.NATION_ID], None, f"{geo.NATION_ID} (root)")
-    root = _round_root(x[0], invs).astype(float) if cfg.integerize else x[0]
-    solved: dict[str, np.ndarray] = {geo.NATION_ID: root}
+    x, invs = fit(geo.GeoLevel.NATION, [0], None, f"{geo.NATION_ID} (root)")
+    solved = _round_root(x[0], invs)[None, :].astype(float) if cfg.integerize else x
 
     # descend one generation at a time
-    for parent_level, child_level in zip(geo.NMF_LEVEL_ORDER, geo.NMF_LEVEL_ORDER[1:]):
-        for parent in spine.nodes_at(parent_level):
-            kids = spine.children(parent)
-            pvec = solved[parent]
-            if len(kids) == 1:
-                solved[kids[0]] = pvec.copy()
+    for parent_level, child_level in zip(levels, levels[1:]):
+        kids_solved = np.empty((len(spine.nodes_at(child_level)), cef.schema.size))
+        for parent, pvec in zip(spine.nodes_at(parent_level), solved):
+            rows = [position[k] for k in spine.children(parent)]
+            if len(rows) == 1:
+                kids_solved[rows[0]] = pvec
                 continue
             where = f"parent {parent} ({child_level.value} children)"
-            x, invs = fit(child_level, kids, pvec, where)
+            x, invs = fit(child_level, rows, pvec, where)
             if cfg.integerize:
-                x = _round_group(x, pvec.astype(np.int64), invs, cfg.nonneg).astype(float)
-            for kid, row in zip(kids, x):
-                solved[kid] = row
+                x = _round_group(x, pvec.astype(np.int64), invs, cfg.nonneg)
+            kids_solved[rows] = x
+        solved = kids_solved
 
-    block_counts = {
-        raw: (solved[raw].astype(np.int64) if cfg.integerize else solved[raw])
-        for raw in spine.blocks
-    }
-    out = PostProcessedDataset(spine, cef.schema, block_counts, nms.seed, cfg)
-    _validate_postprocessed(out, cef, inv_by_level)
+    out = HistogramDataset(
+        spine, cef.schema, solved.astype(np.int64) if cfg.integerize else solved,
+        kind="postprocessed", run_seed=nms.seed,
+    )
+    if cfg.integerize:
+        _validate_postprocessed(out, inv_by_level, per_level)
     return out
 
 
 def _validate_postprocessed(
-    ds: PostProcessedDataset,
-    cef: CefDataset,
+    ds: HistogramDataset,
     inv_by_level: Mapping[geo.GeoLevel, list[tuple[str, np.ndarray]]],
+    per_level: Mapping[geo.GeoLevel, dict],
 ) -> None:
-    if not ds.config.integerize:
-        return
-    for lv in geo.NMF_LEVEL_ORDER:
-        for label, support in inv_by_level[lv]:
-            for node in ds.spine.nodes_at(lv):
-                got = int(ds.node_histogram(node)[support].sum())
-                want = int(cef.node_histogram(node)[support].sum())
-                if got != want:
-                    raise InfeasibleConstraints(
-                        f"invariant {label!r} broken at {node}: {got} != {want}"
-                    )
+    for lv, invs in inv_by_level.items():
+        if not invs:
+            continue
+        hist = ds.level_histograms(lv)
+        for (label, support), want in zip(invs, per_level[lv]["targets"]):
+            got = hist[:, support].sum(axis=1)
+            bad = np.nonzero(got != want)[0]
+            if bad.size:
+                i = bad[0]
+                raise InfeasibleConstraints(
+                    f"invariant {label!r} broken at {ds.spine.nodes_at(lv)[i]}: "
+                    f"{got[i]} != {want[i]}"
+                )

@@ -1,10 +1,14 @@
 """Config parsing, artifact round trips, and the command-line verbs."""
 
 import csv
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dasim import geo
 from dasim.artifacts import (
@@ -20,7 +24,7 @@ from dasim.artifacts import (
 )
 from dasim.cli import main
 from dasim.config import RunConfig
-from dasim.errors import ConfigError
+from dasim.errors import ConfigError, DasimError, SchemaError
 from dasim.histograms import DESK_SCHEMA
 from dasim.noise import make_noisy_measurements
 from dasim.pipeline import build_world, error_report, run_replicate
@@ -134,9 +138,9 @@ def test_geocode_csv_round_trip(tmp_path, small_world):
 
 def test_histogram_csv_round_trip(tmp_path, small_world):
     write_histogram_csv(small_world.cef, tmp_path / "h.csv")
-    counts = read_histogram_csv(tmp_path / "h.csv", small_world.spine, DESK_SCHEMA)
-    for raw in small_world.spine.blocks:
-        np.testing.assert_array_equal(counts[raw], small_world.cef.block_histogram(raw))
+    back = read_histogram_csv(tmp_path / "h.csv", small_world.spine, DESK_SCHEMA)
+    np.testing.assert_array_equal(back.counts, small_world.cef.counts)
+    assert back.counts.dtype == np.int64
 
 
 def test_nmf_csv_round_trip(tmp_path, small_world):
@@ -296,3 +300,165 @@ def test_quartiles_table_shape(run_dir):
     assert len(rows) == 6  # 1 level x 2 statistics x 3 methods
     for row in rows:
         assert float(row["q25"]) <= float(row["q50"]) <= float(row["q75"])
+
+
+# ----------------------------------------------------------------------
+# fail-loud artifacts and exit codes
+
+
+def _lines(path):
+    return path.read_bytes().decode().split("\r\n")
+
+
+def _write_lines(path, lines):
+    path.write_bytes("\r\n".join(lines).encode())
+
+
+def _edit_field(path, line, column, edit):
+    lines = _lines(path)
+    fields = lines[line].split(",")
+    fields[column] = edit(fields[column])
+    lines[line] = ",".join(fields)
+    _write_lines(path, lines)
+
+
+def test_report_rejects_files_changed_after_simulate(run_dir, tmp_path, capsys):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    _edit_field(copy / "topdown_r000_b.csv", 1, 1, lambda v: str(int(v) + 50))
+    assert main(["report", "--out", str(copy)]) == 1
+    assert "topdown_r000_b.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["duplicate", "unknown", "width", "non_numeric", "missing"])
+def test_histogram_reader_rejects_malformed_rows(small_world, tmp_path, edit):
+    write_histogram_csv(small_world.cef, tmp_path / "h.csv")
+    lines = _lines(tmp_path / "h.csv")
+    row = lines[1].split(",")
+    if edit == "duplicate":
+        lines.insert(2, ",".join([row[0], str(int(row[1]) + 7)] + row[2:]))
+    elif edit == "unknown":
+        lines[1] = ",".join(["9" * 31] + row[1:])
+    elif edit == "width":
+        lines[1] = ",".join(row[:-1])
+    elif edit == "non_numeric":
+        lines[1] = ",".join(row[:2] + ["x"] + row[3:])
+    else:
+        del lines[1]
+    _write_lines(tmp_path / "h.csv", lines)
+    with pytest.raises(SchemaError):
+        read_histogram_csv(tmp_path / "h.csv", small_world.spine, DESK_SCHEMA)
+
+
+def test_histogram_reader_keeps_float_releases(small_world, tmp_path):
+    from dasim.histograms import HistogramDataset
+
+    ds = HistogramDataset(small_world.spine, DESK_SCHEMA, small_world.cef.counts / 3.0)
+    write_histogram_csv(ds, tmp_path / "f.csv")
+    back = read_histogram_csv(tmp_path / "f.csv", small_world.spine, DESK_SCHEMA, float)
+    np.testing.assert_array_equal(back.counts, ds.counts)
+    with pytest.raises(SchemaError):
+        read_histogram_csv(tmp_path / "f.csv", small_world.spine, DESK_SCHEMA)
+
+
+@pytest.mark.parametrize("column,value", [(1, "5"), (2, "total"), (3, "ten")])
+def test_nmf_reader_checks_rows_against_the_query(small_world, tmp_path, column, value):
+    nms = make_noisy_measurements(small_world.cef, small_world.query, seed=3)
+    write_nmf_csv(nms, tmp_path / "n.csv")
+    _edit_field(tmp_path / "n.csv", 2, column, lambda _: value)
+    with pytest.raises(SchemaError):
+        read_nmf_csv(tmp_path / "n.csv", small_world.query, seed=3)
+
+
+def test_verify_rejects_malformed_criteria(capsys):
+    assert main(["verify", "--criteria", "x"]) == 1
+    assert "--criteria" in capsys.readouterr().err
+
+
+def test_simulate_rejects_report_statistics_the_queries_cannot_measure(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**TINY_CONFIG, "query_groups": ["total"]}))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert "hispanic" in capsys.readouterr().err
+
+
+# a fuzzed artifact or config either loads or fails with a documented
+# error: DasimError (exit 1 or 3) or OSError (exit 2), never a traceback
+_TOKENS = st.sampled_from([EXAMPLE_RAW, "geocode", "node_id", "US", "0", "1", "-3", "2.5",
+                           "nan", "", "x", "total", "cell_0", "4.0", "99999999999999999999"])
+_CSV_TEXT = st.lists(st.lists(_TOKENS, max_size=6).map(",".join), max_size=4).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), _TOKENS), max_size=3),
+       at=st.integers(0, 99), junk=_CSV_TEXT)
+def test_artifact_readers_fail_loud(small_world, tmp_path, edits, at, junk):
+    nms = make_noisy_measurements(small_world.cef, small_world.query, seed=1)
+    write_histogram_csv(small_world.cef, tmp_path / "h.csv")
+    write_nmf_csv(nms, tmp_path / "n.csv")
+    for name, read in (
+        ("h.csv", lambda f: read_histogram_csv(f, small_world.spine, DESK_SCHEMA)),
+        ("n.csv", lambda f: read_nmf_csv(f, small_world.query, seed=1)),
+    ):
+        lines = _lines(tmp_path / name)
+        for i, j, token in edits:
+            fields = lines[i % len(lines)].split(",")
+            fields[j % len(fields)] = token
+            lines[i % len(lines)] = ",".join(fields)
+        cut = at % len(lines)
+        # edited fields, a repeated row, a truncated file with junk, pure junk
+        for body in (lines, lines[:cut + 1] + lines[cut:], lines[:cut] + [junk], [junk]):
+            _write_lines(tmp_path / "fuzz.csv", body)
+            try:
+                read(tmp_path / "fuzz.csv")
+            except (DasimError, OSError):
+                pass
+    (tmp_path / "s.json").write_text(json.dumps({"axes": [[t, t] for t in junk.split(",")]}))
+    for text in ((tmp_path / "s.json").read_text(), junk):
+        (tmp_path / "s.json").write_text(text)
+        try:
+            read_schema_json(tmp_path / "s.json")
+        except DasimError:
+            pass
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["states", "detail", "block", "county", "invariants", "levels",
+                         "statistics", "base_rate", "pairing_scope", "nonneg"]) | st.text(max_size=3),
+        inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries(
+    {"config_version": st.just(1)},
+    optional={key: _JSON for key in ("seed", "replicates", "spine", "population", "budget",
+                                     "query_groups", "postprocess", "swap", "report")},
+))
+def test_config_loader_fails_loud(data):
+    try:
+        RunConfig.from_dict(data)
+    except DasimError:
+        pass
+
+
+# ----------------------------------------------------------------------
+# golden bytes: the default run's outputs are pinned
+
+
+GOLDEN = {
+    "manifest.json": "f0f0242988e1a0a4509f03f3bb3b180609ae0bbabbecc6ab9c7c99dc5d148f82",
+    "error_report.csv": "c893869c22623806a12465261c6397294593417e303fc6b60e4de6b6373a37ba",
+    "quartiles.csv": "1ec59d0f3cbbbcc22a03d202d6a59d66f1b58d82274a5b37a5fe63b884d1129d",
+}
+
+
+def test_default_run_bytes_are_pinned(tmp_path):
+    out = tmp_path / "default"
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert got == GOLDEN

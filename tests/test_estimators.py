@@ -25,7 +25,8 @@ from dasim.estimators import (
 )
 from dasim.histograms import DESK_SCHEMA, default_statistics, generate_synthetic_cef
 from dasim.noise import BudgetSchedule, QueryMatrix, make_noisy_measurements
-from dasim.swapping import SwapConfig, swapped_dataset
+from dasim.pipeline import swap_release
+from dasim.swapping import SwapConfig
 from dasim.topdown import topdown_postprocess
 
 from oracles import decile_bins_oracle
@@ -351,7 +352,7 @@ def test_swap_bias_runs_end_to_end(world, tract_selection):
     spine, cef, q = world
     nms = make_noisy_measurements(cef, q, seed=17)
     noisy = noisy_stat_table(nms, q, AGG, spine, tract_selection)
-    sw = swapped_dataset(cef, SwapConfig(base_rate=0.3), seed=17)
+    _, _, sw = swap_release(cef, SwapConfig(base_rate=0.3), seed=17)
     table = dataset_stat_table(sw, AGG, tract_selection)
     assert table.kind == "swapped"
     out = estimate_bias_swap(table, noisy)

@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dasim.errors import SchemaError
-from dasim.geo import GeoId, GeoLevel, SpineSpec, make_synthetic_spine
+from dasim.geo import NMF_LEVEL_ORDER, GeoId, GeoLevel, SpineSpec, make_synthetic_spine
 from dasim.histograms import (
     DESK_SCHEMA,
     FULL_SCHEMA,
     AggregationMatrix,
-    CefDataset,
     CellSchema,
     GenerationProfile,
-    Histogram,
+    HistogramDataset,
     aggregate,
     default_statistics,
     generate_synthetic_cef,
@@ -40,19 +39,26 @@ def test_cell_index_round_trip():
 
 
 def test_histogram_validation():
-    with pytest.raises(SchemaError):
-        Histogram(np.array([1, -1]))
-    with pytest.raises(SchemaError):
-        Histogram(np.array([1.5, 2.0]))
-    h = Histogram(np.arange(4)) + Histogram(np.ones(4, dtype=int))
-    assert h.total == 10
+    spine = make_synthetic_spine(SpineSpec(), seed=5)
+    schema = CellSchema((("a", 2), ("b", 2)))
+    shape = (len(spine.blocks), 4)
+    for bad in (-np.ones(shape, dtype=int), np.full(shape, np.nan),
+                np.ones(shape, dtype=bool), np.ones((shape[0] - 1, 4), dtype=int)):
+        with pytest.raises(SchemaError):
+            HistogramDataset(spine, schema, bad)
+    ints = HistogramDataset(spine, schema, np.ones(shape, dtype=np.int32))
+    assert ints.counts.dtype == np.int64 and ints.total_population == 4 * shape[0]
+    floats = HistogramDataset(spine, schema, np.full(shape, 0.5), "postprocessed", 3)
+    assert floats.counts.dtype == float
+    assert (floats.kind, floats.run_seed) == ("postprocessed", 3)
+    with pytest.raises(ValueError):
+        ints.counts[0, 0] = 7  # validated once, so the matrix is read-only
 
 
 def test_aggregate_simple_total():
     schema = CellSchema((("voting_age", 2), ("hispanic", 2)))
     agg = default_statistics(schema)
-    h = Histogram(np.array([1, 2, 3, 4]))
-    vals = dict(zip(agg.labels, aggregate(h, agg)))
+    vals = dict(zip(agg.labels, aggregate(np.array([1, 2, 3, 4]), agg)))
     assert vals["total"] == 10
     # voting_age axis is the first, adults are indices 2,3 of the flat vector
     assert vals["voting_age"] == 7
@@ -95,8 +101,7 @@ def test_aggregation_matrix_validation():
 def test_aggregate_linear(c1, c2):
     agg = default_statistics(DESK_SCHEMA)
     assert (
-        aggregate(Histogram(c1 + c2), agg)
-        == aggregate(Histogram(c1), agg) + aggregate(Histogram(c2), agg)
+        aggregate(c1 + c2, agg) == aggregate(c1, agg) + aggregate(c2, agg)
     ).all()
 
 
@@ -138,10 +143,24 @@ def test_cef_deterministic(small_world):
 
 def test_cef_rejects_wrong_blocks(small_world):
     spine, cef = small_world
-    counts = {raw: cef.block_histogram(raw) for raw in spine.blocks}
-    counts.pop(spine.blocks[0])
     with pytest.raises(SchemaError):
-        CefDataset(spine, DESK_SCHEMA, counts)
+        HistogramDataset(spine, DESK_SCHEMA, cef.counts[1:])
+
+
+def test_node_sums_with_non_contiguous_state_rows():
+    # with two states and AI/AN tracts, the AI/AN flag leads the sort key,
+    # so each state's blocks split into two runs of rows
+    spine = make_synthetic_spine(SpineSpec(states=2, aian_tract_prob=1.0), seed=2)
+    rows = spine.node_rows("01")
+    assert (np.diff(rows) > 1).any()
+    cef = generate_synthetic_cef(spine, seed=2)
+    for level in NMF_LEVEL_ORDER:
+        by_level = cef.level_histograms(level)
+        for node, hist in zip(spine.nodes_at(level), by_level):
+            manual = sum(cef.block_histogram(b) for b in spine.nmf_blocks(node))
+            np.testing.assert_array_equal(cef.node_histogram(node), manual)
+            np.testing.assert_array_equal(hist, manual)
+        assert by_level.sum() == cef.total_population
 
 
 def test_block_population_median_matches_published_skew():

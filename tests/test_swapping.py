@@ -13,8 +13,8 @@ from dasim.swapping import (
     make_household_file,
     risk_score,
     swap_households,
-    swapped_dataset,
 )
+from dasim.pipeline import swap_release
 
 WORLD_SPEC = geo.SpineSpec(
     states=1,
@@ -69,7 +69,7 @@ def test_group_quarters_persons_never_join_households(world):
     housing = np.indices(DESK_SCHEMA.shape)[DESK_SCHEMA.axis_index("housing")].reshape(
         DESK_SCHEMA.size
     )
-    total_gq = sum(int(hhfile.gq_counts[raw].sum()) for raw in spine.blocks)
+    total_gq = int(hhfile.gq_counts.sum())
     want = sum(
         int(cef.block_histogram(raw)[housing != 0].sum()) for raw in spine.blocks
     )
@@ -89,7 +89,7 @@ def test_household_file_rejects_unknown_blocks(world):
     spine, cef = world
     hh = Household("9" * 31, (0,), 0)
     with pytest.raises(ParameterError):
-        HouseholdFile(spine, DESK_SCHEMA, [hh], {r: np.zeros(48, dtype=np.int64) for r in spine.blocks})
+        HouseholdFile(spine, DESK_SCHEMA, [hh], np.zeros((len(spine.blocks), 48), dtype=np.int64))
 
 
 def test_bad_size_pmf_is_rejected(world):
@@ -142,7 +142,7 @@ AGGRESSIVE = SwapConfig(base_rate=0.5, risk_multiplier=4.0)
 
 def test_swap_preserves_block_totals_and_voting_age_exactly(world):
     spine, cef = world
-    out = swapped_dataset(cef, AGGRESSIVE, seed=2)
+    _, _, out = swap_release(cef, AGGRESSIVE, seed=2)
     agg = default_statistics(DESK_SCHEMA)
     total = agg.row("total").astype(bool)
     voting = agg.row("voting_age").astype(bool)
@@ -155,8 +155,8 @@ def test_swap_preserves_block_totals_and_voting_age_exactly(world):
 
 def test_swap_actually_moves_attributes(world):
     spine, cef = world
-    out = swapped_dataset(cef, AGGRESSIVE, seed=2)
-    assert out.stats.n_swapped > 0
+    _, stats, out = swap_release(cef, AGGRESSIVE, seed=2)
+    assert stats.n_swapped > 0
     moved = any(
         not np.array_equal(out.block_histogram(raw), cef.block_histogram(raw))
         for raw in spine.blocks
@@ -212,11 +212,11 @@ def test_local_pairing_is_preferred(world):
 
 def test_swapping_is_deterministic(world):
     spine, cef = world
-    a = swapped_dataset(cef, AGGRESSIVE, seed=6)
-    b = swapped_dataset(cef, AGGRESSIVE, seed=6)
+    a = swap_release(cef, AGGRESSIVE, seed=6)[2]
+    b = swap_release(cef, AGGRESSIVE, seed=6)[2]
     for raw in spine.blocks:
         np.testing.assert_array_equal(a.block_histogram(raw), b.block_histogram(raw))
-    c = swapped_dataset(cef, AGGRESSIVE, seed=7)
+    c = swap_release(cef, AGGRESSIVE, seed=7)[2]
     assert any(
         not np.array_equal(a.block_histogram(raw), c.block_histogram(raw))
         for raw in spine.blocks
@@ -226,13 +226,14 @@ def test_swapping_is_deterministic(world):
 def test_zero_rate_swaps_nothing(world):
     spine, cef = world
     cfg = SwapConfig(base_rate=0.0)
-    out = swapped_dataset(cef, cfg, seed=2)
-    assert out.stats.n_flagged == out.stats.n_swapped == 0
+    _, stats, out = swap_release(cef, cfg, seed=2)
+    assert stats.n_flagged == stats.n_swapped == 0
     for raw in spine.blocks:
         np.testing.assert_array_equal(out.block_histogram(raw), cef.block_histogram(raw))
 
 
 def test_seed_provenance(world):
     _, cef = world
-    out = swapped_dataset(cef, AGGRESSIVE, seed=11)
+    out = swap_release(cef, AGGRESSIVE, seed=11)[2]
     assert out.run_seed == 11
+    assert out.kind == "swapped"

@@ -11,9 +11,9 @@ from dasim.acceptance import _MID_SPEC
 from dasim.errors import InfeasibleConstraints
 from dasim.histograms import (
     AggregationMatrix,
-    CefDataset,
     CellSchema,
     DESK_SCHEMA,
+    HistogramDataset,
     default_statistics,
     generate_synthetic_cef,
 )
@@ -118,9 +118,8 @@ def _two_block_world():
         places_per_state=0,
     )
     spine = geo.make_synthetic_spine(spec, seed=11)
-    blocks = sorted(spine.blocks)
-    counts = {blocks[0]: np.array([2, 4]), blocks[1]: np.array([3, 5])}
-    return spine, CefDataset(spine, TWO_CELL, counts), blocks
+    cef = HistogramDataset(spine, TWO_CELL, np.array([[2, 4], [3, 5]]), "enumeration")
+    return spine, cef, list(spine.blocks)
 
 
 def _detail_query(block_variance: float) -> QueryMatrix:
