@@ -60,7 +60,6 @@ from .histograms import (
 )
 from .noise import (
     BudgetSchedule,
-    NoisyMeasurementSet,
     NoisyMeasurements,
     QueryMatrix,
     make_noisy_measurements,
@@ -185,17 +184,9 @@ def _pair_query(block_variance: float) -> QueryMatrix:
 
 def _pair_measurements(cef, q, block_values) -> NoisyMeasurements:
     """Hand-built measurements: exact everywhere except the two blocks."""
-    per_node = {}
-    for lv in geo.NMF_LEVEL_ORDER[:-1]:
-        for node in cef.spine.nodes_at(lv):
-            per_node[node] = NoisyMeasurementSet(
-                node, cef.node_histogram(node).astype(np.int64), np.zeros(2)
-            )
-    for raw, vals in block_values.items():
-        per_node[raw] = NoisyMeasurementSet(
-            raw, np.asarray(vals, dtype=np.int64), np.ones(2)
-        )
-    return NoisyMeasurements(per_node, q, seed=None)
+    nodes = [n for lv in geo.NMF_LEVEL_ORDER for n in cef.spine.nodes_at(lv)]
+    values = [block_values.get(n, cef.node_histogram(n)) for n in nodes]
+    return NoisyMeasurements(q, None, tuple(nodes), np.array(values, dtype=np.int64))
 
 
 def _brute_force_split(parent, m1, m2):
@@ -343,10 +334,11 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
             continue
         target = geo.GeoId(level, sorted(units)[0])
         truth = agg.matrix @ cef.target_histogram(target)
-        for est, want in zip(nm_statistics(nms0, q0, agg, spine, target), truth):
+        values, variances = nm_statistics(nms0, q0, agg, spine, target)
+        for label, value, variance, want in zip(agg.labels, values, variances, truth):
             checks.expect(
-                est.value == want and est.variance == 0.0,
-                f"zero budget not exact at {level.value} {est.statistic}",
+                value == want and variance == 0.0,
+                f"zero budget not exact at {level.value} {label}",
             )
 
     # unbiasedness: fixed targets, fresh noise each replicate
@@ -377,8 +369,8 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
     for r in range(reps):
         nms = make_noisy_measurements(cef, q, seed=r, nodes=needed)
         for j, ((target, a1), truth) in enumerate(zip(pairs, truths)):
-            (est,) = nm_statistics(nms, q, a1, spine, target)
-            z[r, j] = (est.value - truth) / math.sqrt(est.variance)
+            (value,), (variance,) = nm_statistics(nms, q, a1, spine, target)
+            z[r, j] = (value - truth) / math.sqrt(variance)
 
     mean_limit = 4.0 / math.sqrt(reps)
     band_lo = float(_sps.chi2.ppf(0.005, df=reps))
@@ -960,19 +952,19 @@ def check_error_ordering() -> tuple[bool, str]:
     for code in vtds:
         target = geo.GeoId(geo.GeoLevel.VTD, code)
         parts = geo.compose_target(spine, target).parts
-        (est,) = nm_statistics(nms0, q, agg_total, spine, target)
+        _, (variance,) = nm_statistics(nms0, q, agg_total, spine, target)
         predicted = sum(level_var[geo.node_level(p)] for p in parts)
         checks.expect(
-            math.isclose(est.variance, predicted, rel_tol=1e-9),
-            f"vtd {code}: reported variance {est.variance:.3f} is not the "
+            math.isclose(variance, predicted, rel_tol=1e-9),
+            f"vtd {code}: reported variance {variance:.3f} is not the "
             f"sum of its {len(parts)} parts ({predicted:.3f})",
         )
         all_blocks = all(geo.node_level(p) is geo.GeoLevel.BLOCK for p in parts)
         if all_blocks and len(parts) >= 2:
             if pure is None or len(parts) > len(pure[1]):
-                pure = (target, parts, est.variance)
+                pure = (target, parts, variance)
         if biggest is None or len(parts) > len(biggest[1]):
-            biggest = (target, parts, est.variance)
+            biggest = (target, parts, variance)
     checks.expect(
         pure is not None,
         "no voting district decomposes into two or more whole blocks; "
@@ -992,8 +984,8 @@ def check_error_ordering() -> tuple[bool, str]:
         errs = np.empty(reps_nm)
         for r in range(reps_nm):
             nms = make_noisy_measurements(cef, q, seed=9000 + r, nodes=parts)
-            (est,) = nm_statistics(nms, q, agg_total, spine, target)
-            errs[r] = est.value - truth
+            (value,), _ = nm_statistics(nms, q, agg_total, spine, target)
+            errs[r] = value - truth
         emp = math.sqrt(float((errs ** 2).mean()))
         ratio = emp / math.sqrt(reported)
         checks.expect(

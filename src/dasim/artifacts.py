@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -17,9 +18,9 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import geo
-from .errors import SchemaError
+from .errors import DasimError, SchemaError
 from .histograms import CellSchema, HistogramDataset
-from .noise import NoisyMeasurementSet, NoisyMeasurements, QueryMatrix
+from .noise import NoisyMeasurements, QueryMatrix
 
 PathLike = Union[str, Path]
 
@@ -134,54 +135,67 @@ def read_histogram_csv(
 NMF_COLUMNS = ("node_id", "row_index", "row_id", "value", "variance")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]
+
+
 def write_nmf_csv(nms: NoisyMeasurements, path: PathLike) -> None:
+    """One row per (node, query row), nodes in sorted order.  The row
+    index, row id and variance columns depend only on the query and the
+    node's level, so they are formatted once; each node is one write."""
     q = nms.query
+    mids = [f",{i},{_csv_field(row_id)}," for i, row_id in enumerate(q.row_ids)]
+    tails = {lv: [f",{_fmt(s2)}\r\n" for s2 in q.variances_for(lv)]
+             for lv in geo.NMF_LEVEL_ORDER}
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(NMF_COLUMNS)
-        for node_id in sorted(nms):
-            ms = nms[node_id]
-            for i, (v, s2) in enumerate(zip(ms.values, ms.variances)):
-                w.writerow([node_id, str(i), q.row_ids[i], str(int(v)), _fmt(s2)])
+        csv.writer(fh).writerow(NMF_COLUMNS)
+        for node, i in sorted(zip(nms.nodes, range(len(nms.nodes)))):
+            head, tail = _csv_field(node), tails[geo.node_level(node)]
+            fh.write("".join([f"{head}{m}{v}{t}"
+                              for m, v, t in zip(mids, nms.values[i].tolist(), tail)]))
 
 
 def read_nmf_csv(
     path: PathLike, q: QueryMatrix, seed: Optional[int]
 ) -> NoisyMeasurements:
     """Read measurements written by write_nmf_csv.  Each node's rows must
-    run through the query's rows in order, by index and by id."""
+    come together and run through the query's rows in order, by index and
+    by id, each with the variance the budget gives the node's level.  The
+    file is streamed, and each node's rows are parsed at once."""
     n_rows = q.n_rows
     expected = [[str(i), row_id] for i, row_id in enumerate(q.row_ids)]
-    values: dict[str, list[int]] = {}
-    variances: dict[str, list[float]] = {}
+    per_node: dict[str, np.ndarray] = {}
+    block: list[tuple[int, list[str]]] = []  # the current node's (line, row)s
     for line, row in _csv_rows(path, NMF_COLUMNS):
         if len(row) != len(NMF_COLUMNS):
             raise SchemaError(f"{path}:{line}: {len(row)} fields, want {len(NMF_COLUMNS)}")
-        vals = values.setdefault(row[0], [])
-        i = len(vals)
-        if i == n_rows or row[1:3] != expected[i]:
-            want = f"row {i} ({q.row_ids[i]})" if i < n_rows else f"only {n_rows} rows"
-            raise SchemaError(
-                f"{path}:{line}: node {row[0]} has row {row[1]} ({row[2]}), "
-                f"the query has {want}"
-            )
+        i, node = len(block), block[0][1][0] if block else row[0]
+        if row[0] != node or row[1:3] != expected[i] or (not block and node in per_node):
+            of = f"of node {node}" if block else "of a node not seen before"
+            raise SchemaError(f"{path}:{line}: want row {i} ({q.row_ids[i]}) {of}, "
+                              f"got row {row[1]} ({row[2]}) of node {row[0]}")
+        block.append((line, row))
+        if i + 1 < n_rows:
+            continue
+        lines, rows = zip(*block)
+        block = []
         try:
-            vals.append(int(row[3]))
-            variances.setdefault(row[0], []).append(float(row[4]))
-        except ValueError:
-            raise SchemaError(f"{path}:{line}: value or variance is not a number") from None
-    per_node = {}
-    for node_id, vals in values.items():
-        if len(vals) != n_rows:
-            raise SchemaError(
-                f"{path}: node {node_id} has {len(vals)} rows, query needs {n_rows}"
-            )
-        try:
-            counts = np.array(vals, dtype=np.int64)
-        except OverflowError:
-            raise SchemaError(f"{path}: node {node_id} has a value beyond int64") from None
-        per_node[node_id] = NoisyMeasurementSet(node_id, counts, np.array(variances[node_id]))
-    return NoisyMeasurements(per_node, q, seed)
+            want = q.variances_for(geo.node_level(node)).tolist()
+            per_node[node] = np.array([int(r[3]) for r in rows], dtype=np.int64)
+            variances = [float(r[4]) for r in rows]
+        except (DasimError, ValueError, OverflowError):
+            raise SchemaError(f"{path}:{lines[0]}-{lines[-1]}: node {node!r} is not a spine "
+                              f"node, or has a value beyond int64 or a non-number") from None
+        bad = next((ln for ln, v, w in zip(lines, variances, want) if v != w), None)
+        if bad is not None:
+            raise SchemaError(f"{path}:{bad}: node {node} has a variance other than its budget's")
+    if block:
+        raise SchemaError(f"{path}: node {node} has {len(block)} rows, query needs {n_rows}")
+    values = np.array(list(per_node.values()), dtype=np.int64).reshape(len(per_node), n_rows)
+    return NoisyMeasurements(q, seed, tuple(per_node), values)
 
 
 # ----------------------------------------------------------------------

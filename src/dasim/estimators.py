@@ -111,18 +111,19 @@ def noisy_stat_table(
     spine: geo.Spine,
     selection: GeoSelection,
 ) -> StatTable:
-    """Unbiased noisy statistic values with their exact variances."""
+    """Unbiased noisy statistic values with their exact variances; ``q``
+    must be the measurements' own query."""
     for s in selection.statistics:
         if s not in agg.labels:
             raise ParameterError(f"statistic {s!r} not in the aggregation matrix")
-    paths = {s: q.paths_for_row(agg.row(s)) for s in selection.statistics}
-    estimates = [e for target in selection.targets
-                 for e in nm_statistics(nms, q, agg, spine, target, paths)]
+    paths = {s: nms.query.paths_for_row(agg.row(s)) for s in selection.statistics}
+    values, variances = zip(*(nm_statistics(nms, q, agg, spine, target, paths)
+                              for target in selection.targets))
     return StatTable(
         kind="noisy",
         cells=selection.cells,
-        values=np.array([e.value for e in estimates]),
-        variances=np.array([e.variance for e in estimates]),
+        values=np.concatenate(values),
+        variances=np.concatenate(variances),
         run_seed=nms.seed,
     )
 

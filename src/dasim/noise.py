@@ -14,6 +14,7 @@ each part by an inverse-variance-weighted mean.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -130,8 +131,9 @@ class BudgetSchedule:
             for g, v in groups.items():
                 if g not in QUERY_GROUPS:
                     raise ParameterError(f"unknown query group {g!r}")
-                if v < 0:
-                    raise ParameterError(f"negative variance for {lv.value}/{g}")
+                if not math.isfinite(v) or v < 0:
+                    raise ParameterError(f"variance {v} for {lv.value}/{g} is not "
+                                         f"finite and non-negative")
 
     def variance(self, level: geo.GeoLevel, group: str) -> float:
         try:
@@ -195,14 +197,20 @@ class QueryMatrix:
         self._detail_rows = np.array(
             [self._row_of.get(f"cell_{i}", -1) for i in range(size)], dtype=np.int64
         )
+        # the one source of every measurement's variance: a (spine level
+        # x query row) table in NMF_LEVEL_ORDER, fixed by the budget
+        by_group = np.array([[self.budget.variance(lv, g) for g in self.groups]
+                             for lv in geo.NMF_LEVEL_ORDER])
+        self.variances = by_group[:, [self.groups.index(g) for g in row_groups]]
+        self.variances.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
         return len(self.row_ids)
 
     def variances_for(self, level: geo.GeoLevel) -> np.ndarray:
-        by_group = {g: self.budget.variance(level, g) for g in self.groups}
-        return np.array([by_group[g] for g in self.row_groups])
+        """Variance of each query row at one optimized-spine level."""
+        return self.variances[geo.NMF_LEVEL_ORDER.index(level)]
 
     def paths_for_row(self, stat_row: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Every way to assemble one statistic from query rows.
@@ -255,46 +263,43 @@ class QueryMatrix:
 # noisy measurements
 
 
-@dataclass(frozen=True)
-class NoisyMeasurementSet:
-    """All noisy query answers for one optimized-spine geography."""
+@dataclass(frozen=True, eq=False)
+class NoisyMeasurements:
+    """Noisy query answers for a set of optimized-spine geographies.
 
-    node_id: str
+    ``values`` is a read-only (len(nodes) x query.n_rows) int64 matrix
+    whose row i answers every query for ``nodes[i]``.  No variance is
+    stored: each answer's variance is ``query.variances_for`` the level
+    of its node.
+    """
+
+    query: QueryMatrix
+    seed: Optional[int]
+    nodes: tuple[str, ...]
     values: np.ndarray
-    variances: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values)
-        s = np.asarray(self.variances, dtype=float)
-        if v.shape != s.shape or v.ndim != 1:
-            raise ParameterError("values and variances must be aligned vectors")
-        if not np.isfinite(s).all() or (s < 0).any():
-            raise ParameterError("query variances must be finite and non-negative")
-        object.__setattr__(self, "values", v.astype(np.int64))
-        object.__setattr__(self, "variances", s)
+        arr = np.asarray(self.values)
+        want = (len(self.nodes), self.query.n_rows)
+        if arr.shape != want or not np.issubdtype(arr.dtype, np.integer):
+            raise ParameterError(
+                f"measurements must be integers of shape {want}, got {arr.dtype} {arr.shape}"
+            )
+        arr = arr.astype(np.int64)
+        arr.flags.writeable = False
+        row_of = {n: i for i, n in enumerate(self.nodes)}
+        if len(row_of) != len(self.nodes):
+            raise ParameterError("a node is measured twice")
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_row_of", row_of)
 
-
-class NoisyMeasurements(Mapping[str, NoisyMeasurementSet]):
-    """Mapping of node id -> measurement set, with run provenance."""
-
-    def __init__(
-        self,
-        per_node: Mapping[str, NoisyMeasurementSet],
-        query: QueryMatrix,
-        seed: Optional[int],
-    ):
-        self._per_node = dict(per_node)
-        self.query = query
-        self.seed = seed
-
-    def __getitem__(self, node_id: str) -> NoisyMeasurementSet:
-        return self._per_node[node_id]
-
-    def __iter__(self):
-        return iter(self._per_node)
-
-    def __len__(self) -> int:
-        return len(self._per_node)
+    def rows(self, nodes: Iterable[str]) -> np.ndarray:
+        """Row of each node in ``values``; CoverageError names the first
+        node without measurements."""
+        try:
+            return np.array([self._row_of[n] for n in nodes], dtype=np.int64)
+        except KeyError as exc:
+            raise CoverageError(f"no measurements for node {exc.args[0]!r}") from None
 
 
 def make_noisy_measurements(
@@ -317,97 +322,89 @@ def make_noisy_measurements(
         for n in node_list:
             if not cef.spine.has_node(n):
                 raise ParameterError(f"unknown spine node {n!r}")
-    out: dict[str, NoisyMeasurementSet] = {}
-    for node in node_list:
+    qmat = q.matrix.astype(np.int64)
+    noise_groups: dict[geo.GeoLevel, list[tuple[float, np.ndarray]]] = {}
+    values = np.empty((len(node_list), q.n_rows), dtype=np.int64)
+    for i, node in enumerate(node_list):
         level = geo.node_level(node)
-        exact = q.matrix.astype(np.int64) @ cef.node_histogram(node)
-        variances = q.variances_for(level)
+        if level not in noise_groups:
+            variances = q.variances_for(level)
+            noise_groups[level] = [(float(v), np.nonzero(variances == v)[0])
+                                   for v in np.unique(variances) if v > 0]
         rng = np.random.default_rng(node_seed(seed, node))
-        noise = np.zeros(q.n_rows, dtype=np.int64)
-        for v in np.unique(variances):
-            if v > 0:
-                mask = variances == v
-                noise[mask] = sample_discrete_gaussian_array(float(v), int(mask.sum()), rng)
-        out[node] = NoisyMeasurementSet(node, exact + noise, variances)
-    return NoisyMeasurements(out, q, int(seed))
+        values[i] = qmat @ cef.node_histogram(node)
+        for v, cols in noise_groups[level]:
+            values[i, cols] += sample_discrete_gaussian_array(v, cols.size, rng)
+    return NoisyMeasurements(q, int(seed), tuple(node_list), values)
 
 
 # ----------------------------------------------------------------------
 # combination
 
 
-def combine_estimates(
-    estimates: Sequence[tuple[float, float]]
-) -> tuple[float, float]:
-    """Inverse-variance-weighted mean of independent unbiased estimates.
+def combine_estimates(values, variances) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-variance-weighted mean of independent unbiased estimates,
+    taken along the last axis.
 
     Output variance 1 / sum(1/v_i) never exceeds the smallest input
-    variance.  Raises EmptyInput on an empty list and ParameterError on
+    variance.  Raises EmptyInput on no estimates and ParameterError on
     non-positive variances.
     """
-    if len(estimates) == 0:
+    variances = np.asarray(variances, dtype=float)
+    if variances.size == 0:
         raise EmptyInput("no estimates to combine")
-    values = np.array([e[0] for e in estimates], dtype=float)
-    variances = np.array([e[1] for e in estimates], dtype=float)
     if (variances <= 0).any() or not np.isfinite(variances).all():
         raise ParameterError("combination requires finite positive variances")
     weights = 1.0 / variances
-    return float((weights * values).sum() / weights.sum()), float(1.0 / weights.sum())
-
-
-@dataclass(frozen=True)
-class StatEstimate:
-    """A combined noisy estimate of one statistic for one geography."""
-
-    geography: str
-    statistic: str
-    value: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.variance) or self.variance < 0:
-            raise ParameterError("estimate variance must be finite and non-negative")
+    total = weights.sum(axis=-1)
+    return (weights * values).sum(axis=-1) / total, 1.0 / total
 
 
 def nm_statistics(
-    nms: Mapping[str, NoisyMeasurementSet],
+    nms: NoisyMeasurements,
     q: QueryMatrix,
     agg: AggregationMatrix,
     spine: geo.Spine,
     target: geo.GeoId,
     paths: Optional[Mapping[str, list]] = None,
-) -> list[StatEstimate]:
-    """Unbiased noisy statistics for any composable target.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unbiased noisy statistics for any composable target, and their
+    variances, in label order.
 
     Within each composition part, every query path to a statistic is
     combined by inverse-variance weighting (an exact, zero-variance path
-    short-circuits the combination); part estimates then add, and so do
-    their variances, because parts are disjoint geographies with
-    independent noise.  ``paths`` maps labels to their
+    short-circuits the combination); part estimates then add, in
+    composition order, and so do their variances, because parts are
+    disjoint geographies with independent noise.  ``q`` must be the
+    measurements' own query.  ``paths`` maps labels to their
     ``q.paths_for_row``, so that a caller measuring many targets finds
     them once; only those statistics are returned then, in its order.
     """
-    comp = geo.compose_target(spine, target)
+    if q is not nms.query and (q.row_ids != nms.query.row_ids
+                               or not np.array_equal(q.variances, nms.query.variances)):
+        raise ParameterError("q is not the query the measurements were taken with")
+    q = nms.query
     if paths is None:
         paths = {label: q.paths_for_row(row) for label, row in zip(agg.labels, agg.matrix)}
-    parts = []
-    for part in comp.parts:
-        if part not in nms:
-            raise CoverageError(
-                f"no measurements for composition part {part!r} of "
-                f"{target.level.value} {target.code}"
-            )
-        parts.append(nms[part])
-    out: list[StatEstimate] = []
-    for label, label_paths in paths.items():
-        value = 0.0
-        variance = 0.0
-        for ms in parts:
-            cands = [(float(coef @ ms.values[idx]), float((coef ** 2) @ ms.variances[idx]))
-                     for idx, coef in label_paths]
-            exact = [c for c in cands if c[1] == 0.0]
-            pv, pvar = exact[0] if exact else combine_estimates(cands)
-            value += pv
-            variance += pvar
-        out.append(StatEstimate(target.code, label, value, variance))
-    return out
+    parts = geo.compose_target(spine, target).parts
+    part_values = nms.values[nms.rows(parts)].astype(float)
+    at_level: dict[geo.GeoLevel, list[int]] = {}
+    for i, part in enumerate(parts):
+        at_level.setdefault(geo.node_level(part), []).append(i)
+    out = np.empty((len(parts), 2, len(paths)))  # per part: estimates, variances
+    for j, label_paths in enumerate(paths.values()):
+        coefs = np.zeros((q.n_rows, len(label_paths)))  # one column per path
+        for k, (idx, coef) in enumerate(label_paths):
+            coefs[idx, k] = coef
+        cands = part_values @ coefs
+        for level, rows in at_level.items():
+            level_var = q.variances_for(level)
+            cand_var = [float((coef ** 2) @ level_var[idx]) for idx, coef in label_paths]
+            if 0.0 in cand_var:
+                out[rows, 0, j], out[rows, 1, j] = cands[rows, cand_var.index(0.0)], 0.0
+            else:
+                out[rows, 0, j], out[rows, 1, j] = combine_estimates(cands[rows], cand_var)
+    total = np.zeros((2, len(paths)))
+    for part in out:  # in composition order, one part after another
+        total += part
+    return total[0], total[1]

@@ -39,7 +39,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import geo
-from .errors import CoverageError, InfeasibleConstraints, SchemaError
+from .errors import InfeasibleConstraints, SchemaError
 from .histograms import AggregationMatrix, HistogramDataset, default_statistics
 from .noise import NoisyMeasurements
 
@@ -436,12 +436,6 @@ def topdown_postprocess(
     spine = cef.spine
     levels = geo.NMF_LEVEL_ORDER
     inv_by_level = _resolve_invariants(cfg, agg)
-    missing = [n for lv in levels for n in spine.nodes_at(lv) if n not in nms]
-    if missing:
-        raise CoverageError(
-            f"post-processing needs measurements at every spine node; "
-            f"{len(missing)} missing, first {missing[0]}"
-        )
     position = {n: i for lv in levels for i, n in enumerate(spine.nodes_at(lv))}
 
     # per-level data: measurements, invariant targets per node, and the
@@ -456,7 +450,7 @@ def topdown_postprocess(
         QtW = Qw.T * (1.0 / variances[wmask])
         truth = cef.level_histograms(lv) if inv_by_level[lv] else None
         per_level[lv] = {
-            "vals": np.array([nms[n].values for n in spine.nodes_at(lv)], dtype=float),
+            "vals": nms.values[nms.rows(spine.nodes_at(lv))].astype(float),
             "targets": [truth[:, s].sum(axis=1) for _, s in inv_by_level[lv]],
             "wmask": wmask,
             "E": np.vstack([qmat[~wmask]] + [s[None, :] for _, s in inv_by_level[lv]]),

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from dasim.geo import compose_target, node_level
+
 
 def dgauss_support(sigma2: float) -> np.ndarray:
     """Integer support wide enough that the truncated tail is below 1e-300."""
@@ -102,3 +104,33 @@ def kkt_active_set_oracle(H, G, E, e, parent):
             continue
         return x.reshape(k, C)
     raise ValueError("no KKT point: the group is infeasible")
+
+
+def nm_statistics_loop(nms, agg, spine, target) -> tuple[list[float], list[float]]:
+    """Per-part, per-path loop form of noisy statistics: the reference the
+    vectorized ``nm_statistics`` must match bit for bit.  Within a part the
+    query paths are combined by inverse-variance weights (a zero-variance
+    path wins outright); parts then add one after another."""
+    q = nms.query
+    parts = compose_target(spine, target).parts
+    values, variances = [], []
+    for stat_row in agg.matrix:
+        value = variance = 0.0
+        for part in parts:
+            answers = nms.values[nms.rows([part])[0]]
+            noise = q.variances_for(node_level(part))
+            cands = [(float(coef @ answers[idx]), float((coef ** 2) @ noise[idx]))
+                     for idx, coef in q.paths_for_row(stat_row)]
+            exact = [c for c in cands if c[1] == 0.0]
+            if exact:
+                part_value, part_variance = exact[0]
+            else:
+                weights = 1.0 / np.array([v for _, v in cands])
+                total = weights.sum()
+                part_value = float((weights * np.array([e for e, _ in cands])).sum() / total)
+                part_variance = float(1.0 / total)
+            value += part_value
+            variance += part_variance
+        values.append(value)
+        variances.append(variance)
+    return values, variances

@@ -147,11 +147,9 @@ def test_nmf_csv_round_trip(tmp_path, small_world):
     nms = make_noisy_measurements(small_world.cef, small_world.query, seed=3)
     write_nmf_csv(nms, tmp_path / "n.csv")
     back = read_nmf_csv(tmp_path / "n.csv", small_world.query, seed=3)
-    assert set(back) == set(nms)
+    assert set(back.nodes) == set(nms.nodes)
     assert back.seed == 3
-    for node in nms:
-        np.testing.assert_array_equal(back[node].values, nms[node].values)
-        np.testing.assert_array_equal(back[node].variances, nms[node].variances)
+    np.testing.assert_array_equal(back.values[back.rows(nms.nodes)], nms.values)
 
 
 def test_schema_json_round_trip(tmp_path):
@@ -293,6 +291,15 @@ def test_simulate_rejects_bad_config(tmp_path):
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("variance", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_simulate_rejects_non_finite_budgets(tmp_path, capsys, variance):
+    p = tmp_path / "cfg.json"
+    p.write_text('{"config_version": 1, "budget": {"block": %s}}' % variance)
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_quartiles_table_shape(run_dir):
     main(["report", "--out", str(run_dir)])
     with open(run_dir / "quartiles.csv", newline="") as fh:
@@ -361,7 +368,7 @@ def test_histogram_reader_keeps_float_releases(small_world, tmp_path):
         read_histogram_csv(tmp_path / "f.csv", small_world.spine, DESK_SCHEMA)
 
 
-@pytest.mark.parametrize("column,value", [(1, "5"), (2, "total"), (3, "ten")])
+@pytest.mark.parametrize("column,value", [(1, "5"), (2, "total"), (3, "ten"), (4, "17.0")])
 def test_nmf_reader_checks_rows_against_the_query(small_world, tmp_path, column, value):
     nms = make_noisy_measurements(small_world.cef, small_world.query, seed=3)
     write_nmf_csv(nms, tmp_path / "n.csv")

@@ -24,7 +24,7 @@ from dasim.estimators import (
     selection_for_level,
 )
 from dasim.histograms import DESK_SCHEMA, default_statistics, generate_synthetic_cef
-from dasim.noise import BudgetSchedule, QueryMatrix, make_noisy_measurements
+from dasim.noise import BudgetSchedule, QueryMatrix, make_noisy_measurements, nm_statistics
 from dasim.pipeline import swap_release
 from dasim.swapping import SwapConfig
 from dasim.topdown import topdown_postprocess
@@ -114,6 +114,24 @@ def test_noiseless_table_equals_enumeration(world, tract_selection):
     np.testing.assert_allclose(noisy.values, truth.values)
     assert (noisy.variances == 0).all()
     assert noisy.run_seed == 3
+
+
+def test_noisy_table_rejects_another_query(world, tract_selection):
+    # the table is built from the measurements' own query; a q with other
+    # rows or other variances must not index them silently
+    spine, cef, q = world
+    nms = make_noisy_measurements(cef, q, seed=3)
+    other_rows = QueryMatrix(DESK_SCHEMA, q.budget, groups=("detail", "total"))
+    other_budget = QueryMatrix(DESK_SCHEMA, BudgetSchedule.constant(1.0))
+    for other in (other_rows, other_budget):
+        with pytest.raises(ParameterError):
+            noisy_stat_table(nms, other, AGG, spine, tract_selection)
+        with pytest.raises(ParameterError):
+            nm_statistics(nms, other, AGG, spine, tract_selection.targets[0])
+    same = QueryMatrix(DESK_SCHEMA, q.budget, q.groups)
+    got = noisy_stat_table(nms, same, AGG, spine, tract_selection)
+    want = noisy_stat_table(nms, q, AGG, spine, tract_selection)
+    np.testing.assert_array_equal(got.values, want.values)
 
 
 def test_misaligned_tables_are_rejected(world, tract_selection):

@@ -19,7 +19,6 @@ from dasim.histograms import (
 )
 from dasim.noise import (
     BudgetSchedule,
-    NoisyMeasurementSet,
     NoisyMeasurements,
     QueryMatrix,
     make_noisy_measurements,
@@ -129,17 +128,9 @@ def _detail_query(block_variance: float) -> QueryMatrix:
 
 
 def _handmade_measurements(cef, q, block_values):
-    per_node = {}
-    for lv in geo.NMF_LEVEL_ORDER[:-1]:
-        for node in cef.spine.nodes_at(lv):
-            per_node[node] = NoisyMeasurementSet(
-                node, cef.node_histogram(node).astype(np.int64), np.zeros(2)
-            )
-    for raw, vals in block_values.items():
-        per_node[raw] = NoisyMeasurementSet(
-            raw, np.asarray(vals, dtype=np.int64), np.ones(2)
-        )
-    return NoisyMeasurements(per_node, q, seed=None)
+    nodes = [n for lv in geo.NMF_LEVEL_ORDER for n in cef.spine.nodes_at(lv)]
+    values = [block_values.get(n, cef.node_histogram(n)) for n in nodes]
+    return NoisyMeasurements(q, None, tuple(nodes), np.array(values, dtype=np.int64))
 
 
 def test_two_block_solve_matches_exhaustive_search():
