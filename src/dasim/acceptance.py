@@ -364,12 +364,14 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
     for target, _ in pairs:
         needed.update(geo.compose_target(spine, target).parts)
 
+    paths = [{a1.labels[0]: q.paths_for_row(a1.matrix[0])} for _, a1 in pairs]
+
     reps = 10_000
     z = np.empty((reps, len(pairs)))
     for r in range(reps):
         nms = make_noisy_measurements(cef, q, seed=r, nodes=needed)
         for j, ((target, a1), truth) in enumerate(zip(pairs, truths)):
-            (value,), (variance,) = nm_statistics(nms, q, a1, spine, target)
+            (value,), (variance,) = nm_statistics(nms, q, a1, spine, target, paths[j])
             z[r, j] = (value - truth) / math.sqrt(variance)
 
     mean_limit = 4.0 / math.sqrt(reps)
@@ -943,6 +945,7 @@ def check_error_ordering() -> tuple[bool, str]:
     # off-spine variance additivity, checked against an independent
     # re-derivation of the path-combination rule
     total_row = agg_total.matrix[0]
+    total_paths = {agg_total.labels[0]: q.paths_for_row(total_row)}
     level_var = {
         lv: _combined_variance(q, lv, total_row) for lv in geo.NMF_LEVEL_ORDER
     }
@@ -952,7 +955,7 @@ def check_error_ordering() -> tuple[bool, str]:
     for code in vtds:
         target = geo.GeoId(geo.GeoLevel.VTD, code)
         parts = geo.compose_target(spine, target).parts
-        _, (variance,) = nm_statistics(nms0, q, agg_total, spine, target)
+        _, (variance,) = nm_statistics(nms0, q, agg_total, spine, target, total_paths)
         predicted = sum(level_var[geo.node_level(p)] for p in parts)
         checks.expect(
             math.isclose(variance, predicted, rel_tol=1e-9),
@@ -984,7 +987,7 @@ def check_error_ordering() -> tuple[bool, str]:
         errs = np.empty(reps_nm)
         for r in range(reps_nm):
             nms = make_noisy_measurements(cef, q, seed=9000 + r, nodes=parts)
-            (value,), _ = nm_statistics(nms, q, agg_total, spine, target)
+            (value,), _ = nm_statistics(nms, q, agg_total, spine, target, total_paths)
             errs[r] = value - truth
         emp = math.sqrt(float((errs ** 2).mean()))
         ratio = emp / math.sqrt(reported)

@@ -21,6 +21,7 @@ from . import geo
 from .errors import DasimError, SchemaError
 from .histograms import CellSchema, HistogramDataset
 from .noise import NoisyMeasurements, QueryMatrix
+from .swapping import HouseholdFile
 
 PathLike = Union[str, Path]
 
@@ -202,12 +203,36 @@ def read_nmf_csv(
 # households
 
 
-def write_households_csv(households: Sequence, path: PathLike) -> None:
+def write_households_csv(hhfile: HouseholdFile, path: PathLike) -> None:
+    """One row per household: block, member cells joined by ``|``, and
+    voting-age count.
+
+    The rows are written from one token array whose entries all point
+    at shared strings (the geocodes and a table of numerals), so neither
+    a string per person nor one the size of the file is made.  Household
+    h with k members takes 2k + 4 tokens: block, ",", then cell and "|"
+    per member with the last "|" replaced by ",", then adults and the
+    line end.
+    """
+    sizes = hhfile.sizes
+    ends = np.cumsum(sizes)
+    households = np.arange(len(sizes))
+    numerals = np.arange(max(hhfile.schema.size, int(sizes.max(initial=0)) + 1))
+    numerals = numerals.astype(str).astype(object)
+    first = 2 * (ends - sizes) + 4 * households  # each household's block
+    last = first + 2 * sizes  # its last member's cell
+    tokens = np.full(2 * len(hhfile.cells) + 4 * len(sizes), "|", dtype=object)
+    tokens[first] = np.array(hhfile.spine.blocks, dtype=object)[hhfile.block_rows]
+    tokens[first + 1] = ","
+    tokens[2 * np.arange(len(hhfile.cells)) + 4 * np.repeat(households, sizes) + 2] = (
+        numerals[hhfile.cells]
+    )
+    tokens[last + 1] = ","
+    tokens[last + 2] = numerals[hhfile.adults]
+    tokens[last + 3] = "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["block", "cells", "adults"])
-        for hh in households:
-            w.writerow([hh.block, "|".join(str(c) for c in hh.cells), str(hh.adults)])
+        fh.write("block,cells,adults\r\n")
+        fh.writelines(tokens)
 
 
 # ----------------------------------------------------------------------

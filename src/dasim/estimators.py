@@ -203,19 +203,6 @@ class MseEstimate:
 # bias
 
 
-def estimate_bias_single(release: StatTable, noisy: StatTable) -> float:
-    """Bias point estimate from one run: mean(release - noisy).
-
-    Unbiased even though the two tables share a run (the measurements
-    are unbiased regardless of what the release did with them), but no
-    honest variance is identifiable from a single run, so only the bare
-    number is returned.
-    """
-    _check_aligned(release, noisy)
-    _require_variances(noisy)
-    return float(np.mean(release.values - noisy.values))
-
-
 def estimate_bias_indep(
     noisy: StatTable, release_indep: StatTable, release_same: StatTable
 ) -> BiasEstimate:
@@ -253,42 +240,8 @@ def estimate_bias_swap(swapped: StatTable, noisy: StatTable) -> BiasEstimate:
     return BiasEstimate(estimate=est, variance=var, n_cells=n)
 
 
-def estimate_bias_total_pop(
-    release_a: StatTable,
-    noisy_a: StatTable,
-    release_b: StatTable,
-    noisy_b: StatTable,
-) -> BiasEstimate:
-    """Bias for selections whose noisy total can be exact.
-
-    When a statistic is held invariant the noisy variance is zero and
-    the independent-run variance formula degenerates, so instead the two
-    cross-run differences are averaged and their half-gap is the
-    standard error.
-    """
-    n = _check_aligned(release_a, noisy_a, release_b, noisy_b)
-    _require_variances(noisy_a)
-    _require_variances(noisy_b)
-    _require_same_run(release_a, noisy_a, "the first cross difference")
-    _require_same_run(release_b, noisy_b, "the second cross difference")
-    _require_independent(noisy_a, noisy_b, "the cross differences")
-    e1 = float(np.mean(release_b.values - noisy_a.values))
-    e2 = float(np.mean(release_a.values - noisy_b.values))
-    point = 0.5 * (e1 + e2)
-    se = 0.5 * abs(e1 - e2)
-    return BiasEstimate(estimate=point, variance=se**2, n_cells=n)
-
-
 # ----------------------------------------------------------------------
 # variance and mean squared error
-
-
-def estimate_release_variance(release_a: StatTable, release_b: StatTable) -> float:
-    """Average per-cell run variance of a release from two runs."""
-    n = _check_aligned(release_a, release_b)
-    _require_independent(release_a, release_b, "the run-variance estimator")
-    diff = release_a.values - release_b.values
-    return float((diff**2).sum()) / (2.0 * n)
 
 
 def estimate_mse(release: StatTable, noisy: StatTable) -> MseEstimate:
@@ -352,52 +305,3 @@ def run_correlation(a: StatTable, b: StatTable) -> Optional[float]:
     if x.std() == 0.0 or y.std() == 0.0:
         return None
     return float(np.corrcoef(x, y)[0, 1])
-
-
-@dataclass(frozen=True)
-class ShareBin:
-    """One bin of a share-binned error profile."""
-
-    lo: float
-    hi: float
-    n: int
-    mean_error: Optional[float]
-
-
-N_SHARE_BINS = 27  # 25 interior bins of width 0.04 plus two overflow bins
-_SHARE_WIDTH = 0.04
-
-
-def binned_bias_by_share(
-    shares: Mapping, errors: Mapping
-) -> tuple[ShareBin, ...]:
-    """Mean error in bins of a share covariate.
-
-    Shares normally live in [0, 1] and land in 25 bins of width 0.04
-    (a share of exactly 1 falls in the last interior bin); estimated
-    shares can stray outside the unit interval, so a below-zero and an
-    above-one bin catch them instead of distorting the edge bins.
-    """
-    if set(shares) != set(errors):
-        raise ParameterError("shares and errors must cover the same keys")
-    if not shares:
-        raise EmptyInput("nothing to bin")
-    sums = np.zeros(N_SHARE_BINS)
-    counts = np.zeros(N_SHARE_BINS, dtype=np.int64)
-    for key, share in shares.items():
-        if share < 0.0:
-            b = 0
-        elif share > 1.0:
-            b = N_SHARE_BINS - 1
-        else:
-            b = 1 + min(int(share / _SHARE_WIDTH), 24)
-        sums[b] += errors[key]
-        counts[b] += 1
-    bins: list[ShareBin] = []
-    edges = [(-math.inf, 0.0)]
-    edges += [(_SHARE_WIDTH * i, _SHARE_WIDTH * (i + 1)) for i in range(25)]
-    edges += [(1.0, math.inf)]
-    for b, (lo, hi) in enumerate(edges):
-        mean = float(sums[b] / counts[b]) if counts[b] else None
-        bins.append(ShareBin(lo=lo, hi=hi, n=int(counts[b]), mean_error=mean))
-    return tuple(bins)

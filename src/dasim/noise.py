@@ -14,7 +14,6 @@ each part by an inverse-variance-weighted mean.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -46,6 +45,13 @@ DEFAULT_BUDGET = {
 # ----------------------------------------------------------------------
 # exact integer noise
 
+# Largest variance the sampler draws exactly.  Its proposals are
+# geometrics of scale t = floor(sd) + 1 that numpy computes in float64,
+# so a draw is an exact integer only below 2**53; one passes it with
+# probability exp(-2**53 / t), about 1e-39 for sd <= 1e14.  At sd = 1e17
+# most draws are even, and past sd = 1e18 they overflow int64.
+MAX_VARIANCE = 1e28
+
 
 def _dgauss_batch(sigma2: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized rejection sampler for the discrete Gaussian.
@@ -71,10 +77,14 @@ def _dgauss_batch(sigma2: float, size: int, rng: np.random.Generator) -> np.ndar
     return out
 
 
+def _check_variance(variance: float) -> None:
+    if not 0 <= variance <= MAX_VARIANCE:
+        raise ParameterError(f"variance must be in [0, {MAX_VARIANCE:g}], got {variance}")
+
+
 def sample_discrete_gaussian(variance: float, rng: np.random.Generator) -> int:
     """One exact draw from the integer-valued centered discrete Gaussian."""
-    if variance < 0:
-        raise ParameterError(f"variance must be non-negative, got {variance}")
+    _check_variance(variance)
     if variance == 0:
         return 0
     return int(_dgauss_batch(float(variance), 1, rng)[0])
@@ -84,8 +94,7 @@ def sample_discrete_gaussian_array(
     variance: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vector of iid discrete Gaussian draws."""
-    if variance < 0:
-        raise ParameterError(f"variance must be non-negative, got {variance}")
+    _check_variance(variance)
     if variance == 0:
         return np.zeros(size, dtype=np.int64)
     return _dgauss_batch(float(variance), int(size), rng)
@@ -131,9 +140,9 @@ class BudgetSchedule:
             for g, v in groups.items():
                 if g not in QUERY_GROUPS:
                     raise ParameterError(f"unknown query group {g!r}")
-                if not math.isfinite(v) or v < 0:
+                if not 0 <= v <= MAX_VARIANCE:
                     raise ParameterError(f"variance {v} for {lv.value}/{g} is not "
-                                         f"finite and non-negative")
+                                         f"in [0, {MAX_VARIANCE:g}]")
 
     def variance(self, level: geo.GeoLevel, group: str) -> float:
         try:

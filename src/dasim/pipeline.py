@@ -80,7 +80,7 @@ class Replicate:
     post_a: HistogramDataset
     post_b: HistogramDataset
     swapped: HistogramDataset
-    households: tuple = ()
+    households: HouseholdFile | None = None
     swap_stats: SwapStats | None = None
 
 
@@ -110,7 +110,7 @@ def run_replicate(world: World, index: int) -> Replicate:
         post_a=post_a,
         post_b=post_b,
         swapped=swapped,
-        households=swapped_file.households,
+        households=swapped_file,
         swap_stats=stats,
     )
 

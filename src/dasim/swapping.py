@@ -14,7 +14,6 @@ Group-quarters persons never swap; they are carried through unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,23 +27,6 @@ from .histograms import CellSchema, HistogramDataset
 # household size pmf for the synthetic decomposition, sizes 1..7;
 # roughly census-shaped (many singles and couples, a thin large tail)
 DEFAULT_SIZE_PMF = (0.28, 0.34, 0.15, 0.13, 0.06, 0.03, 0.01)
-
-
-@dataclass(frozen=True)
-class Household:
-    """One household: its block and the schema cell of each member."""
-
-    block: str
-    cells: tuple[int, ...]
-    adults: int
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
-    @property
-    def composition(self) -> tuple[int, int]:
-        return (len(self.cells), self.adults)
 
 
 @dataclass(frozen=True)
@@ -69,31 +51,44 @@ class SwapStats:
 class HouseholdFile:
     """Household decomposition of a dataset, plus unswappable persons.
 
-    ``gq_counts`` is a (blocks x cells) matrix in ``spine.blocks`` order
-    holding the group-quarters persons, who never join a household.
+    Household ``i`` lives in block row ``block_rows[i]`` (``spine.blocks``
+    order) and has ``sizes[i]`` members, ``adults[i]`` of them of voting
+    age.  ``cells`` holds every member's schema cell, household after
+    household.  ``gq_counts`` is a (blocks x cells) matrix holding the
+    group-quarters persons, who never join a household.  The arrays are
+    read-only; a swap permutes ``block_rows`` and keeps the rest.
     """
 
     def __init__(
         self,
         spine: geo.Spine,
         schema: CellSchema,
-        households: Sequence[Household],
+        block_rows: np.ndarray,
+        sizes: np.ndarray,
+        adults: np.ndarray,
+        cells: np.ndarray,
         gq_counts: np.ndarray,
     ):
+        arrays = []
+        for a in (block_rows, sizes, adults, cells, gq_counts):
+            a = np.array(a, dtype=np.int64)
+            a.flags.writeable = False
+            arrays.append(a)
+        self.block_rows, self.sizes, self.adults, self.cells, self.gq_counts = arrays
         self.spine = spine
         self.schema = schema
-        self.households = tuple(households)
-        self.gq_counts = gq_counts
-        for hh in self.households:
-            if hh.block not in spine.block_index:
-                raise ParameterError(f"household in unknown block {hh.block!r}")
+        n = len(self.sizes)
+        if (len(self.block_rows) != n or len(self.adults) != n
+                or (self.sizes < 1).any() or int(self.sizes.sum()) != len(self.cells)):
+            raise ParameterError("household arrays disagree in length")
+        if ((self.block_rows < 0) | (self.block_rows >= len(spine.blocks))).any():
+            raise ParameterError("household in a block row outside the spine")
+        if ((self.cells < 0) | (self.cells >= schema.size)).any():
+            raise ParameterError("household member in a cell outside the schema")
 
     def to_dataset(self, kind: str = "dataset", run_seed: Optional[int] = None) -> HistogramDataset:
         counts = np.array(self.gq_counts, dtype=np.int64)
-        index = self.spine.block_index
-        rows = [index[hh.block] for hh in self.households for _ in hh.cells]
-        cells = [c for hh in self.households for c in hh.cells]
-        np.add.at(counts, (np.array(rows, dtype=np.intp), np.array(cells, dtype=np.intp)), 1)
+        np.add.at(counts, (np.repeat(self.block_rows, self.sizes), self.cells), 1)
         return HistogramDataset(self.spine, self.schema, counts, kind, run_seed)
 
 
@@ -112,9 +107,9 @@ def make_household_file(
 
     The enumeration only carries person counts, so household structure
     is synthesized: per block, persons are shuffled and cut into runs
-    with sizes drawn from ``size_pmf``.  Block streams are keyed by
-    (seed, geocode) so any block's decomposition is reproducible in
-    isolation.
+    with sizes drawn from ``size_pmf``, the last run cut short at the
+    block's population.  Block streams are keyed by (seed, geocode) so
+    any block's decomposition is reproducible in isolation.
     """
     pmf = np.asarray(size_pmf, dtype=float)
     if pmf.ndim != 1 or pmf.size == 0 or (pmf < 0).any():
@@ -124,42 +119,45 @@ def make_household_file(
     schema = cef.schema
     housing = _axis_category(schema, "housing")
     voting = _axis_category(schema, "voting_age")
-    sizes = np.arange(1, pmf.size + 1)
+    choices = np.arange(1, pmf.size + 1)
 
-    households: list[Household] = []
-    for raw, hh_part in zip(cef.spine.blocks, np.where(housing == 0, cef.counts, 0)):
-        n = int(hh_part.sum())
+    empty = np.zeros(0, dtype=np.int64)
+    rows, sizes, cells = [empty], [empty], [empty]
+    hh_counts = np.where(housing == 0, cef.counts, 0)
+    for row, (raw, n) in enumerate(zip(cef.spine.blocks, hh_counts.sum(axis=1))):
         if n == 0:
             continue
         rng = np.random.default_rng((int(seed), int(raw), 0x11D))
-        persons = np.repeat(np.arange(schema.size), hh_part)
+        persons = np.repeat(np.arange(schema.size), hh_counts[row])
         rng.shuffle(persons)
-        draws = rng.choice(sizes, size=n, p=pmf)
-        i = 0
-        for s in draws:
-            if i >= n:
-                break
-            take = min(int(s), n - i)
-            cells = tuple(int(c) for c in persons[i:i + take])
-            adults = int(voting[list(cells)].sum())
-            households.append(Household(raw, cells, adults))
-            i += take
+        draws = rng.choice(choices, size=n, p=pmf)
+        ends = np.cumsum(draws)
+        last = int(np.searchsorted(ends, n))
+        draws[last] -= ends[last] - n
+        rows.append(np.full(last + 1, row))
+        sizes.append(draws[:last + 1])
+        cells.append(persons)
+    sizes, cells = np.concatenate(sizes), np.concatenate(cells)
+    adults = np.add.reduceat(voting[cells], np.cumsum(sizes) - sizes)
     gq_counts = np.where(housing != 0, cef.counts, 0)
-    return HouseholdFile(cef.spine, schema, households, gq_counts)
+    return HouseholdFile(cef.spine, schema, np.concatenate(rows), sizes, adults, cells, gq_counts)
 
 
-def risk_score(block_pop: int, n_same_composition: int, n_households: int) -> float:
-    """Re-identification risk proxy in [0, 1].
+def risk_score(block_pop, n_same_composition, n_households) -> np.ndarray:
+    """Re-identification risk proxy in [0, 1], elementwise.
 
     The lone household of a block is fully identifiable and scores 1.
     Otherwise risk falls with the number of same-composition households
     in the block (direct hiding) and with block population (crowding).
     """
-    if block_pop < 0 or n_same_composition < 1 or n_households < 1:
+    pop, same, n = (np.asarray(a) for a in (block_pop, n_same_composition, n_households))
+    if (pop < 0).any() or (same < 1).any() or (n < 1).any():
         raise ParameterError("risk_score needs a populated block")
-    if n_households == 1:
-        return 1.0
-    return 1.0 / (n_same_composition * (1.0 + math.log10(max(block_pop, 1))))
+    # math.log10 once per distinct population, not np.log10: the two
+    # differ in the last bit for some integers (11, 40, 43, ...)
+    values, inverse = np.unique(np.maximum(pop, 1), return_inverse=True)
+    log_pop = np.array([math.log10(v) for v in values.tolist()])[inverse]
+    return np.where(n == 1, 1.0, 1.0 / (same * (1.0 + log_pop)))
 
 
 @dataclass(frozen=True)
@@ -183,21 +181,38 @@ class SwapConfig:
         ):
             raise ParameterError("pairing scope must be state, county, or tract")
 
-    def flag_probability(self, score: float) -> float:
-        return min(1.0, self.base_rate * (1.0 + self.risk_multiplier * score))
+    def flag_probability(self, score):
+        return np.minimum(1.0, self.base_rate * (1.0 + self.risk_multiplier * score))
 
 
-_SCOPE_KEY = {
-    geo.GeoLevel.STATE: lambda raw: raw[1:3],
-    geo.GeoLevel.COUNTY: lambda raw: raw[:8],
-    geo.GeoLevel.TRACT: lambda raw: raw[:12],
+# the geocode digits that name a pairing unit
+_SCOPE_PREFIX = {
+    geo.GeoLevel.STATE: slice(1, 3),
+    geo.GeoLevel.COUNTY: slice(0, 8),
+    geo.GeoLevel.TRACT: slice(0, 12),
 }
 
 
+def _unit_ranks(blocks: Sequence[str], level: geo.GeoLevel) -> np.ndarray:
+    """Per block, the rank of its pairing unit among the units' geocode
+    prefixes in sorted order."""
+    part = _SCOPE_PREFIX[level]
+    return np.unique([raw[part] for raw in blocks], return_inverse=True)[1]
+
+
+def _pools(members: np.ndarray, keys: np.ndarray) -> list[list[int]]:
+    """Group ``members`` by ``keys[member]``: pools in ascending key
+    order, each keeping its members' order."""
+    member_keys = keys[members]
+    order = np.argsort(member_keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(member_keys[order])) + 1
+    return [pool.tolist() for pool in np.split(members[order], cuts)]
+
+
 def _pair_pool(
-    pool: list[int], households: Sequence[Household], rng: np.random.Generator
+    pool: list[int], block_rows: list[int], rng: np.random.Generator
 ) -> tuple[list[tuple[int, int]], list[int]]:
-    """Pair indices so partners sit in different blocks.
+    """Pair households so partners sit in different blocks.
 
     The pool is shuffled once; then repeatedly the first household is
     paired with the earliest later one from another block.  Whatever
@@ -209,15 +224,12 @@ def _pair_pool(
     leftovers: list[int] = []
     while order:
         a = order.pop(0)
-        partner_pos = None
-        for pos, b in enumerate(order):
-            if households[b].block != households[a].block:
-                partner_pos = pos
-                break
-        if partner_pos is None:
+        b = next((b for b in order if block_rows[b] != block_rows[a]), None)
+        if b is None:
             leftovers.append(a)
         else:
-            pairs.append((a, order.pop(partner_pos)))
+            order.remove(b)
+            pairs.append((a, b))
     return pairs, leftovers
 
 
@@ -233,72 +245,49 @@ def swap_households(
     the pairing scope stay where they are and are reported unpaired.
     """
     cfg = cfg or SwapConfig()
-    hhs = hhfile.households
     rng = np.random.default_rng((int(seed), 0x5A9))
+    blocks = hhfile.spine.blocks
+    rows, sizes, adults = hhfile.block_rows, hhfile.sizes, hhfile.adults
 
-    rows = np.array([hhfile.spine.block_index[hh.block] for hh in hhs], dtype=np.intp)
-    n_in_block = np.bincount(rows, minlength=len(hhfile.spine.blocks))
+    # composition (size, adults) as one code in the same sort order
+    comp = sizes * (np.max(adults, initial=0) + 1) + adults
+    n_comp = np.max(comp, initial=0) + 1
+    _, same, n_same = np.unique(rows * n_comp + comp, return_inverse=True, return_counts=True)
+    n_in_block = np.bincount(rows, minlength=len(blocks))
     block_pop = hhfile.gq_counts.sum(axis=1)
-    np.add.at(block_pop, rows, [hh.size for hh in hhs])
-    comp_in_block: dict[tuple[str, tuple[int, int]], int] = {}
-    for i, hh in enumerate(hhs):
-        key = (hh.block, hh.composition)
-        comp_in_block[key] = comp_in_block.get(key, 0) + 1
+    np.add.at(block_pop, rows, sizes)
+    score = risk_score(block_pop[rows], n_same[same], n_in_block[rows])
+    flagged = np.flatnonzero(rng.random(len(rows)) < cfg.flag_probability(score))
 
-    flagged: list[int] = []
-    draws = rng.random(len(hhs))
-    for i, hh in enumerate(hhs):
-        score = risk_score(
-            int(block_pop[rows[i]]),
-            comp_in_block[(hh.block, hh.composition)],
-            int(n_in_block[rows[i]]),
-        )
-        if draws[i] < cfg.flag_probability(score):
-            flagged.append(i)
-
-    scope_key = _SCOPE_KEY[cfg.pairing_scope]
+    tract = _unit_ranks(blocks, geo.GeoLevel.TRACT)[rows]
+    row_list = rows.tolist()
     pairs: list[tuple[int, int]] = []
     unpaired: list[int] = []
-    pairs_in_tract = 0
-
-    pools: dict[tuple, list[int]] = {}
+    candidates = flagged
     if cfg.prefer_local and cfg.pairing_scope is not geo.GeoLevel.TRACT:
-        for i in flagged:
-            key = (hhs[i].block[:12], hhs[i].composition)
-            pools.setdefault(key, []).append(i)
         widened: list[int] = []
-        for key in sorted(pools):
-            got, rest = _pair_pool(pools[key], hhs, rng)
+        for pool in _pools(flagged, tract * n_comp + comp):
+            got, rest = _pair_pool(pool, row_list, rng)
             pairs.extend(got)
-            pairs_in_tract += len(got)
             widened.extend(rest)
-        candidates = widened
-    else:
-        candidates = list(flagged)
-
-    pools = {}
-    for i in candidates:
-        key = (scope_key(hhs[i].block), hhs[i].composition)
-        pools.setdefault(key, []).append(i)
-    for key in sorted(pools):
-        got, rest = _pair_pool(pools[key], hhs, rng)
-        for a, b in got:
-            if hhs[a].block[:12] == hhs[b].block[:12]:
-                pairs_in_tract += 1
+        candidates = np.array(widened, dtype=np.int64)
+    unit = _unit_ranks(blocks, cfg.pairing_scope)[rows]
+    for pool in _pools(candidates, unit * n_comp + comp):
+        got, rest = _pair_pool(pool, row_list, rng)
         pairs.extend(got)
         unpaired.extend(rest)
 
-    new_hhs = list(hhs)
-    for a, b in pairs:
-        new_hhs[a] = dataclasses.replace(hhs[a], block=hhs[b].block)
-        new_hhs[b] = dataclasses.replace(hhs[b], block=hhs[a].block)
-
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    new_rows = rows.copy()
+    new_rows[a], new_rows[b] = rows[b], rows[a]
     stats = SwapStats(
-        n_households=len(hhs),
+        n_households=len(rows),
         n_flagged=len(flagged),
         n_swapped=2 * len(pairs),
         n_unpaired=len(unpaired),
-        pairs_in_tract=pairs_in_tract,
+        pairs_in_tract=int((tract[a] == tract[b]).sum()),
     )
-    out = HouseholdFile(hhfile.spine, hhfile.schema, new_hhs, hhfile.gq_counts)
+    out = HouseholdFile(
+        hhfile.spine, hhfile.schema, new_rows, sizes, adults, hhfile.cells, hhfile.gq_counts
+    )
     return out, stats

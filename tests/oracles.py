@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from dasim.geo import compose_target, node_level
+from dasim.geo import GeoLevel, compose_target, node_level
 
 
 def dgauss_support(sigma2: float) -> np.ndarray:
@@ -134,3 +134,121 @@ def nm_statistics_loop(nms, agg, spine, target) -> tuple[list[float], list[float
         values.append(value)
         variances.append(variance)
     return values, variances
+
+
+# households and swapping, one household at a time: (block, member
+# cells, adults) tuples in place of the library's arrays
+
+
+def households_loop(cef, seed: int, size_pmf) -> list[tuple[str, tuple[int, ...], int]]:
+    """Per block, shuffle the household persons and cut them into runs
+    of drawn sizes, the last run cut short at the block's population."""
+    schema = cef.schema
+    grid = np.indices(schema.shape)
+    housing = grid[schema.axis_index("housing")].reshape(schema.size)
+    voting = grid[schema.axis_index("voting_age")].reshape(schema.size)
+    sizes = np.arange(1, len(size_pmf) + 1)
+    households = []
+    for raw, counts in zip(cef.spine.blocks, cef.counts):
+        hh_part = np.where(housing == 0, counts, 0)
+        n = int(hh_part.sum())
+        if n == 0:
+            continue
+        rng = np.random.default_rng((int(seed), int(raw), 0x11D))
+        persons = np.repeat(np.arange(schema.size), hh_part)
+        rng.shuffle(persons)
+        draws = rng.choice(sizes, size=n, p=np.asarray(size_pmf, dtype=float))
+        i = 0
+        for s in draws:
+            if i >= n:
+                break
+            take = min(int(s), n - i)
+            cells = tuple(int(c) for c in persons[i:i + take])
+            households.append((raw, cells, int(voting[list(cells)].sum())))
+            i += take
+    return households
+
+
+_SCOPE_KEY = {
+    GeoLevel.STATE: lambda raw: raw[1:3],
+    GeoLevel.COUNTY: lambda raw: raw[:8],
+    GeoLevel.TRACT: lambda raw: raw[:12],
+}
+
+
+def _pair_pool_loop(pool, households, rng):
+    order = list(pool)
+    rng.shuffle(order)
+    pairs, leftovers = [], []
+    while order:
+        a = order.pop(0)
+        partner_pos = None
+        for pos, b in enumerate(order):
+            if households[b][0] != households[a][0]:
+                partner_pos = pos
+                break
+        if partner_pos is None:
+            leftovers.append(a)
+        else:
+            pairs.append((a, order.pop(partner_pos)))
+    return pairs, leftovers
+
+
+def swap_loop(households, gq_pop: dict[str, int], cfg, seed: int):
+    """Flag by risk, pair within (unit, composition) pools, relocate.
+
+    Returns the relocated households, each household's risk inputs
+    ``(block population, same-composition households, block
+    households)`` and score, and the ``SwapStats`` fields in order.
+    """
+    rng = np.random.default_rng((int(seed), 0x5A9))
+    pop, n_in_block, n_same = dict(gq_pop), {}, {}
+    for blk, cells, adults in households:
+        pop[blk] = pop.get(blk, 0) + len(cells)
+        n_in_block[blk] = n_in_block.get(blk, 0) + 1
+        key = (blk, len(cells), adults)
+        n_same[key] = n_same.get(key, 0) + 1
+
+    inputs, scores, flagged = [], [], []
+    draws = rng.random(len(households))
+    for i, (blk, cells, adults) in enumerate(households):
+        inputs.append((pop[blk], n_same[(blk, len(cells), adults)], n_in_block[blk]))
+        if n_in_block[blk] == 1:
+            score = 1.0
+        else:
+            score = 1.0 / (inputs[-1][1] * (1.0 + math.log10(max(pop[blk], 1))))
+        scores.append(score)
+        if draws[i] < min(1.0, cfg.base_rate * (1.0 + cfg.risk_multiplier * score)):
+            flagged.append(i)
+
+    def composition(i):
+        return (len(households[i][1]), households[i][2])
+
+    pairs, unpaired, pairs_in_tract = [], [], 0
+    candidates = list(flagged)
+    if cfg.prefer_local and cfg.pairing_scope is not GeoLevel.TRACT:
+        pools = {}
+        for i in flagged:
+            pools.setdefault((households[i][0][:12], composition(i)), []).append(i)
+        candidates = []
+        for key in sorted(pools):
+            got, rest = _pair_pool_loop(pools[key], households, rng)
+            pairs.extend(got)
+            pairs_in_tract += len(got)
+            candidates.extend(rest)
+    pools = {}
+    for i in candidates:
+        key = (_SCOPE_KEY[cfg.pairing_scope](households[i][0]), composition(i))
+        pools.setdefault(key, []).append(i)
+    for key in sorted(pools):
+        got, rest = _pair_pool_loop(pools[key], households, rng)
+        pairs_in_tract += sum(households[a][0][:12] == households[b][0][:12] for a, b in got)
+        pairs.extend(got)
+        unpaired.extend(rest)
+
+    moved = list(households)
+    for a, b in pairs:
+        moved[a] = (households[b][0],) + households[a][1:]
+        moved[b] = (households[a][0],) + households[b][1:]
+    stats = (len(households), len(flagged), 2 * len(pairs), len(unpaired), pairs_in_tract)
+    return moved, inputs, scores, stats

@@ -291,7 +291,9 @@ def test_simulate_rejects_bad_config(tmp_path):
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize("variance", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "variance", ["NaN", "Infinity", "-Infinity", "1e400", "1e38", "1e300"]
+)
 def test_simulate_rejects_non_finite_budgets(tmp_path, capsys, variance):
     p = tmp_path / "cfg.json"
     p.write_text('{"config_version": 1, "budget": {"block": %s}}' % variance)

@@ -9,15 +9,11 @@ from dasim.estimators import (
     BiasEstimate,
     GeoSelection,
     StatTable,
-    binned_bias_by_share,
     dataset_stat_table,
     decile_bins,
     estimate_bias_indep,
-    estimate_bias_single,
     estimate_bias_swap,
-    estimate_bias_total_pop,
     estimate_mse,
-    estimate_release_variance,
     nmf_rmse_exact,
     noisy_stat_table,
     run_correlation,
@@ -55,16 +51,6 @@ def world():
 def tract_selection(world):
     spine, _, _ = world
     return selection_for_level(spine, geo.GeoLevel.TRACT, ("hispanic", "voting_age"))
-
-
-def _tables_for_run(world, selection, seed):
-    spine, cef, q = world
-    nms = make_noisy_measurements(cef, q, seed=seed)
-    post = topdown_postprocess(nms, cef)
-    return (
-        noisy_stat_table(nms, q, AGG, spine, selection),
-        dataset_stat_table(post, AGG, selection),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +126,7 @@ def test_misaligned_tables_are_rejected(world, tract_selection):
     a = dataset_stat_table(cef, AGG, tract_selection)
     b = dataset_stat_table(cef, AGG, other)
     with pytest.raises(ParameterError):
-        estimate_bias_single(a, b)
+        estimate_mse(a, b)
 
 
 def test_stat_table_validation():
@@ -198,28 +184,6 @@ def test_swap_bias_formula():
     assert out.variance == pytest.approx((9.0 + 1.0) / 4)
 
 
-def test_total_pop_cross_estimate():
-    n1 = _table("noisy", [100.0, 10.0], [0.0, 0.0], run_seed=1)
-    n2 = _table("noisy", [104.0, 10.0], [0.0, 0.0], run_seed=2)
-    p1 = _table("postprocessed", [102.0, 10.0], run_seed=1)
-    p2 = _table("postprocessed", [103.0, 10.0], run_seed=2)
-    out = estimate_bias_total_pop(p1, n1, p2, n2)
-    e1 = ((103.0 - 100.0) + 0.0) / 2
-    e2 = ((102.0 - 104.0) + 0.0) / 2
-    assert out.estimate == pytest.approx(0.5 * (e1 + e2))
-    assert out.se == pytest.approx(0.5 * abs(e1 - e2))
-    with pytest.raises(UsageError):
-        estimate_bias_total_pop(p1, n1, p2, n1)
-
-
-def test_release_variance_formula_and_guard():
-    a = _table("postprocessed", [10.0, 6.0], run_seed=1)
-    b = _table("postprocessed", [14.0, 4.0], run_seed=2)
-    assert estimate_release_variance(a, b) == pytest.approx((16.0 + 4.0) / 4)
-    with pytest.raises(UsageError):
-        estimate_release_variance(a, _table("postprocessed", [1.0, 2.0], run_seed=1))
-
-
 def test_mse_estimator_guards_run_reuse():
     noisy = _table("noisy", [10.0, 4.0], [4.0, 4.0], run_seed=1)
     post_same = _table("postprocessed", [12.0, 5.0], run_seed=1)
@@ -237,13 +201,6 @@ def test_mse_estimator_guards_run_reuse():
 def test_nmf_rmse_is_exact():
     noisy = _table("noisy", [1.0, 2.0], [9.0, 16.0])
     assert nmf_rmse_exact(noisy) == pytest.approx(np.sqrt(12.5))
-
-
-def test_single_run_bias_is_a_bare_float(world, tract_selection):
-    spine, cef, q = world
-    noisy, post = _tables_for_run(world, tract_selection, seed=5)
-    out = estimate_bias_single(post, noisy)
-    assert isinstance(out, float)
 
 
 # ----------------------------------------------------------------------
@@ -277,27 +234,6 @@ def test_run_correlation_undefined_on_constant_input():
     assert run_correlation(a, b) is None
     c = _table("postprocessed", [2.0, 6.0], run_seed=3)
     assert run_correlation(b, c) == pytest.approx(1.0)
-
-
-def test_share_bins_layout_and_overflow():
-    shares = {"a": -0.2, "b": 0.0, "c": 0.05, "d": 0.999, "e": 1.0, "f": 1.3}
-    errors = {k: 1.0 for k in shares}
-    bins = binned_bias_by_share(shares, errors)
-    assert len(bins) == 27
-    assert bins[0].n == 1 and bins[0].lo == -np.inf  # below zero
-    assert bins[1].n == 1  # share 0 in [0, 0.04)
-    assert bins[2].n == 1  # share 0.05 in [0.04, 0.08)
-    assert bins[25].n == 2  # 0.999 and the exact 1.0 both in [0.96, 1.0]
-    assert bins[26].n == 1 and bins[26].hi == np.inf  # above one
-    assert sum(b.n for b in bins) == len(shares)
-    assert bins[3].mean_error is None
-
-
-def test_share_bins_reject_mismatched_keys():
-    with pytest.raises(ParameterError):
-        binned_bias_by_share({"a": 0.5}, {"b": 1.0})
-    with pytest.raises(EmptyInput):
-        binned_bias_by_share({}, {})
 
 
 # ----------------------------------------------------------------------
@@ -342,28 +278,6 @@ def test_bias_and_mse_estimators_are_calibrated(world, tract_selection):
     mse_pts = np.array(mse_pts)
     mse_se = mse_pts.std(ddof=1) / np.sqrt(reps)
     assert abs(mse_pts.mean() - true_mse) < 4.5 * mse_se
-
-
-@pytest.mark.slow
-def test_total_population_estimate_centers_on_zero(world):
-    spine, cef, q = world
-    sel = GeoSelection((geo.GeoId(geo.GeoLevel.NATION, "US"),), ("total",))
-    pts = []
-    for r in range(60):
-        nms_a = make_noisy_measurements(cef, q, seed=2 * r)
-        nms_b = make_noisy_measurements(cef, q, seed=2 * r + 1)
-        post_a = topdown_postprocess(nms_a, cef)
-        post_b = topdown_postprocess(nms_b, cef)
-        out = estimate_bias_total_pop(
-            dataset_stat_table(post_a, AGG, sel),
-            noisy_stat_table(nms_a, q, AGG, spine, sel),
-            dataset_stat_table(post_b, AGG, sel),
-            noisy_stat_table(nms_b, q, AGG, spine, sel),
-        )
-        pts.append(out.estimate)
-    pts = np.array(pts)
-    se = pts.std(ddof=1) / np.sqrt(pts.size)
-    assert abs(pts.mean()) < 4.5 * se + 1e-9
 
 
 def test_swap_bias_runs_end_to_end(world, tract_selection):

@@ -13,6 +13,7 @@ from dasim.histograms import (
     generate_synthetic_cef,
 )
 from dasim.noise import (
+    MAX_VARIANCE,
     BudgetSchedule,
     QueryMatrix,
     combine_estimates,
@@ -39,6 +40,23 @@ def test_sampler_zero_variance_is_exact_zero():
 def test_sampler_rejects_negative_variance():
     with pytest.raises(ParameterError):
         sample_discrete_gaussian(-1.0, np.random.default_rng(0))
+
+
+def test_sampler_delivers_up_to_its_bound():
+    """At MAX_VARIANCE the draws keep the asked-for spread and their low
+    bits (half are odd); just above it the sampler and the budget refuse."""
+    rng = np.random.default_rng(3)
+    xs = sample_discrete_gaussian_array(MAX_VARIANCE, 4000, rng)
+    assert abs(xs.astype(float).std() / np.sqrt(MAX_VARIANCE) - 1.0) < 0.05
+    assert abs((xs % 2).mean() - 0.5) < 0.05
+    above = float(np.nextafter(MAX_VARIANCE, np.inf))
+    with pytest.raises(ParameterError):
+        sample_discrete_gaussian(above, rng)
+    with pytest.raises(ParameterError):
+        sample_discrete_gaussian_array(above, 3, rng)
+    with pytest.raises(ParameterError):
+        BudgetSchedule.constant(above)
+    BudgetSchedule.constant(MAX_VARIANCE)
 
 
 def test_sampler_returns_integers():

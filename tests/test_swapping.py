@@ -1,13 +1,21 @@
 """Household decomposition and swapping invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dasim import geo
 from dasim.errors import ParameterError
-from dasim.histograms import DESK_SCHEMA, default_statistics, generate_synthetic_cef
+from dasim.histograms import (
+    DESK_SCHEMA,
+    GenerationProfile,
+    HistogramDataset,
+    default_statistics,
+    generate_synthetic_cef,
+)
 from dasim.swapping import (
-    Household,
+    DEFAULT_SIZE_PMF,
     HouseholdFile,
     SwapConfig,
     make_household_file,
@@ -15,6 +23,8 @@ from dasim.swapping import (
     swap_households,
 )
 from dasim.pipeline import swap_release
+
+from oracles import households_loop, swap_loop
 
 WORLD_SPEC = geo.SpineSpec(
     states=1,
@@ -32,6 +42,17 @@ def world():
     spine = geo.make_synthetic_spine(WORLD_SPEC, seed=7)
     cef = generate_synthetic_cef(spine, seed=7)
     return spine, cef
+
+
+def _households(hhfile):
+    """(block, member cells, adults) per household, in file order."""
+    members = np.split(hhfile.cells, np.cumsum(hhfile.sizes)[:-1])
+    return [
+        (hhfile.spine.blocks[row], tuple(cells.tolist()), adults)
+        for row, cells, adults in zip(
+            hhfile.block_rows.tolist(), members, hhfile.adults.tolist()
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -55,12 +76,13 @@ def test_households_have_sane_structure(world):
     voting = np.indices(DESK_SCHEMA.shape)[
         DESK_SCHEMA.axis_index("voting_age")
     ].reshape(DESK_SCHEMA.size)
-    assert hhfile.households
-    for hh in hhfile.households:
-        assert 1 <= hh.size <= 7
-        assert 0 <= hh.adults <= hh.size
-        assert hh.adults == sum(int(voting[c]) for c in hh.cells)
-        assert all(housing[c] == 0 for c in hh.cells)
+    sizes, adults = hhfile.sizes, hhfile.adults
+    assert len(sizes) and int(sizes.sum()) == len(hhfile.cells)
+    assert ((1 <= sizes) & (sizes <= 7)).all()
+    assert ((0 <= adults) & (adults <= sizes)).all()
+    for _, cells, n_adults in _households(hhfile):
+        assert n_adults == int(voting[list(cells)].sum())
+    assert (housing[hhfile.cells] == 0).all()
 
 
 def test_group_quarters_persons_never_join_households(world):
@@ -80,16 +102,18 @@ def test_decomposition_is_deterministic_per_block(world):
     _, cef = world
     a = make_household_file(cef, seed=4)
     b = make_household_file(cef, seed=4)
-    assert a.households == b.households
+    assert _households(a) == _households(b)
     c = make_household_file(cef, seed=5)
-    assert a.households != c.households
+    assert _households(a) != _households(c)
 
 
 def test_household_file_rejects_unknown_blocks(world):
-    spine, cef = world
-    hh = Household("9" * 31, (0,), 0)
-    with pytest.raises(ParameterError):
-        HouseholdFile(spine, DESK_SCHEMA, [hh], np.zeros((len(spine.blocks), 48), dtype=np.int64))
+    spine, _ = world
+    gq = np.zeros((len(spine.blocks), DESK_SCHEMA.size), dtype=np.int64)
+    with pytest.raises(ParameterError, match="block row"):
+        HouseholdFile(spine, DESK_SCHEMA, [len(spine.blocks)], [1], [0], [0], gq)
+    with pytest.raises(ParameterError, match="cell"):
+        HouseholdFile(spine, DESK_SCHEMA, [0], [1], [0], [DESK_SCHEMA.size], gq)
 
 
 def test_bad_size_pmf_is_rejected(world):
@@ -171,10 +195,10 @@ def test_block_composition_multisets_are_preserved(world):
     assert stats.n_swapped > 0
 
     def comps(file):
-        table: dict[str, list] = {}
-        for hh in file.households:
-            table.setdefault(hh.block, []).append(hh.composition)
-        return {blk: sorted(v) for blk, v in table.items()}
+        table: dict[int, list] = {}
+        for row, size, adults in zip(file.block_rows, file.sizes, file.adults):
+            table.setdefault(int(row), []).append((int(size), int(adults)))
+        return {row: sorted(v) for row, v in table.items()}
 
     assert comps(hhfile) == comps(swapped)
 
@@ -183,14 +207,10 @@ def test_partners_really_changed_blocks(world):
     _, cef = world
     hhfile = make_household_file(cef, seed=2)
     swapped, stats = swap_households(hhfile, AGGRESSIVE, seed=2)
-    moved = [
-        (old, new)
-        for old, new in zip(hhfile.households, swapped.households)
-        if old.block != new.block
-    ]
-    assert len(moved) == stats.n_swapped
-    for old, new in moved:
-        assert old.cells == new.cells and old.adults == new.adults
+    moved = hhfile.block_rows != swapped.block_rows
+    assert int(moved.sum()) == stats.n_swapped
+    for name in ("sizes", "adults", "cells"):
+        np.testing.assert_array_equal(getattr(swapped, name), getattr(hhfile, name))
 
 
 def test_flag_accounting_balances(world):
@@ -237,3 +257,42 @@ def test_seed_provenance(world):
     out = swap_release(cef, AGGRESSIVE, seed=11)[2]
     assert out.run_seed == 11
     assert out.kind == "swapped"
+
+
+# ----------------------------------------------------------------------
+# the loop form
+
+
+@pytest.mark.parametrize("policy", [SwapConfig(), AGGRESSIVE], ids=["default", "aggressive"])
+@pytest.mark.parametrize("prefer_local", [True, False])
+@pytest.mark.parametrize(
+    "scope", [geo.GeoLevel.STATE, geo.GeoLevel.COUNTY, geo.GeoLevel.TRACT]
+)
+def test_households_and_swaps_match_the_loop_form(world, scope, prefer_local, policy):
+    """Decomposition, risk scores, relocated blocks and SwapStats equal the
+    per-household loop bit for bit: on the test world, on a sparse world
+    where many blocks hold a single household (risk 1), and on one whose
+    block populations are integers where np.log10 and math.log10 differ
+    in the last bit."""
+    cfg = dataclasses.replace(policy, pairing_scope=scope, prefer_local=prefer_local)
+    spine, cef = world
+    sparse = generate_synthetic_cef(spine, 8, GenerationProfile(median_block_pop=2.0))
+    mix = cef.counts.sum(axis=0) / cef.total_population
+    rng = np.random.default_rng(9)
+    pops = np.resize([11, 40, 43, 53, 85, 90, 113, 119], len(spine.blocks))
+    awkward = HistogramDataset(spine, DESK_SCHEMA, [rng.multinomial(p, mix) for p in pops])
+    lone = 0
+    for data in (cef, sparse, awkward):
+        for seed in range(3):
+            hhfile = make_household_file(data, seed)
+            want = households_loop(data, seed, DEFAULT_SIZE_PMF)
+            assert _households(hhfile) == want
+            gq_pop = dict(zip(spine.blocks, hhfile.gq_counts.sum(axis=1).tolist()))
+            moved, inputs, scores, want_stats = swap_loop(want, gq_pop, cfg, seed)
+            got = risk_score(*np.array(inputs, dtype=np.int64).reshape(-1, 3).T)
+            assert got.tolist() == scores
+            lone += scores.count(1.0)
+            swapped, stats = swap_households(hhfile, cfg, seed)
+            assert _households(swapped) == moved
+            assert dataclasses.astuple(stats) == want_stats
+    assert lone > 0
