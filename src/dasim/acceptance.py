@@ -360,9 +360,8 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
         (bgroup, _single_stat(agg, "voting_age")),
     ]
     truths = [float(a.matrix[0] @ cef.target_histogram(t)) for t, a in pairs]
-    needed = set()
-    for target, _ in pairs:
-        needed.update(geo.compose_target(spine, target).parts)
+    parts = [geo.compose_target(spine, target).parts for target, _ in pairs]
+    needed = set().union(*parts)
 
     paths = [{a1.labels[0]: q.paths_for_row(a1.matrix[0])} for _, a1 in pairs]
 
@@ -371,7 +370,8 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
     for r in range(reps):
         nms = make_noisy_measurements(cef, q, seed=r, nodes=needed)
         for j, ((target, a1), truth) in enumerate(zip(pairs, truths)):
-            (value,), (variance,) = nm_statistics(nms, q, a1, spine, target, paths[j])
+            (value,), (variance,) = nm_statistics(nms, q, a1, spine, target, paths[j],
+                                                  parts[j])
             z[r, j] = (value - truth) / math.sqrt(variance)
 
     mean_limit = 4.0 / math.sqrt(reps)
@@ -987,7 +987,7 @@ def check_error_ordering() -> tuple[bool, str]:
         errs = np.empty(reps_nm)
         for r in range(reps_nm):
             nms = make_noisy_measurements(cef, q, seed=9000 + r, nodes=parts)
-            (value,), _ = nm_statistics(nms, q, agg_total, spine, target, total_paths)
+            (value,), _ = nm_statistics(nms, q, agg_total, spine, target, total_paths, parts)
             errs[r] = value - truth
         emp = math.sqrt(float((errs ** 2).mean()))
         ratio = emp / math.sqrt(reported)

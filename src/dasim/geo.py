@@ -55,11 +55,6 @@ class GeoLevel(enum.Enum):
     PLACE = "place"
     NATION = "nation"
 
-    @property
-    def on_spine(self) -> bool:
-        """True if every unit of this level is a node of the optimized spine."""
-        return self in _ON_SPINE
-
     @classmethod
     def from_name(cls, name: str) -> "GeoLevel":
         for lv in cls:
@@ -67,15 +62,6 @@ class GeoLevel(enum.Enum):
                 return lv
         raise ParameterError(f"unknown geographic level {name!r}")
 
-
-_ON_SPINE = {
-    GeoLevel.BLOCK,
-    GeoLevel.OPT_BLOCKGROUP,
-    GeoLevel.TRACT,
-    GeoLevel.COUNTY,
-    GeoLevel.STATE,
-    GeoLevel.NATION,
-}
 
 # GEOID widths for standard census identifiers.  VTD is state+county+6,
 # place is state+5.  Nation uses the literal "US".

@@ -376,6 +376,7 @@ def nm_statistics(
     spine: geo.Spine,
     target: geo.GeoId,
     paths: Optional[Mapping[str, list]] = None,
+    parts: Optional[Sequence[str]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased noisy statistics for any composable target, and their
     variances, in label order.
@@ -388,6 +389,8 @@ def nm_statistics(
     measurements' own query.  ``paths`` maps labels to their
     ``q.paths_for_row``, so that a caller measuring many targets finds
     them once; only those statistics are returned then, in its order.
+    ``parts`` is the target's ``geo.compose_target(spine, target).parts``,
+    so that a caller measuring one target many times composes it once.
     """
     if q is not nms.query and (q.row_ids != nms.query.row_ids
                                or not np.array_equal(q.variances, nms.query.variances)):
@@ -395,7 +398,8 @@ def nm_statistics(
     q = nms.query
     if paths is None:
         paths = {label: q.paths_for_row(row) for label, row in zip(agg.labels, agg.matrix)}
-    parts = geo.compose_target(spine, target).parts
+    if parts is None:
+        parts = geo.compose_target(spine, target).parts
     part_values = nms.values[nms.rows(parts)].astype(float)
     at_level: dict[geo.GeoLevel, list[int]] = {}
     for i, part in enumerate(parts):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dasim import geo, topdown
 from dasim.acceptance import _MID_SPEC
+from dasim.config import RunConfig
 from dasim.errors import InfeasibleConstraints
 from dasim.histograms import (
     AggregationMatrix,
@@ -23,14 +24,15 @@ from dasim.noise import (
     QueryMatrix,
     make_noisy_measurements,
 )
+from dasim.pipeline import build_world, replicate_seeds
 from dasim.topdown import (
     PostProcessConfig,
-    _Children,
+    _Batch,
     _dual_active_set,
     _largest_remainder,
     _repair_invariants,
     _Invariant,
-    _solve_group,
+    _solve_level,
     topdown_postprocess,
 )
 
@@ -290,30 +292,61 @@ def test_run_seed_provenance_flows_from_measurements(noisy_world):
 # the structured group solver against the exhaustive KKT oracle
 
 
-@st.composite
-def node_groups(draw):
-    """A feasible node group: 1-3 children, at most 8 unknowns, a
-    TopDown-shaped Hessian, exact-query and invariant rows, zero parent
-    cells, and noisy measurements that push cells negative."""
-    k = draw(st.integers(1, 3))
-    C = draw(st.integers(1, 8 // k))
+def _draw_level(draw, C, kids):
+    """One generation over C cells: a TopDown-shaped Hessian and
+    exact-query or invariant rows shared by every group, and per group
+    (one per entry of kids, its child count) zero parent cells and noisy
+    measurements that push cells negative.  Returns H, E and each
+    group's (G, e, parent)."""
     mask = st.lists(st.booleans(), min_size=C, max_size=C)
-    truth = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=C, max_size=C),
-                                   min_size=k, max_size=k)), dtype=float)
-    truth[:, np.array(draw(mask))] = 0.0  # cells whose parent is zero
     # weighted queries: one per cell plus 0/1 rows that couple cells, like
     # the total and marginal queries of a level
     Q = np.vstack([np.eye(C)] + [np.array(draw(mask), dtype=float)[None]
                                  for _ in range(draw(st.integers(1, 3)))])
     w = np.array(draw(st.lists(st.sampled_from((0.1, 1.0, 10.0)),
                                min_size=Q.shape[0], max_size=Q.shape[0])))
-    noise = np.array(draw(st.lists(st.integers(-10, 10), min_size=k * Q.shape[0],
-                                   max_size=k * Q.shape[0]))).reshape(k, Q.shape[0])
-    G = 2.0 * ((truth @ Q.T + noise) * w) @ Q
     E = np.array([draw(mask) for _ in range(draw(st.integers(0, 2)))], dtype=float)
     E = E.reshape(-1, C)
-    parent = None if k == 1 and draw(st.booleans()) else truth.sum(axis=0)
-    return 2.0 * (Q.T * w) @ Q, G, E, truth @ E.T, parent
+    groups = []
+    for k in kids:
+        truth = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=C, max_size=C),
+                                       min_size=k, max_size=k)), dtype=float)
+        truth[:, np.array(draw(mask))] = 0.0  # cells whose parent is zero
+        noise = np.array(draw(st.lists(st.integers(-10, 10), min_size=k * Q.shape[0],
+                                       max_size=k * Q.shape[0]))).reshape(k, Q.shape[0])
+        G = 2.0 * ((truth @ Q.T + noise) * w) @ Q
+        groups.append((G, truth @ E.T, truth.sum(axis=0)))
+    return 2.0 * (Q.T * w) @ Q, E, groups
+
+
+@st.composite
+def node_groups(draw):
+    """A feasible node group: 1-3 children, at most 8 unknowns, a
+    TopDown-shaped Hessian, exact-query and invariant rows, zero parent
+    cells, and noisy measurements that push cells negative."""
+    k = draw(st.integers(1, 3))
+    H, E, [(G, e, parent)] = _draw_level(draw, draw(st.integers(1, 8 // k)), [k])
+    if k == 1 and draw(st.booleans()):
+        parent = None
+    return H, G, E, e, parent
+
+
+@st.composite
+def levels(draw):
+    """2-6 feasible node groups of one generation over at most 4 cells,
+    each with its own child count, zero parent cells (so its own kept
+    cells and rows of E) and measurements; at most 8 unknowns a group."""
+    C = draw(st.integers(1, 4))
+    kids = draw(st.lists(st.integers(1, 8 // C), min_size=2, max_size=6))
+    H, E, groups = _draw_level(draw, C, kids)
+    if max(kids) == 1 and draw(st.booleans()):
+        groups = [(G, e, None) for G, e, _ in groups]
+    return H, E, groups
+
+
+def _parents(parent):
+    """One group's parent sums as the level solver takes them."""
+    return None if parent is None else parent[None]
 
 
 # a root whose pinned cell must be released once the invariant holds the rest
@@ -334,8 +367,82 @@ NEEDS_DROP = (np.diag([2.0, 20.2]),
 def test_group_solver_matches_exhaustive_kkt_search(group):
     H, G, E, e, parent = group
     want = kkt_active_set_oracle(H, G, E, e, parent)
-    got = _solve_group(H, G, E, e, parent, True, "test group")
+    got = _solve_level(H, E, G, e, _parents(parent), np.zeros(len(G), dtype=int), True,
+                       ["test group"])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
+def _as_level(*groups):
+    """Groups drawn alone, as one generation; they share H and E."""
+    H, _, E, _, _ = groups[0]
+    return H, E, [(G, e, parent) for _, G, _, e, parent in groups]
+
+
+def _solve_together(H, E, groups):
+    """Solve the groups in one level call; returns x and each child's group."""
+    seg = np.repeat(np.arange(len(groups)), [len(G) for G, _, _ in groups])
+    parents = None if groups[0][2] is None else np.array([p for _, _, p in groups])
+    x = _solve_level(H, E, np.vstack([G for G, _, _ in groups]),
+                     np.vstack([e for _, e, _ in groups]), parents, seg, True,
+                     [f"group {b}" for b in range(len(groups))])
+    return x, seg
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels())
+@example(_as_level(NEEDS_RELEASE, NEEDS_RELEASE))
+@example(_as_level(NEEDS_DROP, (NEEDS_DROP[0], NEEDS_DROP[1][::-1], NEEDS_DROP[2],
+                                NEEDS_DROP[3][::-1], NEEDS_DROP[4])))
+def test_level_solver_matches_exhaustive_kkt_search_per_group(level):
+    H, E, groups = level
+    x, seg = _solve_together(H, E, groups)
+    for b, (G, e, parent) in enumerate(groups):
+        want = kkt_active_set_oracle(H, G, E, e, parent)
+        np.testing.assert_allclose(x[seg == b], want, rtol=0, atol=1e-8)
+
+
+@pytest.fixture
+def dual_calls(monkeypatch):
+    """The names of the groups sent to the dual active set, in order."""
+    sent, dual = [], topdown._dual_active_set
+
+    def counted(one):
+        sent.append(one.where[0])
+        return dual(one)
+
+    monkeypatch.setattr(topdown, "_dual_active_set", counted)
+    return sent
+
+
+def test_a_group_sent_to_the_safeguard_leaves_its_batch_mates_alone(dual_calls, monkeypatch,
+                                                                     caplog):
+    # three groups of one width: two solve in one step, the middle one
+    # needs pins, so a cap of one step sends it alone to the dual method
+    Q = np.vstack([np.eye(3), np.ones((1, 3))])
+    H, E = 2.0 * Q.T @ Q, np.array([[1.0, 1.0, 0.0]])
+    # noise that the parent sums must absorb, so that every group has
+    # parent-sum multipliers of its own
+    noise = {0: np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+             1: np.array([[-6.0, 5.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])}
+    groups = []
+    for b, truth in enumerate(([[1, 2, 3], [2, 1, 1]], [[0, 1, 2], [3, 1, 1]],
+                               [[4, 0, 1], [1, 3, 2], [2, 2, 2]])):
+        truth = np.array(truth, dtype=float)
+        G = 2.0 * (truth @ Q.T + noise.get(b, 0.0)) @ Q
+        groups.append((G, truth @ E.T, truth.sum(axis=0)))
+    monkeypatch.setattr(topdown, "_CAP", 1)
+    with caplog.at_level("WARNING", logger="dasim.topdown"):
+        x, seg = _solve_together(H, E, groups)
+    assert dual_calls == ["group 1"]
+    assert [r.getMessage().split(" after")[0] for r in caplog.records] == [
+        "active-set iteration cap hit at group 1"]
+    G, e, parent = groups[1]
+    want = kkt_active_set_oracle(H, G, E, e, parent)
+    np.testing.assert_allclose(x[seg == 1], want, rtol=0, atol=1e-8)
+    for b in (0, 2):
+        alone, _ = _solve_together(H, E, [groups[b]])
+        np.testing.assert_array_equal(x[seg == b], alone)
+    assert dual_calls == ["group 1"]  # alone, too, they solve in one step
 
 
 @settings(max_examples=300, deadline=None)
@@ -347,7 +454,10 @@ def test_dual_active_set_alone_matches_exhaustive_kkt_search(group):
     # be met by pins that are dependent on the parent sums
     H, G, E, e, parent = group
     want = kkt_active_set_oracle(H, G, E, e, parent)
-    got = _dual_active_set(_Children(H, E, G.shape[0]), G, e, parent, 1e-8, "test group")
+    one = _Batch(H[None], E[None], np.zeros((1, G.shape[1]), dtype=bool),
+                 np.zeros(len(G), dtype=int), G, e, _parents(parent), np.array([1e-8]),
+                 ["test group"])
+    got = _dual_active_set(one)
     np.testing.assert_allclose(np.clip(got, 0.0, None), want, rtol=0, atol=1e-8)
 
 
@@ -367,13 +477,28 @@ def test_cap_hit_is_attributed_and_the_safeguard_agrees(noisy_world, monkeypatch
         np.testing.assert_array_equal(got.block_histogram(raw), want.block_histogram(raw))
 
 
+def test_the_dual_safeguard_stays_idle_on_the_default_and_check_3_worlds(dual_calls):
+    cfg = RunConfig()
+    world = build_world(cfg)
+    for seed in replicate_seeds(cfg.seed, 0):
+        nms = make_noisy_measurements(world.cef, world.query, seed=seed)
+        topdown_postprocess(nms, world.cef, cfg.postprocess, agg=world.agg)
+    # check 3's world and the measurements of its first hundred pairs
+    spine = geo.make_synthetic_spine(_MID_SPEC, seed=7)
+    cef = generate_synthetic_cef(spine, seed=7)
+    q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
+    for seed in range(200):
+        topdown_postprocess(make_noisy_measurements(cef, q, seed=seed), cef)
+    assert dual_calls == []
+
+
 def test_infeasible_group_is_reported():
     # a child whose invariant needs 3 units where its parent has 1
     H = 2.0 * np.eye(2)
     E = np.array([[1.0, 0.0]])
     with pytest.raises(InfeasibleConstraints):
-        _solve_group(H, np.zeros((2, 2)), E, np.array([[3.0], [-2.0]]),
-                     np.array([1.0, 4.0]), True, "test group")
+        _solve_level(H, E, np.zeros((2, 2)), np.array([[3.0], [-2.0]]),
+                     np.array([[1.0, 4.0]]), np.zeros(2, dtype=int), True, ["test group"])
 
 
 @pytest.mark.parametrize("label", ["total", "voting_age"])
