@@ -141,7 +141,7 @@ class GeoId:
             if self.code != NATION_ID:
                 raise ParameterError(f"nation GeoId code must be {NATION_ID!r}")
             return
-        if len(self.code) != width or not self.code.isdigit():
+        if len(self.code) != width or not (self.code.isascii() and self.code.isdigit()):
             raise ParameterError(
                 f"{self.level.value} GeoId must be {width} digits, got {self.code!r}"
             )
@@ -154,7 +154,8 @@ def parse_geocode(raw: str) -> GeoCode:
     and InconsistentGeocode if digit 27 does not repeat the first digit
     of the block FIPS.
     """
-    if not isinstance(raw, str) or len(raw) != GEOCODE_LENGTH or not raw.isdigit():
+    if (not isinstance(raw, str) or len(raw) != GEOCODE_LENGTH
+            or not (raw.isascii() and raw.isdigit())):
         raise MalformedGeocode(
             f"geocode must be a {GEOCODE_LENGTH}-digit decimal string, got {raw!r}"
         )
@@ -240,15 +241,67 @@ _NMF_KEY = {
     GeoLevel.OPT_BLOCKGROUP: "opt_blockgroup",
 }
 
+# geocode digit positions of the ids of every optimized-spine level below
+# the nation (blocks are their whole geocode), and of every standard
+# unit (the block GEOID skips the redundant digit 27)
+_NMF_DIGITS = {
+    GeoLevel.STATE: np.r_[1:3],
+    GeoLevel.COUNTY: np.r_[: _NMF_PREFIX["county"]],
+    GeoLevel.TRACT: np.r_[: _NMF_PREFIX["tract"]],
+    GeoLevel.OPT_BLOCKGROUP: np.r_[: _NMF_PREFIX["opt_blockgroup"]],
+    GeoLevel.BLOCK: np.r_[:GEOCODE_LENGTH],
+}
+_UNIT_DIGITS = {
+    GeoLevel.STATE: np.r_[15:17],
+    GeoLevel.COUNTY: np.r_[15:20],
+    GeoLevel.TRACT: np.r_[15:26],
+    GeoLevel.BLOCKGROUP: np.r_[15:27],
+    GeoLevel.BLOCK: np.r_[15:26, 27:31],
+}
 
-def _group_rows(ids: Sequence[Optional[str]]) -> dict[str, np.ndarray]:
-    """Sorted row indices of every distinct id, ids in sorted order; a
-    None id belongs to no group."""
-    rows: dict[str, list[int]] = {}
-    for i, key in enumerate(ids):
-        if key is not None:
-            rows.setdefault(key, []).append(i)
-    return {key: np.array(rows[key], dtype=np.intp) for key in sorted(rows)}
+
+def _digit_rows(codes: Sequence, width: int) -> Optional[np.ndarray]:
+    """The codes as a (codes x width) matrix of ASCII digit bytes, or None
+    unless every code is a string of exactly ``width`` decimal digits."""
+    try:
+        text = "".join(codes)
+    except TypeError:
+        return None
+    if set(map(len, codes)) - {width} or not text.isascii():
+        return None
+    digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(codes), width)
+    # below "0" wraps around to large uint8 values
+    return digits if (digits - ord("0") <= 9).all() else None
+
+
+def _raise_first_error(records: Sequence[tuple[str, Optional[str], Optional[str]]]) -> None:
+    """Check the records one at a time in input order and raise the first
+    bad one's error: parse_geocode's, a duplicate's, or GeoId's."""
+    seen: set[str] = set()
+    for raw, vtd, place in records:
+        parse_geocode(raw)
+        if raw in seen:
+            raise InconsistentGeocode(f"duplicate block geocode {raw}")
+        seen.add(raw)
+        for level, code_ in ((GeoLevel.VTD, vtd), (GeoLevel.PLACE, place)):
+            if code_ is not None:
+                GeoId(level, code_)
+
+
+def _group_rows(keys: np.ndarray) -> tuple[tuple[str, ...], np.ndarray, list[np.ndarray]]:
+    """Group rows by a fixed-width byte key: the distinct keys in sorted
+    order, each row's group, and each group's rows in ascending order."""
+    ids, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    rows = np.argsort(inverse, kind="stable")
+    ends = np.cumsum(counts).tolist()
+    return (tuple(ids.astype(str).tolist()), inverse,
+            [rows[a:b] for a, b in zip([0] + ends[:-1], ends)])
+
+
+def _byte_keys(digits: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """One fixed-width byte string per row, from some columns of a digit matrix."""
+    part = np.ascontiguousarray(digits[:, cols])
+    return part.view(f"S{part.shape[1]}").ravel()
 
 
 class Spine:
@@ -264,41 +317,70 @@ class Spine:
     """
 
     def __init__(self, records: Iterable[tuple[str, Optional[str], Optional[str]]]):
-        self._members: dict[str, dict[str, str]] = {}
-        for raw, vtd, place in records:
-            member = enclosing_units(raw)
-            if raw in self._members:
-                raise InconsistentGeocode(f"duplicate block geocode {raw}")
-            for level, code_ in ((GeoLevel.VTD, vtd), (GeoLevel.PLACE, place)):
-                if code_ is not None:
-                    GeoId(level, code_)
-                    member[level.value] = code_
-            self._members[raw] = member
-        if not self._members:
+        records = list(records)
+        if not records:
             raise EmptyTarget("a spine needs at least one block")
+        raws, vtds, places = (list(col) for col in zip(*records, strict=True))
+        # every check at once on digit matrices; on any failure the checks
+        # run again record by record, so that the first bad record in
+        # input order raises its own error
+        digits = _digit_rows(raws, GEOCODE_LENGTH)
+        extra: dict[GeoLevel, tuple[list[int], Optional[np.ndarray]]] = {}
+        for lv, codes_ in ((GeoLevel.VTD, vtds), (GeoLevel.PLACE, places)):
+            given = [i for i, c in enumerate(codes_) if c is not None]
+            extra[lv] = given, _digit_rows([codes_[i] for i in given], GEOID_WIDTH[lv])
+        ok = digits is not None and all(d is not None for _, d in extra.values())
+        if ok:
+            keys = digits.view(f"S{GEOCODE_LENGTH}").ravel()
+            order = np.argsort(keys, kind="stable")
+            ok = ((digits[:, 0] <= ord("1")).all() and (digits[:, 26] == digits[:, 27]).all()
+                  and not (keys[order[1:]] == keys[order[:-1]]).any())
+        if not ok:
+            _raise_first_error(records)
+        digits = digits[order]
+        n = len(raws)
 
         # all block geocodes, sorted: the row order of every dataset
-        self.blocks: tuple[str, ...] = tuple(sorted(self._members))
+        self.blocks: tuple[str, ...] = tuple(raws[i] for i in order.tolist())
         self.block_index = {raw: i for i, raw in enumerate(self.blocks)}
-        members = [self._members[raw] for raw in self.blocks]
-        ids = {GeoLevel.NATION: [NATION_ID] * len(members), GeoLevel.BLOCK: self.blocks}
-        ids.update({lv: [m[key] for m in members] for lv, key in _NMF_KEY.items()})
-        self._rows: dict[str, np.ndarray] = {}
-        self._nodes_by_level: dict[GeoLevel, tuple[str, ...]] = {}
-        for lv in NMF_LEVEL_ORDER:
-            groups = _group_rows(ids[lv])
-            self._rows.update(groups)
-            self._nodes_by_level[lv] = tuple(groups)
-        children: dict[str, list[str]] = {node: [] for node in self._rows}
+        self._rows: dict[str, np.ndarray] = {NATION_ID: np.arange(n)}
+        self._nodes_by_level: dict[GeoLevel, tuple[str, ...]] = {GeoLevel.NATION: (NATION_ID,)}
+        # per level: each row's node, as an index into the level's nodes
+        node_of = {GeoLevel.NATION: np.zeros(n, dtype=np.intp)}
+        for lv, cols in _NMF_DIGITS.items():
+            ids, node_of[lv], rows = _group_rows(_byte_keys(digits, cols))
+            self._nodes_by_level[lv] = ids
+            self._rows.update(zip(ids, rows))
+        self._children: dict[str, tuple[str, ...]] = {}
         for parent_lv, child_lv in zip(NMF_LEVEL_ORDER, NMF_LEVEL_ORDER[1:]):
-            for child in self._nodes_by_level[child_lv]:
-                children[ids[parent_lv][self._rows[child][0]]].append(child)
-        self._children = {node: tuple(kids) for node, kids in children.items()}
-        self._units = {
-            lv: _group_rows([m.get(lv.value) for m in members])
-            for lv in GeoLevel if lv not in (GeoLevel.NATION, GeoLevel.OPT_BLOCKGROUP)
+            kids = self._nodes_by_level[child_lv]
+            # all rows of a child share its parent
+            parent_of = np.empty(len(kids), dtype=np.intp)
+            parent_of[node_of[child_lv]] = node_of[parent_lv]
+            by_parent = [[] for _ in self._nodes_by_level[parent_lv]]
+            for kid, p in zip(kids, parent_of.tolist()):
+                by_parent[p].append(kid)
+            self._children.update(zip(self._nodes_by_level[parent_lv], map(tuple, by_parent)))
+        for block in self._nodes_by_level[GeoLevel.BLOCK]:
+            self._children[block] = ()
+
+        # standard units, and per crosswalk column every block's unit id;
+        # a block outside every VTD or place has the empty key and id
+        unit_keys = {lv: _byte_keys(digits, cols) for lv, cols in _UNIT_DIGITS.items()}
+        for lv, (given, unit_digits) in extra.items():
+            unit_keys[lv] = np.zeros(n, dtype=f"S{GEOID_WIDTH[lv]}")
+            unit_keys[lv][given] = unit_digits.view(unit_keys[lv].dtype).ravel()
+            unit_keys[lv] = unit_keys[lv][order]
+        self._units: dict[GeoLevel, dict[str, np.ndarray]] = {
+            GeoLevel.NATION: {NATION_ID: self._rows[NATION_ID]}
         }
-        self._units[GeoLevel.NATION] = {NATION_ID: self._rows[NATION_ID]}
+        member_of = {key: (self._nodes_by_level[lv], node_of[lv]) for lv, key in _NMF_KEY.items()}
+        for lv, keys in unit_keys.items():
+            ids, unit_of, rows = _group_rows(keys)
+            self._units[lv] = {unit: r for unit, r in zip(ids, rows) if unit}
+            member_of[lv.value] = ids, unit_of
+        self._member_ids = {key: np.array(ids, dtype=object)[at].tolist()
+                            for key, (ids, at) in member_of.items()}
 
     def _block_set(self, rows: np.ndarray) -> frozenset[str]:
         return frozenset(self.blocks[i] for i in rows)
@@ -307,11 +389,12 @@ class Spine:
     # block accessors
 
     def block_geoid(self, raw: str) -> str:
-        return self._members[raw]["block"]
+        return self._member_ids[GeoLevel.BLOCK.value][self.block_index[raw]]
 
     def membership(self, raw: str) -> dict[str, str]:
         """Every enclosing unit of a block on both spines."""
-        return dict(self._members[raw])
+        i = self.block_index[raw]
+        return {key: ids[i] for key, ids in self._member_ids.items() if ids[i]}
 
     # ------------------------------------------------------------------
     # optimized-spine accessors
@@ -464,29 +547,28 @@ def make_synthetic_spine(spec: SpineSpec, seed: int) -> Spine:
                     k = min(k, n - 1)
                     aian_mask[rng.choice(n, size=k, replace=False)] = True
                 for side in ("0", "1"):
-                    idx = [i for i in range(n) if aian_mask[i] == (side == "1")]
-                    if not idx:
+                    idx = np.flatnonzero(aian_mask == (side == "1"))
+                    if not idx.size:
                         continue
                     eq_counter[side] += 1
                     tract_eq = f"{eq_counter[side]:04d}"
                     # optimized block groups chop a shuffled order
-                    order = rng.permutation(len(idx))
-                    for oi, start in enumerate(range(0, len(idx), spec.obg_size)):
-                        obg = f"{101 + oi:03d}"
-                        for j in order[start : start + spec.obg_size]:
-                            bf = block_codes[idx[j]]
-                            raw = (
-                                side + state + "10" + county + tract_eq + obg
-                                + state + county + geoid_tract + bf[0] + bf
-                            )
-                            county_blocks.append(raw)
+                    order = rng.permutation(idx.size)
+                    for pos, i in enumerate(idx[order].tolist()):
+                        obg = f"{101 + pos // spec.obg_size:03d}"
+                        bf = block_codes[i]
+                        raw = (
+                            side + state + "10" + county + tract_eq + obg
+                            + state + county + geoid_tract + bf[0] + bf
+                        )
+                        county_blocks.append(raw)
             # VTDs partition the county's blocks across tract boundaries
             county_blocks.sort()
             perm = rng.permutation(len(county_blocks))
             vtd_of = {}
             for vi, chunk in enumerate(np.array_split(perm, spec.vtds_per_county)):
                 vtd = state + county + f"{vi + 1:06d}"
-                for j in chunk:
+                for j in chunk.tolist():
                     vtd_of[county_blocks[j]] = vtd
             for raw in county_blocks:
                 records.append((raw, vtd_of[raw], None))
@@ -499,7 +581,7 @@ def make_synthetic_spine(spec: SpineSpec, seed: int) -> Spine:
             pos = 0
             for pi in range(spec.places_per_state):
                 place = state + f"{60000 + pi:05d}"
-                for j in perm[pos : pos + chunk]:
+                for j in perm[pos : pos + chunk].tolist():
                     raw, vtd, _ = records[-len(state_blocks) + j]
                     records[-len(state_blocks) + j] = (raw, vtd, place)
                 pos += chunk

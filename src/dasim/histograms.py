@@ -12,6 +12,7 @@ matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -91,7 +92,9 @@ class AggregationMatrix:
             raise SchemaError("aggregation entries must be integers")
         if (m == 0).all(axis=1).any():
             raise SchemaError("every statistic must touch at least one cell")
-        object.__setattr__(self, "matrix", m.astype(np.int64))
+        m = m.astype(np.int64)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     def row(self, label: str) -> np.ndarray:
         try:
@@ -100,12 +103,14 @@ class AggregationMatrix:
             raise SchemaError(f"no statistic named {label!r}") from None
 
 
+@functools.cache
 def default_statistics(schema: CellSchema) -> AggregationMatrix:
     """Total, voting-age, Hispanic, and per-race-category statistics.
 
     With a 63-way race axis the race statistics are the six alone
     categories plus a pooled two_or_more; otherwise one statistic per
     race category, named from RACE_BASE when the cardinality matches.
+    Built once per schema; the result is immutable.
     """
     shape = schema.shape
     size = schema.size
@@ -187,10 +192,19 @@ class HistogramDataset:
         """Histogram of an optimized-spine node (sum of its blocks)."""
         return self.counts[self.spine.node_rows(node_id)].sum(axis=0)
 
+    def node_histograms(self, nodes: Sequence[str]) -> np.ndarray:
+        """Histograms of optimized-spine nodes, one row per node: one
+        gather of their block rows and one segment sum.  Integer counts
+        sum exactly; float sums may differ from ``node_histogram`` in the
+        last bit, because they add in another order."""
+        rows = [self.spine.node_rows(n) for n in nodes]
+        starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
+        return np.add.reduceat(self.counts[np.concatenate(rows)], starts, axis=0)
+
     def level_histograms(self, level: geo.GeoLevel) -> np.ndarray:
         """Histograms of every optimized-spine node at one level, one row
         per node in ``spine.nodes_at(level)`` order."""
-        return np.array([self.node_histogram(n) for n in self.spine.nodes_at(level)])
+        return self.node_histograms(self.spine.nodes_at(level))
 
     def target_histogram(self, target: geo.GeoId) -> np.ndarray:
         """Histogram of any standard-census target (sum of whole blocks)."""
@@ -254,9 +268,39 @@ def _race_base_shares(card: int) -> np.ndarray:
     return np.full(card, 1.0 / card)
 
 
+# blocks or nodes per chunk of the passes that draw from one RNG stream
+# each: it bounds the chunk's arrays, and the generators kept alive
+# (about 1.1 KB each) where a stream draws again after an array step
+STREAM_CHUNK = 1024
+
+
 def block_seed(seed: int, raw_geocode: str) -> tuple[int, int]:
     """Stable per-geography stream key, mixable into default_rng."""
     return (int(seed), int(raw_geocode))
+
+
+def _axis_draws(
+    schema: CellSchema, profile: GenerationProfile
+) -> list[tuple[str, tuple[float, float] | np.ndarray]]:
+    """How a block's stream draws its shares along each axis: ("beta",
+    parameters) for a two-way split, ("dirichlet", concentrations), or
+    ("fixed", shares) for the housing axis, which draws nothing."""
+    out = []
+    for name, card in schema.axes:
+        if name == "voting_age":
+            out.append(("beta", profile.adult_beta))
+        elif name == "hispanic":
+            out.append(("beta", profile.hispanic_beta))
+        elif name == "race":
+            out.append(("dirichlet", _race_base_shares(card) * profile.race_concentration * card))
+        elif name == "housing":
+            gq = profile.group_quarters_share
+            shares = np.full(card, gq / (card - 1))
+            shares[0] = 1.0 - gq
+            out.append(("fixed", shares))
+        else:
+            out.append(("dirichlet", np.ones(card)))
+    return out
 
 
 def generate_synthetic_cef(
@@ -268,36 +312,44 @@ def generate_synthetic_cef(
     """Draw a deterministic synthetic enumeration for ``spine``.
 
     Each block gets its own RNG stream keyed by (seed, geocode), so
-    a block's truth does not depend on spine iteration order.
+    a block's truth does not depend on spine iteration order.  A stream
+    draws, in order: the zero-population coin, the population, the
+    shares along each axis, and last the multinomial cell counts over
+    the outer product of those shares.
     """
     profile = profile or GenerationProfile()
     shape = schema.shape
     mu = float(np.log(profile.median_block_pop))
+    axes = _axis_draws(schema, profile)
     counts = np.zeros((len(spine.blocks), schema.size), dtype=np.int64)
-    for i, raw in enumerate(spine.blocks):
-        rng = np.random.default_rng(block_seed(seed, raw))
-        if rng.random() < profile.zero_pop_prob:
-            continue
-        pop = max(1, int(round(float(rng.lognormal(mu, profile.log_sigma)))))
-        probs = np.ones(shape)
-        for ai, (name, card) in enumerate(schema.axes):
-            if name == "voting_age":
-                p = rng.beta(*profile.adult_beta)
-                axis_p = np.array([1.0 - p, p])
-            elif name == "hispanic":
-                p = rng.beta(*profile.hispanic_beta)
-                axis_p = np.array([1.0 - p, p])
-            elif name == "race":
-                base = _race_base_shares(card)
-                axis_p = rng.dirichlet(base * profile.race_concentration * card)
-            elif name == "housing":
-                gq = profile.group_quarters_share
-                axis_p = np.full(card, gq / (card - 1))
-                axis_p[0] = 1.0 - gq
+    for start in range(0, len(spine.blocks), STREAM_CHUNK):
+        streams, rows, pops = [], [], []
+        drawn: list[list] = [[] for _ in axes]
+        for row in range(start, min(start + STREAM_CHUNK, len(spine.blocks))):
+            rng = np.random.default_rng(block_seed(seed, spine.blocks[row]))
+            if rng.random() < profile.zero_pop_prob:
+                continue
+            pops.append(max(1, int(round(float(rng.lognormal(mu, profile.log_sigma))))))
+            for (kind, param), got in zip(axes, drawn):
+                if kind == "beta":
+                    got.append(rng.beta(*param))
+                elif kind == "dirichlet":
+                    got.append(rng.dirichlet(param))
+            streams.append(rng)
+            rows.append(row)
+        # every populated block's cell probabilities at once, each the
+        # product of its axis shares taken in axis order
+        probs = np.ones((len(rows),) + shape)
+        for ai, ((kind, param), got) in enumerate(zip(axes, drawn)):
+            if kind == "beta":
+                p = np.array(got)
+                shares = np.column_stack([1.0 - p, p])
             else:
-                axis_p = rng.dirichlet(np.ones(card))
-            view = [1] * len(shape)
-            view[ai] = card
-            probs = probs * axis_p.reshape(view)
-        counts[i] = rng.multinomial(pop, probs.reshape(-1))
+                shares = np.array(got) if kind == "dirichlet" else param[None, :]
+            view = [-1] + [1] * len(shape)
+            view[ai + 1] = shape[ai]
+            probs = probs * shares.reshape(view)
+        probs = probs.reshape(len(rows), schema.size)
+        for rng, row, pop, p in zip(streams, rows, pops, probs):
+            counts[row] = rng.multinomial(pop, p)
     return HistogramDataset(spine, schema, counts, kind="enumeration")

@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .histograms import AggregationMatrix, CellSchema, HistogramDataset
+from .histograms import STREAM_CHUNK, AggregationMatrix, CellSchema, HistogramDataset
 
 QUERY_GROUPS = ("detail", "total", "marginal")
 
@@ -53,27 +53,59 @@ DEFAULT_BUDGET = {
 MAX_VARIANCE = 1e28
 
 
-def _dgauss_batch(sigma2: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized rejection sampler for the discrete Gaussian.
+def _proposal(sigma2: float) -> tuple[int, float]:
+    """Integer scale t and success probability of the geometric proposal."""
+    t = int(np.floor(np.sqrt(sigma2))) + 1
+    return t, float(-np.expm1(-1.0 / t))
+
+
+def _keep(y: np.ndarray, u: np.ndarray, sigma2: float, t: int) -> np.ndarray:
+    """Which proposals y the uniforms u accept."""
+    return np.log(u) < -((np.abs(y) - sigma2 / t) ** 2) / (2.0 * sigma2)
+
+
+def _dgauss_fill(out: np.ndarray, filled: int, sigma2: float, rng: np.random.Generator) -> None:
+    """Fill ``out[filled:]`` with further rejection rounds from ``rng``."""
+    t, p = _proposal(sigma2)
+    size = out.size
+    while filled < size:
+        m = int((size - filled) * 1.8) + 16
+        y = (rng.geometric(p, size=m) - rng.geometric(p, size=m)).astype(np.int64)
+        acc = y[_keep(y, rng.random(m), sigma2, t)]
+        take = min(acc.size, size - filled)
+        out[filled : filled + take] = acc[:take]
+        filled += take
+
+
+def _dgauss_streams(sigma2: float, size: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Rejection sampler for the discrete Gaussian: one row of ``size``
+    draws per stream.
 
     Proposal: two-sided geometric (discrete Laplace) with integer scale
     t = floor(sqrt(sigma2)) + 1, built as the difference of two iid
     geometrics.  A proposal y is kept with probability
     exp(-(|y| - sigma2/t)^2 / (2 sigma2)), which tilts the Laplace tail
-    into exp(-y^2 / (2 sigma2)) exactly.
+    into exp(-y^2 / (2 sigma2)) exactly.  Each stream draws rounds of
+    about 1.8 proposals per missing draw until ``size`` are kept.  The
+    first rounds of all streams are drawn and judged as one matrix; only
+    the streams that come up short go on alone.
     """
-    t = int(np.floor(np.sqrt(sigma2))) + 1
-    p = float(-np.expm1(-1.0 / t))
-    out = np.empty(size, dtype=np.int64)
-    filled = 0
-    while filled < size:
-        m = int((size - filled) * 1.8) + 16
-        y = (rng.geometric(p, size=m) - rng.geometric(p, size=m)).astype(np.int64)
-        log_keep = -((np.abs(y) - sigma2 / t) ** 2) / (2.0 * sigma2)
-        acc = y[np.log(rng.random(m)) < log_keep]
-        take = min(acc.size, size - filled)
-        out[filled : filled + take] = acc[:take]
-        filled += take
+    t, p = _proposal(sigma2)
+    m = int(size * 1.8) + 16
+    y = np.empty((len(rngs), m), dtype=np.int64)
+    u = np.empty((len(rngs), m))
+    for i, rng in enumerate(rngs):
+        y[i] = rng.geometric(p, size=m) - rng.geometric(p, size=m)
+        u[i] = rng.random(m)
+    keep = _keep(y, u, sigma2, t)
+    # each accepted proposal's place among its row's accepted ones
+    rank = np.cumsum(keep, axis=1) - 1
+    keep &= rank < size
+    out = np.empty((len(rngs), size), dtype=np.int64)
+    out[np.nonzero(keep)[0], rank[keep]] = y[keep]
+    filled = keep.sum(axis=1)
+    for i in np.flatnonzero(filled < size).tolist():
+        _dgauss_fill(out[i], int(filled[i]), sigma2, rngs[i])
     return out
 
 
@@ -87,7 +119,7 @@ def sample_discrete_gaussian(variance: float, rng: np.random.Generator) -> int:
     _check_variance(variance)
     if variance == 0:
         return 0
-    return int(_dgauss_batch(float(variance), 1, rng)[0])
+    return int(_dgauss_streams(float(variance), 1, [rng])[0, 0])
 
 
 def sample_discrete_gaussian_array(
@@ -97,7 +129,7 @@ def sample_discrete_gaussian_array(
     _check_variance(variance)
     if variance == 0:
         return np.zeros(size, dtype=np.int64)
-    return _dgauss_batch(float(variance), int(size), rng)
+    return _dgauss_streams(float(variance), int(size), [rng])[0]
 
 
 def node_seed(seed: int, node_id: str) -> np.random.SeedSequence:
@@ -332,18 +364,26 @@ def make_noisy_measurements(
             if not cef.spine.has_node(n):
                 raise ParameterError(f"unknown spine node {n!r}")
     qmat = q.matrix.astype(np.int64)
-    noise_groups: dict[geo.GeoLevel, list[tuple[float, np.ndarray]]] = {}
     values = np.empty((len(node_list), q.n_rows), dtype=np.int64)
+    at_level: dict[geo.GeoLevel, list[int]] = {}
     for i, node in enumerate(node_list):
-        level = geo.node_level(node)
-        if level not in noise_groups:
-            variances = q.variances_for(level)
-            noise_groups[level] = [(float(v), np.nonzero(variances == v)[0])
-                                   for v in np.unique(variances) if v > 0]
-        rng = np.random.default_rng(node_seed(seed, node))
-        values[i] = qmat @ cef.node_histogram(node)
-        for v, cols in noise_groups[level]:
-            values[i, cols] += sample_discrete_gaussian_array(v, cols.size, rng)
+        at_level.setdefault(geo.node_level(node), []).append(i)
+    for level, idx in at_level.items():
+        level_nodes = [node_list[i] for i in idx]
+        values[idx] = cef.node_histograms(level_nodes) @ qmat.T
+        variances = q.variances_for(level)
+        # each node's stream draws one group after another, in ascending
+        # variance order
+        noise_groups = [(float(v), np.nonzero(variances == v)[0])
+                        for v in np.unique(variances) if v > 0]
+        if not noise_groups:
+            continue
+        for start in range(0, len(idx), STREAM_CHUNK):
+            rows = np.array(idx[start : start + STREAM_CHUNK])
+            rngs = [np.random.default_rng(node_seed(seed, n))
+                    for n in level_nodes[start : start + STREAM_CHUNK]]
+            for v, cols in noise_groups:
+                values[rows[:, None], cols] += _dgauss_streams(v, cols.size, rngs)
     return NoisyMeasurements(q, int(seed), tuple(node_list), values)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geo
 from .errors import ParameterError
-from .histograms import CellSchema, HistogramDataset
+from .histograms import STREAM_CHUNK, CellSchema, HistogramDataset
 
 # household size pmf for the synthetic decomposition, sizes 1..7;
 # roughly census-shaped (many singles and couples, a thin large tail)
@@ -119,23 +119,39 @@ def make_household_file(
     schema = cef.schema
     housing = _axis_category(schema, "housing")
     voting = _axis_category(schema, "voting_age")
-    choices = np.arange(1, pmf.size + 1)
+    # numpy's Generator.choice(p=pmf) draws one uniform per value and
+    # looks it up in this normalized cdf
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
 
-    empty = np.zeros(0, dtype=np.int64)
-    rows, sizes, cells = [empty], [empty], [empty]
     hh_counts = np.where(housing == 0, cef.counts, 0)
-    for row, (raw, n) in enumerate(zip(cef.spine.blocks, hh_counts.sum(axis=1))):
-        if n == 0:
-            continue
-        rng = np.random.default_rng((int(seed), int(raw), 0x11D))
-        persons = np.repeat(np.arange(schema.size), hh_counts[row])
-        rng.shuffle(persons)
-        draws = rng.choice(choices, size=n, p=pmf)
-        ends = np.cumsum(draws)
-        last = int(np.searchsorted(ends, n))
-        draws[last] -= ends[last] - n
-        rows.append(np.full(last + 1, row))
-        sizes.append(draws[:last + 1])
+    block_pop = hh_counts.sum(axis=1)
+    blocks = cef.spine.blocks
+    rows, sizes, cells = [], [], []
+    for start in range(0, len(blocks), STREAM_CHUNK):
+        chunk = np.arange(start, min(start + STREAM_CHUNK, len(blocks)))
+        n = block_pop[chunk]
+        # every household person of the chunk, block after block, by cell
+        persons = np.repeat(np.tile(np.arange(schema.size), len(chunk)),
+                            hh_counts[chunk].reshape(-1))
+        uniforms = np.empty(persons.size)
+        offsets = np.cumsum(n) - n
+        for row, lo, hi in zip(chunk.tolist(), offsets.tolist(), (offsets + n).tolist()):
+            if hi > lo:
+                rng = np.random.default_rng((int(seed), int(blocks[row]), 0x11D))
+                rng.shuffle(persons[lo:hi])
+                rng.random(out=uniforms[lo:hi])
+        # a block's persons fill runs of drawn sizes until the block is
+        # full, the last run cut short: draw j of a block opens a run if
+        # the draws before it leave room
+        first = np.repeat(offsets, n)
+        room = np.repeat(n, n)
+        draws = np.searchsorted(cdf, uniforms, side="right") + 1
+        begin = np.cumsum(draws) - draws
+        begin -= begin[first]
+        opens = begin < room
+        sizes.append(np.minimum(draws, room - begin)[opens])
+        rows.append(np.repeat(chunk, n)[opens])
         cells.append(persons)
     sizes, cells = np.concatenate(sizes), np.concatenate(cells)
     adults = np.add.reduceat(voting[cells], np.cumsum(sizes) - sizes)

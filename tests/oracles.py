@@ -10,7 +10,11 @@ import math
 
 import numpy as np
 
+from dasim import geo
+from dasim.errors import EmptyTarget, InconsistentGeocode
 from dasim.geo import GeoLevel, compose_target, node_level
+from dasim.histograms import HistogramDataset, _race_base_shares, block_seed
+from dasim.noise import node_seed
 
 
 def dgauss_support(sigma2: float) -> np.ndarray:
@@ -252,3 +256,164 @@ def swap_loop(households, gq_pop: dict[str, int], cfg, seed: int):
         moved[b] = (households[a][0],) + households[b][1:]
     stats = (len(households), len(flagged), 2 * len(pairs), len(unpaired), pairs_in_tract)
     return moved, inputs, scores, stats
+
+
+# world building and measurement, one block or node at a time: the
+# library's array passes must match these bit for bit
+
+
+def _group_rows_loop(ids):
+    rows = {}
+    for i, key in enumerate(ids):
+        if key is not None:
+            rows.setdefault(key, []).append(i)
+    return {key: np.array(rows[key], dtype=np.intp) for key in sorted(rows)}
+
+
+_NMF_KEY = {
+    GeoLevel.STATE: "nmf_state",
+    GeoLevel.COUNTY: "nmf_county",
+    GeoLevel.TRACT: "nmf_tract",
+    GeoLevel.OPT_BLOCKGROUP: "opt_blockgroup",
+}
+
+
+class SpineLoop:
+    """Per-record spine index: every record parsed and checked in input
+    order, every grouping a dict of row lists.  Exposes the same
+    accessors as ``geo.Spine``."""
+
+    def __init__(self, records):
+        self._members = {}
+        for raw, vtd, place in records:
+            member = geo.enclosing_units(raw)
+            if raw in self._members:
+                raise InconsistentGeocode(f"duplicate block geocode {raw}")
+            for level, code_ in ((GeoLevel.VTD, vtd), (GeoLevel.PLACE, place)):
+                if code_ is not None:
+                    geo.GeoId(level, code_)
+                    member[level.value] = code_
+            self._members[raw] = member
+        if not self._members:
+            raise EmptyTarget("a spine needs at least one block")
+        self.blocks = tuple(sorted(self._members))
+        self.block_index = {raw: i for i, raw in enumerate(self.blocks)}
+        members = [self._members[raw] for raw in self.blocks]
+        ids = {GeoLevel.NATION: [geo.NATION_ID] * len(members), GeoLevel.BLOCK: self.blocks}
+        ids.update({lv: [m[key] for m in members] for lv, key in _NMF_KEY.items()})
+        self._rows = {}
+        self._nodes_by_level = {}
+        for lv in geo.NMF_LEVEL_ORDER:
+            groups = _group_rows_loop(ids[lv])
+            self._rows.update(groups)
+            self._nodes_by_level[lv] = tuple(groups)
+        children = {node: [] for node in self._rows}
+        for parent_lv, child_lv in zip(geo.NMF_LEVEL_ORDER, geo.NMF_LEVEL_ORDER[1:]):
+            for child in self._nodes_by_level[child_lv]:
+                children[ids[parent_lv][self._rows[child][0]]].append(child)
+        self._children = {node: tuple(kids) for node, kids in children.items()}
+        self._units = {
+            lv: _group_rows_loop([m.get(lv.value) for m in members])
+            for lv in GeoLevel if lv not in (GeoLevel.NATION, GeoLevel.OPT_BLOCKGROUP)
+        }
+        self._units[GeoLevel.NATION] = {geo.NATION_ID: self._rows[geo.NATION_ID]}
+
+    def block_geoid(self, raw):
+        return self._members[raw]["block"]
+
+    def membership(self, raw):
+        return dict(self._members[raw])
+
+    def nodes_at(self, level):
+        return self._nodes_by_level[level]
+
+    def children(self, node_id):
+        return self._children[node_id]
+
+    def node_rows(self, node_id):
+        return self._rows[node_id]
+
+    def units_at(self, level):
+        return {code_: frozenset(self.blocks[i] for i in rows)
+                for code_, rows in self._units[level].items()}
+
+    def target_rows(self, target):
+        return self._units[target.level][target.code]
+
+
+def cef_loop(spine, seed, profile, schema):
+    """Per block: its own stream draws the population and the axis
+    shares, and the cell probabilities are their outer product."""
+    shape = schema.shape
+    mu = float(np.log(profile.median_block_pop))
+    counts = np.zeros((len(spine.blocks), schema.size), dtype=np.int64)
+    for i, raw in enumerate(spine.blocks):
+        rng = np.random.default_rng(block_seed(seed, raw))
+        if rng.random() < profile.zero_pop_prob:
+            continue
+        pop = max(1, int(round(float(rng.lognormal(mu, profile.log_sigma)))))
+        probs = np.ones(shape)
+        for ai, (name, card) in enumerate(schema.axes):
+            if name == "voting_age":
+                p = rng.beta(*profile.adult_beta)
+                axis_p = np.array([1.0 - p, p])
+            elif name == "hispanic":
+                p = rng.beta(*profile.hispanic_beta)
+                axis_p = np.array([1.0 - p, p])
+            elif name == "race":
+                base = _race_base_shares(card)
+                axis_p = rng.dirichlet(base * profile.race_concentration * card)
+            elif name == "housing":
+                gq = profile.group_quarters_share
+                axis_p = np.full(card, gq / (card - 1))
+                axis_p[0] = 1.0 - gq
+            else:
+                axis_p = rng.dirichlet(np.ones(card))
+            view = [1] * len(shape)
+            view[ai] = card
+            probs = probs * axis_p.reshape(view)
+        counts[i] = rng.multinomial(pop, probs.reshape(-1))
+    return HistogramDataset(spine, schema, counts, kind="enumeration")
+
+
+def dgauss_loop(sigma2: float, size: int, rng) -> np.ndarray:
+    """Discrete Gaussian draws from one stream by rejection from a
+    two-sided geometric, in rounds of about 1.8 proposals per missing
+    draw until ``size`` are kept."""
+    t = int(np.floor(np.sqrt(sigma2))) + 1
+    p = float(-np.expm1(-1.0 / t))
+    out = np.empty(size, dtype=np.int64)
+    filled = 0
+    while filled < size:
+        m = int((size - filled) * 1.8) + 16
+        y = (rng.geometric(p, size=m) - rng.geometric(p, size=m)).astype(np.int64)
+        log_keep = -((np.abs(y) - sigma2 / t) ** 2) / (2.0 * sigma2)
+        acc = y[np.log(rng.random(m)) < log_keep]
+        take = min(acc.size, size - filled)
+        out[filled : filled + take] = acc[:take]
+        filled += take
+    return out
+
+
+def measurements_loop(cef, q, seed, nodes=None):
+    """Per node: exact answers from its own histogram, then one noise
+    draw per noise group from the node's own stream, groups in
+    ascending variance order.  Returns (nodes, values)."""
+    if nodes is None:
+        node_list = [n for lv in geo.NMF_LEVEL_ORDER for n in cef.spine.nodes_at(lv)]
+    else:
+        node_list = sorted(set(nodes), key=lambda n: (len(n), n))
+    qmat = q.matrix.astype(np.int64)
+    noise_groups = {}
+    values = np.empty((len(node_list), q.n_rows), dtype=np.int64)
+    for i, node in enumerate(node_list):
+        level = node_level(node)
+        if level not in noise_groups:
+            variances = q.variances_for(level)
+            noise_groups[level] = [(float(v), np.nonzero(variances == v)[0])
+                                   for v in np.unique(variances) if v > 0]
+        rng = np.random.default_rng(node_seed(seed, node))
+        values[i] = qmat @ cef.node_histogram(node)
+        for v, cols in noise_groups[level]:
+            values[i, cols] += dgauss_loop(v, cols.size, rng)
+    return tuple(node_list), values

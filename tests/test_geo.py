@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dasim import geo
 from dasim.errors import EmptyTarget, InconsistentGeocode, MalformedGeocode, ParameterError
 from dasim.geo import (
     GeoId,
@@ -15,6 +16,8 @@ from dasim.geo import (
     parse_geocode,
     to_geoid,
 )
+
+from oracles import SpineLoop
 
 # Published worked example: a Washington state block geocode and its GEOID.
 EXAMPLE_RAW = "0531000100011065300195010011010"
@@ -52,6 +55,9 @@ def test_to_geoid_worked_example():
         EXAMPLE_RAW + "0",
         EXAMPLE_RAW[:-1] + "x",
         "05310001000110653001950100110a0",
+        # a non-ASCII decimal digit (ARABIC-INDIC DIGIT THREE)
+        EXAMPLE_RAW[:5] + "\u0663" + EXAMPLE_RAW[6:],
+        5310001000110653001950100110100,
     ],
 )
 def test_parse_rejects_malformed(bad):
@@ -277,3 +283,97 @@ def test_synthetic_spine_obgs_differ_from_blockgroups():
         if len(bgs) > 1:
             mismatch = True
     assert mismatch, "optimized block groups should regroup blocks across standard BGs"
+
+
+# ----------------------------------------------------------------------
+# the array-built spine against the per-record loop
+
+
+def _records(spine):
+    return [(b, spine.membership(b).get("vtd"), spine.membership(b).get("place"))
+            for b in spine.blocks]
+
+
+def _assert_same_spine(spine, loop):
+    assert spine.blocks == loop.blocks
+    assert spine.block_index == loop.block_index
+    for level in geo.NMF_LEVEL_ORDER:
+        assert spine.nodes_at(level) == loop.nodes_at(level)
+        for node in spine.nodes_at(level):
+            rows = spine.node_rows(node)
+            assert rows.dtype == np.intp
+            np.testing.assert_array_equal(rows, loop.node_rows(node))
+            assert spine.children(node) == loop.children(node)
+    for level in GeoLevel:
+        if level is not GeoLevel.OPT_BLOCKGROUP:
+            got, want = spine.units_at(level), loop.units_at(level)
+            assert list(got) == list(want) and got == want
+    for raw in spine.blocks:
+        assert list(spine.membership(raw).items()) == list(loop.membership(raw).items())
+        assert spine.block_geoid(raw) == loop.block_geoid(raw)
+
+
+@pytest.mark.parametrize("spec", [
+    SpineSpec(),
+    SpineSpec(states=3, aian_tract_prob=1.0, places_per_state=2),
+    SpineSpec(counties_per_state=3, tracts_per_county=4, vtds_per_county=5, places_per_state=0),
+], ids=["default", "three-states-all-aian", "no-places"])
+def test_spine_matches_the_record_loop(spec):
+    records = _records(make_synthetic_spine(spec, seed=4))
+    # input order must not matter
+    shuffled = [records[i] for i in np.random.default_rng(0).permutation(len(records))]
+    for recs in (records, shuffled):
+        _assert_same_spine(Spine(recs), SpineLoop(recs))
+
+
+def test_sweep_world_spines_match_the_record_loop(sweep_world):
+    spine, _ = sweep_world
+    _assert_same_spine(spine, SpineLoop(_records(spine)))
+
+
+def test_spine_matches_the_record_loop_with_blocks_outside_every_vtd(split_spine):
+    spine, raws = split_spine
+    records = [(raw, spine.membership(raw).get("vtd") if i % 2 else None,
+                spine.membership(raw).get("place")) for i, raw in enumerate(raws)]
+    _assert_same_spine(Spine(records), SpineLoop(records))
+
+
+def _good(i):
+    return _raw("0", "53", "001", "0001", "101", "000100", f"1{i:03d}")
+
+
+@pytest.mark.parametrize("bad", [
+    (_good(50)[:-1], None, None),
+    (_good(50)[:-1] + "x", None, None),
+    (_good(50)[:5] + "\u0663" + _good(50)[6:], None, None),
+    (int(_good(50)), None, None),
+    ("7" + _good(50)[1:], None, None),
+    (_good(50)[:26] + "2" + _good(50)[27:], None, None),
+    (_good(1), None, None),
+    (_good(50), "5300100001", None),
+    (_good(50), "53001x00001", None),
+    (_good(50), None, "536000"),
+    (_good(50), "53001000001", "53600 0"),
+    # two faults in one record: the geocode's, then the duplicate's,
+    # then the VTD's
+    ("7" + _good(1)[1:], "123", None),
+    (_good(1), "123", "1"),
+], ids=["short", "letter", "non-ascii", "not-a-string", "aian-flag", "digit-27",
+        "duplicate", "vtd-short", "vtd-letter", "place-short", "place-space",
+        "flag-and-vtd", "duplicate-and-vtd"])
+def test_spine_errors_match_the_record_loop(bad):
+    """The first bad record in input order raises what the per-record
+    loop raises, with the same message, whatever comes after it."""
+    later_bad = [("x" * 31, None, None), (_good(2), "1", None), (_good(3), None, None)]
+    records = [(_good(i), "53001000001", None) for i in range(1, 4)] + [bad] + later_bad
+    with pytest.raises(Exception) as want:
+        SpineLoop(records)
+    with pytest.raises(want.type) as got:
+        Spine(records)
+    assert str(got.value) == str(want.value)
+    assert want.type in (MalformedGeocode, InconsistentGeocode, ParameterError)
+
+
+def test_empty_spine_raises():
+    with pytest.raises(EmptyTarget):
+        Spine([])

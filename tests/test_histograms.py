@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import SWEEP_SEEDS
+from oracles import cef_loop
+
 from dasim.errors import SchemaError
 from dasim.geo import NMF_LEVEL_ORDER, GeoId, GeoLevel, SpineSpec, make_synthetic_spine
 from dasim.histograms import (
@@ -84,6 +87,17 @@ def test_default_statistics_full_scale():
     # alone + two_or_more partition the race axis
     race_rows = agg.matrix[3:]
     assert (race_rows.sum(axis=0) == 1).all()
+
+
+def test_default_statistics_is_built_once_per_schema_and_read_only():
+    agg = default_statistics(DESK_SCHEMA)
+    same = CellSchema(tuple(DESK_SCHEMA.axes))
+    assert default_statistics(same) is agg
+    assert default_statistics(FULL_SCHEMA) is not agg
+    with pytest.raises(ValueError):
+        agg.matrix[0, 0] = 5
+    with pytest.raises(ValueError):
+        agg.row("total")[0] = 5
 
 
 def test_aggregation_matrix_validation():
@@ -175,3 +189,51 @@ def test_block_population_median_matches_published_skew():
     # long right tail and a zero-population point mass
     assert pops.max() > 200
     assert (pops == 0).mean() > 0.01
+
+
+# ----------------------------------------------------------------------
+# the array-pass enumeration against the per-block loop
+
+# a schema with an axis the generator knows nothing about, which draws
+# its shares from a flat dirichlet
+LANGUAGE_SCHEMA = CellSchema(
+    (("voting_age", 2), ("language", 3), ("hispanic", 2), ("race", 6), ("housing", 2))
+)
+
+
+def test_cef_matches_the_block_loop(sweep_world):
+    spine, _ = sweep_world
+    for seed in SWEEP_SEEDS:
+        got = generate_synthetic_cef(spine, seed)
+        want = cef_loop(spine, seed, GenerationProfile(), DESK_SCHEMA)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert got.kind == want.kind == "enumeration"
+
+
+@pytest.mark.parametrize("schema", [DESK_SCHEMA, FULL_SCHEMA, LANGUAGE_SCHEMA],
+                         ids=["desk", "full", "custom-axis"])
+@pytest.mark.parametrize("profile", [
+    GenerationProfile(),
+    # most blocks unpopulated, the rest tiny: chunks with few or no draws
+    GenerationProfile(zero_pop_prob=0.9, median_block_pop=1.5, race_concentration=0.3),
+], ids=["default", "mostly-empty"])
+def test_cef_matches_the_block_loop_on_other_schemas_and_profiles(schema, profile):
+    spine = make_synthetic_spine(SpineSpec(counties_per_state=3), seed=3)
+    for seed in (1, 2):
+        got = generate_synthetic_cef(spine, seed, profile, schema)
+        want = cef_loop(spine, seed, profile, schema)
+        np.testing.assert_array_equal(got.counts, want.counts)
+    if profile.zero_pop_prob > 0.5:
+        assert (got.counts.sum(axis=1) == 0).mean() > 0.5
+
+
+def test_level_histograms_match_node_histograms(sweep_world):
+    spine, cef = sweep_world
+    for level in NMF_LEVEL_ORDER:
+        want = np.array([cef.node_histogram(n) for n in spine.nodes_at(level)])
+        got = cef.level_histograms(level)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    nodes = [spine.blocks[-1], spine.nodes_at(GeoLevel.COUNTY)[0], "US"]
+    np.testing.assert_array_equal(cef.node_histograms(nodes),
+                                  [cef.node_histogram(n) for n in nodes])

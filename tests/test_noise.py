@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dasim import noise
 from dasim.errors import CoverageError, EmptyInput, ParameterError
 from dasim.geo import NMF_LEVEL_ORDER, GeoId, GeoLevel, SpineSpec, make_synthetic_spine
 from dasim.histograms import (
     DESK_SCHEMA,
+    FULL_SCHEMA,
     AggregationMatrix,
     CellSchema,
+    GenerationProfile,
     default_statistics,
     generate_synthetic_cef,
 )
@@ -24,7 +27,14 @@ from dasim.noise import (
     sample_discrete_gaussian_array,
 )
 
-from oracles import dgauss_pmf, dgauss_variance, nm_statistics_loop
+from conftest import SWEEP_SEEDS
+from oracles import (
+    dgauss_loop,
+    dgauss_pmf,
+    dgauss_variance,
+    measurements_loop,
+    nm_statistics_loop,
+)
 
 
 # ----------------------------------------------------------------------
@@ -79,6 +89,14 @@ def test_sampler_moments_match_analytic(sigma2):
     m4 = float((p * ks.astype(float) ** 4).sum())
     se_var = np.sqrt((m4 - true_var**2) / n)
     assert abs(xs.var() - true_var) < 4.5 * se_var
+
+
+@pytest.mark.parametrize("sigma2", [0.3, 1.0, 12.25, 1e6])
+def test_sampler_matches_the_one_stream_loop(sigma2):
+    for seed in range(20):
+        got = sample_discrete_gaussian_array(sigma2, 61, np.random.default_rng(seed))
+        want = dgauss_loop(sigma2, 61, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
 
 
 def test_sampler_deterministic_per_stream():
@@ -311,3 +329,84 @@ def test_nm_statistics_variance_adds_across_parts(tiny_world):
             per_part.append(sub[1][0])
     if len(per_part) == len(comp.parts):
         assert variances[0] == pytest.approx(sum(per_part))
+
+
+# ----------------------------------------------------------------------
+# the array-pass measurement against the per-node loop
+
+
+def _assert_same_measurements(cef, q, seed, nodes=None):
+    got = make_noisy_measurements(cef, q, seed, nodes=nodes)
+    want_nodes, want_values = measurements_loop(cef, q, seed, nodes)
+    assert got.nodes == want_nodes
+    np.testing.assert_array_equal(got.values, want_values)
+
+
+def test_measurements_match_the_node_loop(sweep_world):
+    _, cef = sweep_world
+    q = QueryMatrix(DESK_SCHEMA)
+    for seed in SWEEP_SEEDS:
+        _assert_same_measurements(cef, q, seed)
+
+
+def test_measurement_subsets_match_the_node_loop(sweep_world):
+    spine, cef = sweep_world
+    q = QueryMatrix(DESK_SCHEMA)
+    # "US" sorts after the states, so a level's nodes need not be adjacent
+    subsets = [
+        [spine.blocks[0]],
+        ["US", spine.blocks[-1], *spine.nodes_at(GeoLevel.STATE)],
+        list(spine.nodes_at(GeoLevel.OPT_BLOCKGROUP)[::3]) + list(spine.blocks[1::4]),
+    ]
+    for nodes in subsets:
+        _assert_same_measurements(cef, q, 5, nodes)
+
+
+def test_per_group_budgets_match_the_node_loop(sweep_world):
+    """Several noise groups per level, drawn one after another from each
+    node's stream, and an exact group that draws nothing."""
+    _, cef = sweep_world
+    table = {lv: {"detail": 9.0 + i, "total": 0.0, "marginal": 2.5}
+             for i, lv in enumerate(NMF_LEVEL_ORDER)}
+    table[GeoLevel.NATION]["marginal"] = 0.0
+    table[GeoLevel.STATE]["total"] = table[GeoLevel.STATE]["detail"]  # one group of both
+    q = QueryMatrix(DESK_SCHEMA, BudgetSchedule(table))
+    _assert_same_measurements(cef, q, 2)
+    q0 = QueryMatrix(DESK_SCHEMA, BudgetSchedule.constant(0.0))
+    _assert_same_measurements(cef, q0, 2)
+
+
+@pytest.mark.parametrize("schema", [
+    FULL_SCHEMA,
+    CellSchema((("voting_age", 2), ("language", 3), ("race", 6), ("housing", 2))),
+], ids=["full", "custom-axis"])
+def test_measurements_match_the_node_loop_on_other_schemas(schema):
+    spine = make_synthetic_spine(SpineSpec(), seed=3)
+    profile = GenerationProfile(zero_pop_prob=0.3)
+    cef = generate_synthetic_cef(spine, 3, profile, schema)
+    for groups in (("detail", "total", "marginal"), ("total", "marginal")):
+        _assert_same_measurements(cef, QueryMatrix(schema, groups=groups), 4)
+
+
+def test_short_first_rounds_continue_as_the_loop_does(monkeypatch):
+    """At variance 1.0 about 9% of 61-row streams keep fewer than 61
+    proposals in their first round and draw more rounds alone."""
+    spine = make_synthetic_spine(SpineSpec(counties_per_state=3, tracts_per_county=4), seed=2)
+    cef = generate_synthetic_cef(spine, 2)
+    q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.constant(1.0))
+    assert q.n_rows == 61
+    continued = []
+    fill = noise._dgauss_fill
+
+    def spy(out, filled, sigma2, rng):
+        continued.append(filled)
+        fill(out, filled, sigma2, rng)
+
+    monkeypatch.setattr(noise, "_dgauss_fill", spy)
+    got = make_noisy_measurements(cef, q, 6)
+    monkeypatch.undo()
+    n_nodes = len(got.nodes)
+    assert 0.03 * n_nodes < len(continued) < 0.2 * n_nodes
+    assert all(0 < filled < 61 for filled in continued)
+    _, want = measurements_loop(cef, q, 6)
+    np.testing.assert_array_equal(got.values, want)

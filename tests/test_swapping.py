@@ -9,6 +9,8 @@ from dasim import geo
 from dasim.errors import ParameterError
 from dasim.histograms import (
     DESK_SCHEMA,
+    FULL_SCHEMA,
+    CellSchema,
     GenerationProfile,
     HistogramDataset,
     default_statistics,
@@ -24,6 +26,7 @@ from dasim.swapping import (
 )
 from dasim.pipeline import swap_release
 
+from conftest import SWEEP_SEEDS
 from oracles import households_loop, swap_loop
 
 WORLD_SPEC = geo.SpineSpec(
@@ -261,6 +264,36 @@ def test_seed_provenance(world):
 
 # ----------------------------------------------------------------------
 # the loop form
+
+
+def test_households_match_the_loop_form_on_the_sweep_worlds(sweep_world):
+    _, cef = sweep_world
+    for seed in SWEEP_SEEDS:
+        want = households_loop(cef, seed, DEFAULT_SIZE_PMF)
+        assert _households(make_household_file(cef, seed)) == want
+
+
+@pytest.mark.parametrize("size_pmf", [
+    DEFAULT_SIZE_PMF,
+    (0.0, 0.5, 0.0, 0.5),
+    (0.5, 0.5, 0.0, 0.0),
+    (0.0, 0.0, 1.0),
+    (1.0,),
+], ids=["default", "zeros-between", "zeros-at-the-end", "one-size", "singles"])
+@pytest.mark.parametrize("schema", [
+    DESK_SCHEMA,
+    FULL_SCHEMA,
+    CellSchema((("language", 3), ("voting_age", 2), ("race", 6), ("housing", 3))),
+], ids=["desk", "full", "custom-axis"])
+def test_households_match_the_loop_form_on_other_pmfs_and_schemas(size_pmf, schema):
+    """Also on a world where most blocks are empty or hold one person."""
+    spine = geo.make_synthetic_spine(WORLD_SPEC, seed=3)
+    for profile in (GenerationProfile(), GenerationProfile(zero_pop_prob=0.6, median_block_pop=1.0)):
+        cef = generate_synthetic_cef(spine, 3, profile, schema)
+        for seed in (1, 2):
+            want = households_loop(cef, seed, size_pmf)
+            assert _households(make_household_file(cef, seed, size_pmf)) == want
+    assert (cef.counts.sum(axis=1) == 0).any()
 
 
 @pytest.mark.parametrize("policy", [SwapConfig(), AGGRESSIVE], ids=["default", "aggressive"])
