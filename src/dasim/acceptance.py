@@ -116,20 +116,6 @@ class _Checks:
 _PAIR_SCHEMA = CellSchema((("flavor", 2),))
 _PAIR_AGG = AggregationMatrix(("total",), np.ones((1, 2), dtype=np.int64))
 
-# twenty-four blocks with AI/AN splits, voting districts, and a place:
-# every geography type is present, still fast enough for hundreds of runs
-_MID_SPEC = geo.SpineSpec(
-    states=1,
-    counties_per_state=2,
-    tracts_per_county=2,
-    blockgroups_per_tract=2,
-    blocks_per_blockgroup=3,
-    obg_size=3,
-    aian_tract_prob=0.3,
-    vtds_per_county=2,
-    places_per_state=1,
-)
-
 # sixteen blocks over two states: two instances of the invariant level
 _TWO_STATE_SPEC = geo.SpineSpec(
     states=2,
@@ -424,7 +410,7 @@ def check_estimator_calibration() -> tuple[bool, str]:
     """
     checks = _Checks()
     start = time.perf_counter()
-    spine = geo.make_synthetic_spine(_MID_SPEC, seed=7)
+    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
     cef = generate_synthetic_cef(spine, seed=7)
     q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
     agg = default_statistics(DESK_SCHEMA)
@@ -505,7 +491,7 @@ def check_swap_variance_conservative() -> tuple[bool, str]:
     that observed variance.
     """
     checks = _Checks()
-    spine = geo.make_synthetic_spine(_MID_SPEC, seed=7)
+    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
     cef = generate_synthetic_cef(spine, seed=7)
     q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
     agg = default_statistics(DESK_SCHEMA)
@@ -577,7 +563,7 @@ def check_swap_invariants() -> tuple[bool, str]:
     households, so the invariance is not satisfied vacuously.
     """
     checks = _Checks()
-    spine = geo.make_synthetic_spine(_MID_SPEC, seed=7)
+    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
     cef = generate_synthetic_cef(spine, seed=7)
     va_mask = _axis_mask(DESK_SCHEMA, "voting_age", 1)
     gq_mask = ~_axis_mask(DESK_SCHEMA, "housing", 0)
@@ -823,7 +809,7 @@ def check_geocode_crosswalk() -> tuple[bool, str]:
         except InconsistentGeocode:
             pass
 
-    spine = geo.make_synthetic_spine(_MID_SPEC, seed=7)
+    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
     all_blocks = set(spine.blocks)
     partition_levels = (
         geo.GeoLevel.STATE,
@@ -911,7 +897,7 @@ def check_error_ordering() -> tuple[bool, str]:
     """
     checks = _Checks()
     start = time.perf_counter()
-    spine = geo.make_synthetic_spine(_MID_SPEC, seed=7)
+    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
     cef = generate_synthetic_cef(spine, seed=7)
     q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
     agg = default_statistics(DESK_SCHEMA)
@@ -1035,7 +1021,7 @@ def check_degenerate_inputs() -> tuple[bool, str]:
         "zero-budget pipeline did not reproduce the enumeration",
     )
 
-    spine2 = geo.make_synthetic_spine(_MID_SPEC, seed=7)
+    spine2 = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
     cef2 = generate_synthetic_cef(spine2, seed=7)
     _, stats, sw = swap_release(cef2, SwapConfig(base_rate=0.0), seed=13)
     checks.expect(

@@ -52,17 +52,21 @@ def write_geocodes_csv(spine: geo.Spine, path: PathLike) -> None:
             w.writerow([raw, member.get("vtd", ""), member.get("place", "")])
 
 
+def read_text(path: PathLike) -> str:
+    """A file's text; bytes that do not decode are a SchemaError naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not a text file ({exc})") from None
+
+
 def read_geocodes_csv(path: PathLike) -> geo.Spine:
-    records = []
-    with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        if r.fieldnames is None or "geocode" not in r.fieldnames:
-            raise SchemaError(f"{path}: expected a geocode column")
-        for row in r:
-            records.append(
-                (row["geocode"], row.get("vtd") or None, row.get("place") or None)
-            )
-    return geo.Spine(records)
+    r = csv.DictReader(read_text(path).splitlines())
+    if r.fieldnames is None or "geocode" not in r.fieldnames:
+        raise SchemaError(f"{path}: expected a geocode column")
+    return geo.Spine(
+        (row["geocode"], row.get("vtd") or None, row.get("place") or None) for row in r
+    )
 
 
 # ----------------------------------------------------------------------
@@ -341,10 +345,10 @@ def write_schema_json(schema: CellSchema, path: PathLike) -> None:
 
 
 def read_schema_json(path: PathLike) -> CellSchema:
-    text = Path(path).read_text()
+    text = read_text(path)
     try:
         return CellSchema(tuple((str(n), int(c)) for n, c in json.loads(text)["axes"]))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise SchemaError(f"{path}: not a cell schema ({exc!r})") from None
 
 
@@ -361,7 +365,7 @@ def write_manifest(out_dir: PathLike, config_hash: str, file_names: Sequence[str
 def read_manifest(out_dir: PathLike) -> dict:
     try:
         manifest = json.loads((Path(out_dir) / "manifest.json").read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{out_dir}: manifest.json is not JSON ({exc})") from None
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):

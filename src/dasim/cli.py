@@ -25,6 +25,7 @@ from .artifacts import (
     read_histogram_csv,
     read_nmf_csv,
     read_schema_json,
+    read_text,
     verify_manifest,
     write_crosswalk_csv,
     write_error_report_csv,
@@ -57,8 +58,7 @@ def _crosswalk_row(raw: str, vtd: str = "", place: str = "") -> dict[str, str]:
 
 def _read_geocode_input(path: Path) -> list[tuple[int, str, str, str]]:
     """(line number, geocode, vtd, place) tuples from CSV or bare lines."""
-    text = path.read_text()
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         return []
     if "geocode" in lines[0]:
@@ -195,8 +195,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.level:
         levels = tuple(geo.GeoLevel.from_name(n) for n in args.level)
     else:
-        levels = cfg.report_levels
-    statistics = tuple(args.statistic) if args.statistic else cfg.report_statistics
+        levels = cfg.report.levels
+    statistics = tuple(args.statistic) if args.statistic else cfg.report.statistics
     for s in statistics:
         if s not in agg.labels:
             raise ParameterError(

@@ -4,6 +4,15 @@ Unknown keys are errors, not warnings.  A silently ignored typo in a
 budget or invariant key would change simulation results without any
 visible failure, which is the worst possible behavior for a tool whose
 whole point is measuring error.
+
+The JSON mirrors the dataclasses: one reader and one writer walk them by
+their field types, so a key is declared once, as a field.  A ``bool``
+is a JSON bool, an ``int`` a JSON integer that is not a bool, a
+``float`` any finite JSON number (stored as a float), a ``GeoLevel`` a
+level name, a ``tuple`` an array read element by element, and a nested
+dataclass an object whose keys must all be its fields.  Each dataclass
+checks its own values.  Only the budget has a shape of its own: per
+level, one variance or a mapping of query group to variance.
 """
 
 from __future__ import annotations
@@ -11,12 +20,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Any, Callable, Collection, Mapping, Optional, Union
 
 from . import geo
-from .errors import ConfigError
+from .errors import ConfigError, DasimError
 from .histograms import GenerationProfile
 from .noise import DEFAULT_BUDGET, QUERY_GROUPS, BudgetSchedule
 from .swapping import SwapConfig
@@ -24,40 +35,13 @@ from .topdown import PostProcessConfig
 
 CONFIG_VERSION = 1
 
-_TOP_KEYS = {
-    "config_version",
-    "seed",
-    "replicates",
-    "spine",
-    "population",
-    "budget",
-    "query_groups",
-    "postprocess",
-    "swap",
-    "report",
-}
 
+@dataclass(frozen=True)
+class ReportSpec:
+    """What ``dasim report`` estimates when no flag says otherwise."""
 
-def _check_keys(section: Mapping, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _dataclass_section(cls, section: Mapping, where: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(section, fields, where)
-    try:
-        return cls(**section)
-    except Exception as exc:
-        raise ConfigError(f"bad {where} section: {exc}") from exc
-
-
-def _level(name: str, where: str) -> geo.GeoLevel:
-    try:
-        return geo.GeoLevel.from_name(name)
-    except Exception as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    levels: tuple[geo.GeoLevel, ...] = (geo.GeoLevel.COUNTY, geo.GeoLevel.TRACT)
+    statistics: tuple[str, ...] = ("total", "voting_age", "hispanic")
 
 
 @dataclass(frozen=True)
@@ -68,162 +52,44 @@ class RunConfig:
     replicates: int = 1
     spine: geo.SpineSpec = geo.SpineSpec()
     population: GenerationProfile = GenerationProfile()
-    budget: BudgetSchedule = None  # type: ignore[assignment]
+    budget: BudgetSchedule = field(default_factory=BudgetSchedule.default)
     query_groups: tuple[str, ...] = QUERY_GROUPS
     postprocess: PostProcessConfig = PostProcessConfig()
     swap: SwapConfig = SwapConfig()
-    report_levels: tuple[geo.GeoLevel, ...] = (
-        geo.GeoLevel.COUNTY,
-        geo.GeoLevel.TRACT,
-    )
-    report_statistics: tuple[str, ...] = ("total", "voting_age", "hispanic")
+    report: ReportSpec = ReportSpec()
 
     def __post_init__(self) -> None:
-        if self.budget is None:
-            object.__setattr__(self, "budget", BudgetSchedule.default())
+        # replicate r draws seeds seed + 2r and seed + 2r + 1, and node_seed
+        # keeps 64 bits of a seed: below 2**63 no replicate's seed wraps
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         for g in self.query_groups:
             if g not in QUERY_GROUPS:
                 raise ConfigError(f"unknown query group {g!r}")
 
-    # ------------------------------------------------------------------
-    # JSON in
-
     @classmethod
-    def from_dict(cls, data: Mapping) -> "RunConfig":
+    def from_dict(cls, data: Any) -> "RunConfig":
         """Parse a config object.  Every malformed value, a wrong JSON
-        type included, raises ConfigError or another DasimError."""
-        try:
-            return cls._parse(data)
-        except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
-
-    @classmethod
-    def _parse(cls, data: Mapping) -> "RunConfig":
+        type included, raises ConfigError naming its key path."""
         if not isinstance(data, Mapping):
-            raise ConfigError("config must be a JSON object")
-        _check_keys(data, _TOP_KEYS, "config")
-        if data.get("config_version") != CONFIG_VERSION:
-            raise ConfigError(
-                f"config_version must be {CONFIG_VERSION}, "
-                f"got {data.get('config_version')!r}"
-            )
-        kwargs: dict = {}
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        if "replicates" in data:
-            kwargs["replicates"] = int(data["replicates"])
-        if "spine" in data:
-            kwargs["spine"] = _dataclass_section(geo.SpineSpec, data["spine"], "spine")
-        if "population" in data:
-            kwargs["population"] = _dataclass_section(
-                GenerationProfile, data["population"], "population"
-            )
-        if "budget" in data:
-            budget = data["budget"]
-            _check_keys(budget, {lv.value for lv in geo.NMF_LEVEL_ORDER}, "budget")
-            table = {
-                lv: {g: float(v) for g in QUERY_GROUPS}
-                for lv, v in DEFAULT_BUDGET.items()
-            }
-            for name, entry in budget.items():
-                lv = _level(name, "budget level")
-                if isinstance(entry, Mapping):
-                    _check_keys(entry, set(QUERY_GROUPS), f"budget[{name}]")
-                    table[lv] = {**table[lv], **{g: float(v) for g, v in entry.items()}}
-                else:
-                    table[lv] = {g: float(entry) for g in QUERY_GROUPS}
-            try:
-                kwargs["budget"] = BudgetSchedule(table)
-            except Exception as exc:
-                raise ConfigError(f"bad budget section: {exc}") from exc
-        if "query_groups" in data:
-            kwargs["query_groups"] = tuple(data["query_groups"])
-        if "postprocess" in data:
-            pp = data["postprocess"]
-            _check_keys(pp, {"invariants", "nonneg", "integerize"}, "postprocess")
-            pp_kwargs: dict = {}
-            if "invariants" in pp:
-                pp_kwargs["invariants"] = tuple(
-                    (_level(lv, "invariant level"), str(stat))
-                    for lv, stat in pp["invariants"]
-                )
-            if "nonneg" in pp:
-                pp_kwargs["nonneg"] = bool(pp["nonneg"])
-            if "integerize" in pp:
-                pp_kwargs["integerize"] = bool(pp["integerize"])
-            kwargs["postprocess"] = PostProcessConfig(**pp_kwargs)
-        if "swap" in data:
-            sw = dict(data["swap"])
-            _check_keys(
-                sw,
-                {"base_rate", "risk_multiplier", "pairing_scope", "prefer_local"},
-                "swap",
-            )
-            if "pairing_scope" in sw:
-                sw["pairing_scope"] = _level(sw["pairing_scope"], "pairing scope")
-            try:
-                kwargs["swap"] = SwapConfig(**sw)
-            except Exception as exc:
-                raise ConfigError(f"bad swap section: {exc}") from exc
-        if "report" in data:
-            rep = data["report"]
-            _check_keys(rep, {"levels", "statistics"}, "report")
-            if "levels" in rep:
-                kwargs["report_levels"] = tuple(
-                    _level(n, "report level") for n in rep["levels"]
-                )
-            if "statistics" in rep:
-                kwargs["report_statistics"] = tuple(str(s) for s in rep["statistics"])
-        return cls(**kwargs)
+            raise _wrong("config", "an object", data)
+        version = data.get("config_version")
+        if type(version) is not int or version != CONFIG_VERSION:
+            raise _wrong("config.config_version", str(CONFIG_VERSION), version)
+        return _read(cls, {k: v for k, v in data.items() if k != "config_version"}, "config")
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "RunConfig":
-        text = Path(path).read_text()
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            data = json.loads(Path(path).read_text())
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise ConfigError(f"config {path} is not a JSON file: {exc}") from exc
         return cls.from_dict(data)
 
-    # ------------------------------------------------------------------
-    # JSON out
-
     def to_dict(self) -> dict:
-        budget_out: dict = {}
-        for lv in geo.NMF_LEVEL_ORDER:
-            per_group = {g: self.budget.variance(lv, g) for g in QUERY_GROUPS}
-            if len(set(per_group.values())) == 1:
-                budget_out[lv.value] = per_group["detail"]
-            else:
-                budget_out[lv.value] = per_group
-        return {
-            "config_version": CONFIG_VERSION,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "spine": dataclasses.asdict(self.spine),
-            "population": dataclasses.asdict(self.population),
-            "budget": budget_out,
-            "query_groups": list(self.query_groups),
-            "postprocess": {
-                "invariants": [
-                    [lv.value, stat] for lv, stat in self.postprocess.invariants
-                ],
-                "nonneg": self.postprocess.nonneg,
-                "integerize": self.postprocess.integerize,
-            },
-            "swap": {
-                "base_rate": self.swap.base_rate,
-                "risk_multiplier": self.swap.risk_multiplier,
-                "pairing_scope": self.swap.pairing_scope.value,
-                "prefer_local": self.swap.prefer_local,
-            },
-            "report": {
-                "levels": [lv.value for lv in self.report_levels],
-                "statistics": list(self.report_statistics),
-            },
-        }
+        return {"config_version": CONFIG_VERSION, **_write(self)}
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -240,3 +106,97 @@ class RunConfig:
         if replicates is not None:
             out = dataclasses.replace(out, replicates=int(replicates))
         return out
+
+
+# ----------------------------------------------------------------------
+# JSON in
+
+
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _wrong(path: str, expected: str, value: Any) -> ConfigError:
+    return ConfigError(f"{path}: expected {expected}, got {json.dumps(value, default=repr)}")
+
+
+def _object(value: Any, keys: Collection[str], path: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise _wrong(path, "an object", value)
+    unknown = [k for k in value if k not in keys]
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}")
+    return value
+
+
+def _build(path: str, make: Callable, *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, its value checks failing as a ConfigError at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except DasimError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read(tp: Any, value: Any, path: str) -> Any:
+    """A parsed JSON value as an instance of the field type ``tp``."""
+    if tp is BudgetSchedule:
+        return _read_budget(value, path)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return _build(path, tp, **{k: _read(hints[k], v, f"{path}.{k}")
+                                   for k, v in _object(value, hints, path).items()})
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise _wrong(path, "an array", value)
+        types = typing.get_args(tp)
+        if types[-1] is Ellipsis:
+            types = types[:1] * len(value)
+        elif len(types) != len(value):
+            raise _wrong(path, f"an array of {len(types)}", value)
+        return tuple(_read(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+    if tp is geo.GeoLevel:
+        return _build(path, geo.GeoLevel.from_name, _read(str, value, path))
+    if tp is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            pass  # still an int, so rejected below
+    if type(value) is not tp or (tp is float and not math.isfinite(value)):
+        raise _wrong(path, _EXPECTED[tp], value)
+    return value
+
+
+def _read_budget(value: Any, path: str) -> BudgetSchedule:
+    """Per level one variance for every query group, or a mapping of some
+    groups to variances; every level and group left out keeps its default."""
+    levels = {lv.value: lv for lv in geo.NMF_LEVEL_ORDER}
+    table = {lv: dict.fromkeys(QUERY_GROUPS, float(v)) for lv, v in DEFAULT_BUDGET.items()}
+    for name, entry in _object(value, levels, path).items():
+        where = f"{path}.{name}"
+        if isinstance(entry, Mapping):
+            for g, v in _object(entry, QUERY_GROUPS, where).items():
+                table[levels[name]][g] = _read(float, v, f"{where}.{g}")
+        else:
+            table[levels[name]] = dict.fromkeys(QUERY_GROUPS, _read(float, entry, where))
+    return _build(path, BudgetSchedule, table)
+
+
+# ----------------------------------------------------------------------
+# JSON out
+
+
+def _write(value: Any) -> Any:
+    """The JSON form of a field value; a budget level whose groups share
+    one variance collapses to that number."""
+    if isinstance(value, BudgetSchedule):
+        out = {}
+        for lv in geo.NMF_LEVEL_ORDER:
+            per_group = {g: value.variance(lv, g) for g in QUERY_GROUPS}
+            out[lv.value] = per_group["detail"] if len(set(per_group.values())) == 1 else per_group
+        return out
+    if dataclasses.is_dataclass(value):
+        return {f.name: _write(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_write(v) for v in value]
+    if isinstance(value, geo.GeoLevel):
+        return value.value
+    return value

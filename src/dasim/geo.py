@@ -182,12 +182,6 @@ def parse_geocode(raw: str) -> GeoCode:
     return code
 
 
-def to_geoid(raw_or_code) -> GeoId:
-    """Standard 15-digit block GEOID for a geocode (string or parsed)."""
-    code = raw_or_code if isinstance(raw_or_code, GeoCode) else parse_geocode(raw_or_code)
-    return GeoId(GeoLevel.BLOCK, code.geoid)
-
-
 def node_level(node_id: str) -> GeoLevel:
     """Level of an optimized-spine node id (geocode prefix scheme)."""
     if node_id == NATION_ID:
@@ -351,6 +345,7 @@ class Spine:
             ids, node_of[lv], rows = _group_rows(_byte_keys(digits, cols))
             self._nodes_by_level[lv] = ids
             self._rows.update(zip(ids, rows))
+        self._node_of = node_of
         self._children: dict[str, tuple[str, ...]] = {}
         for parent_lv, child_lv in zip(NMF_LEVEL_ORDER, NMF_LEVEL_ORDER[1:]):
             kids = self._nodes_by_level[child_lv]
@@ -404,6 +399,10 @@ class Spine:
         if level not in self._nodes_by_level:
             raise ParameterError(f"{level.value} is not an optimized-spine level")
         return self._nodes_by_level[level]
+
+    def node_index(self, level: GeoLevel) -> np.ndarray:
+        """Per block row, the index of its node in ``nodes_at(level)``."""
+        return self._node_of[level]
 
     def children(self, node_id: str) -> tuple[str, ...]:
         return self._children[node_id]

@@ -55,12 +55,6 @@ class CellSchema:
                 return i
         raise SchemaError(f"no axis named {name!r}")
 
-    def cell_index(self, values: Sequence[int]) -> int:
-        """Flat index of one category combination."""
-        if len(values) != len(self.axes):
-            raise SchemaError("one category value per axis required")
-        return int(np.ravel_multi_index(tuple(values), self.shape))
-
 
 DESK_SCHEMA = CellSchema(
     (("voting_age", 2), ("hispanic", 2), ("race", 6), ("housing", 2))
@@ -209,9 +203,6 @@ class HistogramDataset:
     def target_histogram(self, target: geo.GeoId) -> np.ndarray:
         """Histogram of any standard-census target (sum of whole blocks)."""
         return self.counts[self.spine.target_rows(target)].sum(axis=0)
-
-    def statistics(self, target: geo.GeoId, agg: AggregationMatrix) -> np.ndarray:
-        return aggregate(self.target_histogram(target), agg)
 
     @property
     def total_population(self) -> int:

@@ -114,14 +114,6 @@ def _check_variance(variance: float) -> None:
         raise ParameterError(f"variance must be in [0, {MAX_VARIANCE:g}], got {variance}")
 
 
-def sample_discrete_gaussian(variance: float, rng: np.random.Generator) -> int:
-    """One exact draw from the integer-valued centered discrete Gaussian."""
-    _check_variance(variance)
-    if variance == 0:
-        return 0
-    return int(_dgauss_streams(float(variance), 1, [rng])[0, 0])
-
-
 def sample_discrete_gaussian_array(
     variance: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:

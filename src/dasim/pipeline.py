@@ -58,7 +58,7 @@ def build_world(cfg: RunConfig) -> World:
     groups can measure every report statistic."""
     q = QueryMatrix(DESK_SCHEMA, cfg.budget, cfg.query_groups)
     agg = default_statistics(DESK_SCHEMA)
-    q.check_coverage(agg, cfg.report_statistics)
+    q.check_coverage(agg, cfg.report.statistics)
     spine = geo.make_synthetic_spine(cfg.spine, cfg.seed)
     cef = generate_synthetic_cef(spine, cfg.seed, cfg.population)
     return World(cfg, spine, cef, q, agg)

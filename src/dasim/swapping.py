@@ -37,16 +37,6 @@ class SwapStats:
     n_unpaired: int
     pairs_in_tract: int
 
-    @property
-    def n_pairs(self) -> int:
-        return self.n_swapped // 2
-
-    @property
-    def achieved_rate(self) -> float:
-        if self.n_households == 0:
-            return 0.0
-        return self.n_swapped / self.n_households
-
 
 class HouseholdFile:
     """Household decomposition of a dataset, plus unswappable persons.
@@ -201,21 +191,6 @@ class SwapConfig:
         return np.minimum(1.0, self.base_rate * (1.0 + self.risk_multiplier * score))
 
 
-# the geocode digits that name a pairing unit
-_SCOPE_PREFIX = {
-    geo.GeoLevel.STATE: slice(1, 3),
-    geo.GeoLevel.COUNTY: slice(0, 8),
-    geo.GeoLevel.TRACT: slice(0, 12),
-}
-
-
-def _unit_ranks(blocks: Sequence[str], level: geo.GeoLevel) -> np.ndarray:
-    """Per block, the rank of its pairing unit among the units' geocode
-    prefixes in sorted order."""
-    part = _SCOPE_PREFIX[level]
-    return np.unique([raw[part] for raw in blocks], return_inverse=True)[1]
-
-
 def _pools(members: np.ndarray, keys: np.ndarray) -> list[list[int]]:
     """Group ``members`` by ``keys[member]``: pools in ascending key
     order, each keeping its members' order."""
@@ -275,7 +250,7 @@ def swap_households(
     score = risk_score(block_pop[rows], n_same[same], n_in_block[rows])
     flagged = np.flatnonzero(rng.random(len(rows)) < cfg.flag_probability(score))
 
-    tract = _unit_ranks(blocks, geo.GeoLevel.TRACT)[rows]
+    tract = hhfile.spine.node_index(geo.GeoLevel.TRACT)[rows]
     row_list = rows.tolist()
     pairs: list[tuple[int, int]] = []
     unpaired: list[int] = []
@@ -287,7 +262,7 @@ def swap_households(
             pairs.extend(got)
             widened.extend(rest)
         candidates = np.array(widened, dtype=np.int64)
-    unit = _unit_ranks(blocks, cfg.pairing_scope)[rows]
+    unit = hhfile.spine.node_index(cfg.pairing_scope)[rows]
     for pool in _pools(candidates, unit * n_comp + comp):
         got, rest = _pair_pool(pool, row_list, rng)
         pairs.extend(got)

@@ -118,6 +118,55 @@ def test_overrides_replace_only_what_they_say():
     assert cfg.with_overrides() == cfg
 
 
+def test_config_reads_an_integer_for_a_float_field_as_a_float():
+    cfg = RunConfig.from_dict({"config_version": 1, "population": {"median_block_pop": 23}})
+    assert type(cfg.population.median_block_pop) is float
+    assert cfg == RunConfig()
+    assert '"median_block_pop": 23.0' in cfg.canonical_json()
+
+
+def _config(**entries) -> bytes:
+    return json.dumps({"config_version": 1, **entries}).encode()
+
+
+# each of these was once read as another value or ended in a traceback:
+# (config file bytes, extra flags, what the one error line must name)
+_MISREAD = {
+    "float states": (_config(spine={"states": 1.5}), [], "config.spine.states"),
+    "float blocks": (_config(spine={"blocks_per_blockgroup": 2.0}), [],
+                     "config.spine.blocks_per_blockgroup"),
+    "float obg_size": (_config(spine={"obg_size": 2.5}), [], "config.spine.obg_size"),
+    "string nonneg": (_config(postprocess={"nonneg": "false"}), [], "config.postprocess.nonneg"),
+    "string integerize": (_config(postprocess={"integerize": "no"}), [],
+                          "config.postprocess.integerize"),
+    "string prefer_local": (_config(swap={"prefer_local": "no"}), [], "config.swap.prefer_local"),
+    "float seed": (_config(seed=7.9), [], "config.seed"),
+    "string seed": (_config(seed="7"), [], "config.seed"),
+    "bool seed": (_config(seed=True), [], "config.seed"),
+    "float replicates": (_config(replicates=1.5), [], "config.replicates"),
+    "bool budget": (_config(budget={"block": True}), [], "config.budget.block"),
+    "NaN median": (_config(population={"median_block_pop": float("nan")}), [],
+                   "config.population.median_block_pop"),
+    "negative seed": (_config(seed=-1), [], "seed must be in [0, 2**63)"),
+    "seed past 2**63": (_config(seed=2**63), [], "seed must be in [0, 2**63)"),
+    "negative --seed": (_config(), ["--seed", "-1"], "seed must be in [0, 2**63)"),
+    "not UTF-8": (b'{"config_version": 1, "seed": "\xff"}', [], "cfg.json"),
+    "nested too deep": (b"[" * 100_000 + b"]" * 100_000, [], "cfg.json"),
+}
+
+
+@pytest.mark.parametrize("body,flags,names", _MISREAD.values(), ids=list(_MISREAD))
+def test_simulate_rejects_misread_config_values(tmp_path, capsys, body, flags, names):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(body)
+    argv = ["simulate", "--config", str(p), "--out", str(tmp_path / "o"), *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and names in line
+
+
 # ----------------------------------------------------------------------
 # artifacts
 
@@ -195,6 +244,13 @@ def test_crosswalk_missing_input_is_an_io_error(tmp_path):
     assert main(["crosswalk", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 2
 
 
+def test_crosswalk_rejects_an_input_that_is_not_text(tmp_path, capsys):
+    src = tmp_path / "codes.csv"
+    src.write_bytes(f"geocode\n{EXAMPLE_RAW}\n".encode() + b"\xff\n")
+    assert main(["crosswalk", str(src), "--out", str(tmp_path)]) == 1
+    assert "codes.csv" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # simulate and report verbs
 
@@ -251,7 +307,7 @@ def test_report_recomputes_identically_from_artifacts(run_dir):
     reps = [run_replicate(world, r) for r in range(cfg.replicates)]
     fresh, _ = error_report(
         world.spine, world.query, world.agg, reps,
-        cfg.report_levels, cfg.report_statistics,
+        cfg.report.levels, cfg.report.statistics,
     )
     assert len(fresh) == len(rows)
     for got, want in zip(rows, fresh):
@@ -309,6 +365,37 @@ def test_quartiles_table_shape(run_dir):
     assert len(rows) == 6  # 1 level x 2 statistics x 3 methods
     for row in rows:
         assert float(row["q25"]) <= float(row["q50"]) <= float(row["q75"])
+
+
+@pytest.mark.parametrize("mode", ["nonneg", "integerize"])
+def test_simulate_and_report_with_a_postprocess_mode_off(tmp_path, mode):
+    invariants = [["state", "total"], ["tract", "voting_age"], ["optimized_blockgroup", "total"]]
+    config = {**TINY_CONFIG, "postprocess": {"invariants": invariants, mode: False}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    with open(out / "error_report.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 6
+
+    cfg = RunConfig.from_dict(config)
+    world = build_world(cfg)
+    spine, schema = world.spine, world.cef.schema
+    dtype = np.int64 if cfg.postprocess.integerize else float
+    for r in range(cfg.replicates):
+        for side in "ab":
+            post = read_histogram_csv(out / f"topdown_r{r:03d}_{side}.csv", spine, schema, dtype)
+            if dtype is float:
+                assert (post.counts % 1 != 0).any()  # the release really is continuous
+            for parent_lv, child_lv in zip(geo.NMF_LEVEL_ORDER, geo.NMF_LEVEL_ORDER[1:]):
+                for node, h in zip(spine.nodes_at(parent_lv), post.level_histograms(parent_lv)):
+                    kids = post.node_histograms(spine.children(node))
+                    np.testing.assert_allclose(kids.sum(axis=0), h, rtol=0, atol=1e-6)
+            for level, label in cfg.postprocess.invariants:
+                row = world.agg.row(label)
+                np.testing.assert_allclose(post.level_histograms(level) @ row,
+                                           world.cef.level_histograms(level) @ row,
+                                           rtol=0, atol=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -379,6 +466,18 @@ def test_nmf_reader_checks_rows_against_the_query(small_world, tmp_path, column,
         read_nmf_csv(tmp_path / "n.csv", small_world.query, seed=3)
 
 
+def test_json_readers_reject_deep_nesting(run_dir, tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "s.json").write_text(deep)
+    with pytest.raises(SchemaError):
+        read_schema_json(tmp_path / "s.json")
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    (copy / "manifest.json").write_text(deep)
+    assert main(["report", "--out", str(copy)]) == 1
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_verify_rejects_malformed_criteria(capsys):
     assert main(["verify", "--criteria", "x"]) == 1
     assert "--criteria" in capsys.readouterr().err
@@ -405,10 +504,21 @@ def test_artifact_readers_fail_loud(small_world, tmp_path, edits, at, junk):
     nms = make_noisy_measurements(small_world.cef, small_world.query, seed=1)
     write_histogram_csv(small_world.cef, tmp_path / "h.csv")
     write_nmf_csv(nms, tmp_path / "n.csv")
-    for name, read in (
-        ("h.csv", lambda f: read_histogram_csv(f, small_world.spine, DESK_SCHEMA)),
-        ("n.csv", lambda f: read_nmf_csv(f, small_world.query, seed=1)),
-    ):
+    write_geocodes_csv(small_world.spine, tmp_path / "g.csv")
+    write_schema_json(DESK_SCHEMA, tmp_path / "s.json")
+    csv_readers = {
+        "h.csv": lambda f: read_histogram_csv(f, small_world.spine, DESK_SCHEMA),
+        "n.csv": lambda f: read_nmf_csv(f, small_world.query, seed=1),
+        "g.csv": read_geocodes_csv,
+    }
+    # a byte that is not UTF-8 anywhere in a good file
+    for name, read in {**csv_readers, "s.json": read_schema_json}.items():
+        data = (tmp_path / name).read_bytes()
+        cut = at * len(data) // 100
+        (tmp_path / "fuzz").write_bytes(data[:cut] + b"\xff" + data[cut:])
+        with pytest.raises(SchemaError):
+            read(tmp_path / "fuzz")
+    for name, read in csv_readers.items():
         lines = _lines(tmp_path / name)
         for i, j, token in edits:
             fields = lines[i % len(lines)].split(",")

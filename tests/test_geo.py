@@ -14,7 +14,6 @@ from dasim.geo import (
     make_synthetic_spine,
     node_level,
     parse_geocode,
-    to_geoid,
 )
 
 from oracles import SpineLoop
@@ -40,10 +39,11 @@ def test_parse_worked_example():
     assert c.raw == EXAMPLE_RAW
 
 
-def test_to_geoid_worked_example():
-    gid = to_geoid(EXAMPLE_RAW)
-    assert gid.level is GeoLevel.BLOCK
-    assert gid.code == EXAMPLE_GEOID
+def test_block_geoid_worked_example():
+    assert parse_geocode(EXAMPLE_RAW).geoid == EXAMPLE_GEOID
+    spine = Spine([(EXAMPLE_RAW, None, None)])
+    assert spine.block_geoid(EXAMPLE_RAW) == EXAMPLE_GEOID
+    assert set(spine.units_at(GeoLevel.BLOCK)) == {EXAMPLE_GEOID}
 
 
 @pytest.mark.parametrize(

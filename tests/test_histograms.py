@@ -36,11 +36,6 @@ def test_schema_validation():
         CellSchema(())
 
 
-def test_cell_index_round_trip():
-    idx = DESK_SCHEMA.cell_index((1, 0, 3, 1))
-    assert np.unravel_index(idx, DESK_SCHEMA.shape) == (1, 0, 3, 1)
-
-
 def test_histogram_validation():
     spine = make_synthetic_spine(SpineSpec(), seed=5)
     schema = CellSchema((("a", 2), ("b", 2)))

@@ -12,6 +12,7 @@ from dasim.histograms import (
     AggregationMatrix,
     CellSchema,
     GenerationProfile,
+    aggregate,
     default_statistics,
     generate_synthetic_cef,
 )
@@ -23,7 +24,6 @@ from dasim.noise import (
     make_noisy_measurements,
     nm_statistics,
     node_seed,
-    sample_discrete_gaussian,
     sample_discrete_gaussian_array,
 )
 
@@ -43,13 +43,13 @@ from oracles import (
 
 def test_sampler_zero_variance_is_exact_zero():
     rng = np.random.default_rng(0)
-    assert sample_discrete_gaussian(0.0, rng) == 0
-    assert (sample_discrete_gaussian_array(0.0, 100, rng) == 0).all()
+    zeros = sample_discrete_gaussian_array(0.0, 100, rng)
+    assert zeros.dtype == np.int64 and (zeros == 0).all()
 
 
 def test_sampler_rejects_negative_variance():
     with pytest.raises(ParameterError):
-        sample_discrete_gaussian(-1.0, np.random.default_rng(0))
+        sample_discrete_gaussian_array(-1.0, 1, np.random.default_rng(0))
 
 
 def test_sampler_delivers_up_to_its_bound():
@@ -61,8 +61,6 @@ def test_sampler_delivers_up_to_its_bound():
     assert abs((xs % 2).mean() - 0.5) < 0.05
     above = float(np.nextafter(MAX_VARIANCE, np.inf))
     with pytest.raises(ParameterError):
-        sample_discrete_gaussian(above, rng)
-    with pytest.raises(ParameterError):
         sample_discrete_gaussian_array(above, 3, rng)
     with pytest.raises(ParameterError):
         BudgetSchedule.constant(above)
@@ -73,7 +71,6 @@ def test_sampler_returns_integers():
     rng = np.random.default_rng(1)
     xs = sample_discrete_gaussian_array(2.5, 1000, rng)
     assert xs.dtype == np.int64
-    assert isinstance(sample_discrete_gaussian(2.5, rng), int)
 
 
 @pytest.mark.parametrize("sigma2", [0.3, 1.0, 4.0, 12.25])
@@ -247,7 +244,7 @@ def test_nm_statistics_exact_when_noiseless(tiny_world):
     vtd = sorted(spine.units_at(GeoLevel.VTD))[0]
     target = GeoId(GeoLevel.VTD, vtd)
     values, variances = nm_statistics(nms, q0, agg, spine, target)
-    np.testing.assert_allclose(values, cef.statistics(target, agg))
+    np.testing.assert_allclose(values, aggregate(cef.target_histogram(target), agg))
     assert (variances == 0.0).all()
 
 
@@ -275,7 +272,7 @@ def test_nm_statistics_unbiased_and_calibrated(tiny_world):
     agg = default_statistics(DESK_SCHEMA)
     block = spine.blocks[0]
     target = GeoId(GeoLevel.BLOCK, spine.block_geoid(block))
-    truth = float(cef.statistics(target, agg)[0])
+    truth = float(aggregate(cef.target_histogram(target), agg)[0])
     reps = 400
     vals = np.empty(reps)
     reported = None

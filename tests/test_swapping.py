@@ -221,9 +221,9 @@ def test_flag_accounting_balances(world):
     hhfile = make_household_file(cef, seed=3)
     _, stats = swap_households(hhfile, AGGRESSIVE, seed=3)
     assert stats.n_flagged == stats.n_swapped + stats.n_unpaired
-    assert stats.n_pairs * 2 == stats.n_swapped
-    assert 0.0 < stats.achieved_rate <= 1.0
-    assert 0 <= stats.pairs_in_tract <= stats.n_pairs
+    assert stats.n_swapped % 2 == 0
+    assert 0 < stats.n_swapped <= stats.n_households
+    assert 0 <= stats.pairs_in_tract <= stats.n_swapped // 2
 
 
 def test_local_pairing_is_preferred(world):

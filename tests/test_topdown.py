@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dasim import geo, topdown
-from dasim.acceptance import _MID_SPEC
 from dasim.config import RunConfig
 from dasim.errors import InfeasibleConstraints
 from dasim.histograms import (
@@ -484,7 +483,7 @@ def test_the_dual_safeguard_stays_idle_on_the_default_and_check_3_worlds(dual_ca
         nms = make_noisy_measurements(world.cef, world.query, seed=seed)
         topdown_postprocess(nms, world.cef, cfg.postprocess, agg=world.agg)
     # check 3's world and the measurements of its first hundred pairs
-    spine = geo.make_synthetic_spine(_MID_SPEC, seed=7)
+    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
     cef = generate_synthetic_cef(spine, seed=7)
     q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
     for seed in range(200):
@@ -505,7 +504,7 @@ def test_infeasible_group_is_reported():
 def test_block_level_invariants_solve(label):
     # every one of these runs once ended in InfeasibleConstraints: the
     # active set cycled until its cap on a feasible group
-    spine = geo.make_synthetic_spine(_MID_SPEC, seed=7)  # check 3's world
+    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)  # check 3's world
     cef = generate_synthetic_cef(spine, seed=7)
     q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
     cfg = PostProcessConfig(invariants=((geo.GeoLevel.BLOCK, label),))
