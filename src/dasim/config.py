@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Callable, Collection, Mapping, Optional, Union
 
 from . import geo
-from .errors import ConfigError, DasimError
+from .errors import ConfigError, DasimError, ParameterError
 from .histograms import GenerationProfile
 from .noise import DEFAULT_BUDGET, QUERY_GROUPS, BudgetSchedule
 from .swapping import SwapConfig
@@ -42,6 +42,12 @@ class ReportSpec:
 
     levels: tuple[geo.GeoLevel, ...] = (geo.GeoLevel.COUNTY, geo.GeoLevel.TRACT)
     statistics: tuple[str, ...] = ("total", "voting_age", "hispanic")
+
+    def __post_init__(self) -> None:
+        for level in self.levels:
+            if level not in geo.GEOID_WIDTH:  # the levels Spine.units_at serves
+                raise ParameterError(f"levels: {level.value} has no GEOID units "
+                                     "(optimized block groups are spine nodes)")
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,8 @@ class RunConfig:
     report: ReportSpec = ReportSpec()
 
     def __post_init__(self) -> None:
-        # replicate r draws seeds seed + 2r and seed + 2r + 1, and node_seed
-        # keeps 64 bits of a seed: below 2**63 no replicate's seed wraps
+        # replicate r draws seeds seed + 2r and seed + 2r + 1, and noise
+        # streams key on a seed's low 64 bits: below 2**63 none wraps
         if not 0 <= self.seed < 2**63:
             raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.replicates < 1:

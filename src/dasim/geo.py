@@ -423,7 +423,7 @@ class Spine:
 
     def units_at(self, level: GeoLevel) -> dict[str, frozenset[str]]:
         """Map of GEOID -> block geocodes for a standard level."""
-        if level is GeoLevel.OPT_BLOCKGROUP:
+        if level not in GEOID_WIDTH:
             raise ParameterError("optimized block groups are spine nodes, not GEOID units")
         return {code_: self._block_set(rows) for code_, rows in self._units[level].items()}
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import geo
 from .errors import ParameterError, SchemaError
@@ -150,10 +151,11 @@ class HistogramDataset:
     """Block histograms of one dataset: a (blocks x cells) matrix whose
     row i is the histogram of ``spine.blocks[i]``.
 
-    The dtype is validated once: non-negative int64 counts, or finite
-    floats for a continuous release.  Every node and target histogram is
-    a sum of whole rows, so hierarchy consistency is automatic.  ``kind``
-    and ``run_seed`` record the provenance the estimators check.
+    The dtype is validated once: non-negative int64 counts summing to
+    less than 2**53, or finite floats for a continuous release.  Every
+    node and target histogram is a sum of whole rows, so hierarchy
+    consistency is automatic.  ``kind`` and ``run_seed`` record the
+    provenance the estimators check.
     """
 
     def __init__(self, spine: geo.Spine, schema: CellSchema, counts: np.ndarray,
@@ -165,6 +167,11 @@ class HistogramDataset:
         if np.issubdtype(arr.dtype, np.integer):
             if (arr < 0).any():
                 raise SchemaError("histogram counts must be non-negative")
+            # measurement sums counts in float64, exact below 2**53; a
+            # float sum of non-negative counts reaches 2**53 just when the
+            # exact total does
+            if arr.sum(dtype=float) >= 2**53:
+                raise ParameterError("the total population must be below 2**53")
             arr = arr.astype(np.int64)
         elif np.issubdtype(arr.dtype, np.floating):
             if not np.isfinite(arr).all():
@@ -264,10 +271,143 @@ def _race_base_shares(card: int) -> np.ndarray:
 # (about 1.1 KB each) where a stream draws again after an array step
 STREAM_CHUNK = 1024
 
+# numpy's SeedSequence is the seed_seq_fe hash of O'Neill's randutils: a
+# pool of four 32-bit words, filled and cross-mixed by hash steps whose
+# xor and multiply constants run through a fixed chain, whatever the data
+_POOL = 4
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 
-def block_seed(seed: int, raw_geocode: str) -> tuple[int, int]:
-    """Stable per-geography stream key, mixable into default_rng."""
-    return (int(seed), int(raw_geocode))
+
+def _hash_steps(init: int, mult: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiply) constants of hash steps ``first`` to ``first +
+    count - 1`` as columns: step k xors the chain's k-th value and
+    multiplies by the next, the chain starting at ``init`` and multiplied
+    by ``mult`` at every step."""
+    chain = [init]
+    for _ in range(first + count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    c = np.array(chain[first:], dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _pool_steps(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    return _hash_steps(0x43B0D7E5, 0x931E8875, first, count)
+
+
+# steps 0-3 hash the first four entropy words into the pool; steps 4-15
+# mix every pool word into the three others, source by source.  A round's
+# constants are laid out by destination, with a filler at the source,
+# which keeps its word.
+_FILL = _pool_steps(0, _POOL)
+_ROUNDS = [tuple(c[np.insert(np.arange(3), src, 0)] for c in _pool_steps(_POOL + 3 * src, 3))
+           for src in range(_POOL)]
+# generate_state's steps, one per 32-bit output word, cycling the pool twice
+_OUT = _hash_steps(0x8B51F9DD, 0x58F38DED, 0, 2 * _POOL)
+
+
+@functools.cache
+def _word_steps(word: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constants of the four steps that mix entropy word ``word`` >= 4
+    into the pool words."""
+    return _pool_steps(_POOL + _POOL * (_POOL - 1) + _POOL * (word - _POOL), _POOL)
+
+
+@functools.cache
+def _layout(widths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For key columns of ``widths`` words each, laid side by side: each
+    word's column, its place in the column (as a column vector), and
+    where each column starts."""
+    col_of = np.repeat(np.arange(len(widths)), widths)
+    within = np.concatenate([np.arange(w) for w in widths])[:, None]
+    return col_of, within, np.cumsum(widths) - widths
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> _SHIFT)
+
+
+class _Seeded(ISeedSequence):
+    """Hands PCG64 the four state words a SeedSequence would have made."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("holds the state of a PCG64 only")
+        return self.words
+
+
+def streams(
+    keys: Sequence[Sequence[int]], spawn: Optional[Sequence[Sequence[int]]] = None
+) -> list[np.random.Generator]:
+    """One generator per row of ``keys``, drawing exactly what
+    ``np.random.default_rng(np.random.SeedSequence(entropy=keys[i],
+    spawn_key=spawn[i]))`` draws (no spawn key without ``spawn``).
+
+    ``keys`` rows hold the same number of non-negative Python ints, and
+    so do ``spawn`` rows.  numpy's hash runs once over the whole call, a
+    (entropy words x streams) array: each int becomes its fewest
+    little-endian 32-bit words (0 is one word), the run entropy is
+    zero-padded to the pool size when a spawn key follows it, and
+    streams whose entropy is shorter skip the later mixing steps.
+    """
+    n = len(keys)
+    if n == 0:
+        return []
+    run_lens = set(map(len, keys))
+    spawn_lens = {0} if spawn is None else set(map(len, spawn))
+    if (len(run_lens) != 1 or len(spawn_lens) != 1 or 0 in run_lens
+            or spawn is not None and len(spawn) != n):
+        raise ValueError("every stream needs a key row of one or more ints, all rows "
+                         "as long, and a spawn row when any has one")
+    rows = keys if spawn is None else [tuple(k) + tuple(s) for k, s in zip(keys, spawn)]
+    columns = list(zip(*rows))
+    if min(map(min, columns)) < 0:
+        raise ValueError("expected non-negative integer")
+    widths = tuple(max(1, -(-max(column).bit_length() // 32)) for column in columns)
+    nbytes = [4 * w for w in widths]
+    blob = b"".join(v.to_bytes(b, "little") for row in rows for v, b in zip(row, nbytes))
+    words = np.frombuffer(blob, dtype="<u4").reshape(n, -1).T.astype(np.uint32, copy=False)
+
+    # each int's word count, and where its words go in its stream's entropy
+    col_of, within, starts = _layout(widths)
+    count = np.maximum.reduceat((words != 0) * (within + 1), starts)
+    np.maximum(count, 1, out=count)
+    lead = np.cumsum(count, axis=0)
+    lead -= count
+    (run,), (spawned,) = run_lens, spawn_lens
+    if spawned:  # numpy pads the run entropy to the pool size
+        lead[run:] += np.maximum(_POOL - lead[run], 0)
+    ends = lead[-1] + count[-1]
+    at, stream = np.nonzero(within < count[col_of])
+    entropy = np.zeros((max(_POOL, int(ends.max())), n), dtype=np.uint32)
+    entropy[lead[col_of[at], stream] + within[at, 0], stream] = words[at, stream]
+
+    pool = _hashmix(entropy[:_POOL], *_FILL)
+    for src, steps in enumerate(_ROUNDS):
+        mixed = _mix(pool, _hashmix(pool[src], *steps))
+        mixed[src] = pool[src]
+        pool = mixed
+    short = int(ends.min())
+    for word in range(_POOL, len(entropy)):
+        mixed = _mix(pool, _hashmix(entropy[word], *_word_steps(word)))
+        pool = mixed if word < short else np.where(ends > word, mixed, pool)
+    state = _hashmix(np.concatenate([pool, pool]), *_OUT).astype(np.uint64)
+    # generate_state(4, uint64) pairs the 32-bit words low word first.
+    # PCG64 reads the array's buffer as is, so each stream's four words
+    # must lie together: a strided row would seed another stream.
+    seeds = np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [generator(pcg64(_Seeded(row))) for row in seeds]
 
 
 def _axis_draws(
@@ -314,10 +454,11 @@ def generate_synthetic_cef(
     axes = _axis_draws(schema, profile)
     counts = np.zeros((len(spine.blocks), schema.size), dtype=np.int64)
     for start in range(0, len(spine.blocks), STREAM_CHUNK):
-        streams, rows, pops = [], [], []
+        chunk = range(start, min(start + STREAM_CHUNK, len(spine.blocks)))
+        rngs = streams([(int(seed), int(spine.blocks[row])) for row in chunk])
+        populated, rows, pops = [], [], []
         drawn: list[list] = [[] for _ in axes]
-        for row in range(start, min(start + STREAM_CHUNK, len(spine.blocks))):
-            rng = np.random.default_rng(block_seed(seed, spine.blocks[row]))
+        for row, rng in zip(chunk, rngs):
             if rng.random() < profile.zero_pop_prob:
                 continue
             pops.append(max(1, int(round(float(rng.lognormal(mu, profile.log_sigma))))))
@@ -326,7 +467,7 @@ def generate_synthetic_cef(
                     got.append(rng.beta(*param))
                 elif kind == "dirichlet":
                     got.append(rng.dirichlet(param))
-            streams.append(rng)
+            populated.append(rng)
             rows.append(row)
         # every populated block's cell probabilities at once, each the
         # product of its axis shares taken in axis order
@@ -341,6 +482,6 @@ def generate_synthetic_cef(
             view[ai + 1] = shape[ai]
             probs = probs * shares.reshape(view)
         probs = probs.reshape(len(rows), schema.size)
-        for rng, row, pop, p in zip(streams, rows, pops, probs):
+        for rng, row, pop, p in zip(populated, rows, pops, probs):
             counts[row] = rng.multinomial(pop, p)
     return HistogramDataset(spine, schema, counts, kind="enumeration")

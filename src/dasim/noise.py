@@ -26,7 +26,13 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .histograms import STREAM_CHUNK, AggregationMatrix, CellSchema, HistogramDataset
+from .histograms import (
+    STREAM_CHUNK,
+    AggregationMatrix,
+    CellSchema,
+    HistogramDataset,
+    streams,
+)
 
 QUERY_GROUPS = ("detail", "total", "marginal")
 
@@ -122,15 +128,6 @@ def sample_discrete_gaussian_array(
     if variance == 0:
         return np.zeros(size, dtype=np.int64)
     return _dgauss_streams(float(variance), int(size), [rng])[0]
-
-
-def node_seed(seed: int, node_id: str) -> np.random.SeedSequence:
-    """Independent, order-insensitive RNG stream for one geography."""
-    digest = hashlib.blake2b(node_id.encode(), digest_size=8).digest()
-    return np.random.SeedSequence(
-        entropy=int(seed) & 0xFFFFFFFFFFFFFFFF,
-        spawn_key=(int.from_bytes(digest, "big"),),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +233,10 @@ class QueryMatrix:
                              for lv in geo.NMF_LEVEL_ORDER])
         self.variances = by_group[:, [self.groups.index(g) for g in row_groups]]
         self.variances.flags.writeable = False
+        self._noise_groups = {
+            lv: [(float(v), np.flatnonzero(row == v)) for v in np.unique(row) if v > 0]
+            for lv, row in zip(geo.NMF_LEVEL_ORDER, self.variances)
+        }
 
     @property
     def n_rows(self) -> int:
@@ -244,6 +245,11 @@ class QueryMatrix:
     def variances_for(self, level: geo.GeoLevel) -> np.ndarray:
         """Variance of each query row at one optimized-spine level."""
         return self.variances[geo.NMF_LEVEL_ORDER.index(level)]
+
+    def noise_groups(self, level: geo.GeoLevel) -> list[tuple[float, np.ndarray]]:
+        """The noised query rows at one level, grouped by variance: one
+        (variance, rows) pair per positive variance, in ascending order."""
+        return self._noise_groups[level]
 
     def paths_for_row(self, stat_row: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Every way to assemble one statistic from query rows.
@@ -343,10 +349,12 @@ def make_noisy_measurements(
 ) -> NoisyMeasurements:
     """Measure every optimized-spine geography with fresh integer noise.
 
-    Noise streams are keyed by (seed, node id), so measurements are
-    independent across geographies and reproducible regardless of the
-    order nodes are generated in.  ``nodes`` restricts generation to a
-    subset without changing any node's draws.
+    Each node's noise stream has the low 64 bits of ``seed`` as its
+    entropy and an 8-byte blake2b digest of the node id as its spawn key,
+    so measurements are independent across geographies and reproducible
+    regardless of the order nodes are generated in.  A stream draws one
+    noise group after another, in ascending variance order.  ``nodes``
+    restricts generation to a subset without changing any node's draws.
     """
     if nodes is None:
         node_list = [n for lv in geo.NMF_LEVEL_ORDER for n in cef.spine.nodes_at(lv)]
@@ -355,28 +363,36 @@ def make_noisy_measurements(
         for n in node_list:
             if not cef.spine.has_node(n):
                 raise ParameterError(f"unknown spine node {n!r}")
-    qmat = q.matrix.astype(np.int64)
+    # every answer is at most the total population, below 2**53, so the
+    # float64 product is exact; assigning it casts it back to int64
+    qmat = q.matrix.T.astype(float)
     values = np.empty((len(node_list), q.n_rows), dtype=np.int64)
+    levels = [geo.node_level(n) for n in node_list]
     at_level: dict[geo.GeoLevel, list[int]] = {}
-    for i, node in enumerate(node_list):
-        at_level.setdefault(geo.node_level(node), []).append(i)
+    for i, level in enumerate(levels):
+        at_level.setdefault(level, []).append(i)
     for level, idx in at_level.items():
-        level_nodes = [node_list[i] for i in idx]
-        values[idx] = cef.node_histograms(level_nodes) @ qmat.T
-        variances = q.variances_for(level)
-        # each node's stream draws one group after another, in ascending
-        # variance order
-        noise_groups = [(float(v), np.nonzero(variances == v)[0])
-                        for v in np.unique(variances) if v > 0]
-        if not noise_groups:
-            continue
-        for start in range(0, len(idx), STREAM_CHUNK):
-            rows = np.array(idx[start : start + STREAM_CHUNK])
-            rngs = [np.random.default_rng(node_seed(seed, n))
-                    for n in level_nodes[start : start + STREAM_CHUNK]]
-            for v, cols in noise_groups:
-                values[rows[:, None], cols] += _dgauss_streams(v, cols.size, rngs)
+        values[idx] = cef.node_histograms([node_list[i] for i in idx]).astype(float) @ qmat
+    noisy = [i for i, level in enumerate(levels) if q.noise_groups(level)]
+    key = int(seed) & 0xFFFFFFFFFFFFFFFF
+    for start in range(0, len(noisy), STREAM_CHUNK):
+        chunk = noisy[start : start + STREAM_CHUNK]
+        spawn = [(_digest(node_list[i]),) for i in chunk]
+        by_level: dict[geo.GeoLevel, tuple[list[int], list[np.random.Generator]]] = {}
+        for i, rng in zip(chunk, streams([(key,)] * len(chunk), spawn)):
+            rows, rngs = by_level.setdefault(levels[i], ([], []))
+            rows.append(i)
+            rngs.append(rng)
+        for level, (rows, rngs) in by_level.items():
+            for v, cols in q.noise_groups(level):
+                values[np.array(rows)[:, None], cols] += _dgauss_streams(v, cols.size, rngs)
     return NoisyMeasurements(q, int(seed), tuple(node_list), values)
+
+
+def _digest(node_id: str) -> int:
+    """The spawn key of a node's noise stream: an 8-byte blake2b digest
+    of its id."""
+    return int.from_bytes(hashlib.blake2b(node_id.encode(), digest_size=8).digest(), "big")
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geo
 from .errors import ParameterError
-from .histograms import STREAM_CHUNK, CellSchema, HistogramDataset
+from .histograms import STREAM_CHUNK, CellSchema, HistogramDataset, streams
 
 # household size pmf for the synthetic decomposition, sizes 1..7;
 # roughly census-shaped (many singles and couples, a thin large tail)
@@ -126,11 +126,12 @@ def make_household_file(
                             hh_counts[chunk].reshape(-1))
         uniforms = np.empty(persons.size)
         offsets = np.cumsum(n) - n
-        for row, lo, hi in zip(chunk.tolist(), offsets.tolist(), (offsets + n).tolist()):
-            if hi > lo:
-                rng = np.random.default_rng((int(seed), int(blocks[row]), 0x11D))
-                rng.shuffle(persons[lo:hi])
-                rng.random(out=uniforms[lo:hi])
+        populated = np.flatnonzero(n).tolist()
+        rngs = streams([(int(seed), int(blocks[start + i]), 0x11D) for i in populated])
+        for rng, lo, hi in zip(rngs, offsets[populated].tolist(),
+                               (offsets + n)[populated].tolist()):
+            rng.shuffle(persons[lo:hi])
+            rng.random(out=uniforms[lo:hi])
         # a block's persons fill runs of drawn sizes until the block is
         # full, the last run cut short: draw j of a block opens a run if
         # the draws before it leave room

@@ -6,6 +6,7 @@ library code they check.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,8 +14,25 @@ import numpy as np
 from dasim import geo
 from dasim.errors import EmptyTarget, InconsistentGeocode
 from dasim.geo import GeoLevel, compose_target, node_level
-from dasim.histograms import HistogramDataset, _race_base_shares, block_seed
-from dasim.noise import node_seed
+from dasim.histograms import HistogramDataset, _race_base_shares
+
+
+# the RNG streams the library keys, seeded by numpy's own SeedSequence
+
+
+def block_seed(seed: int, raw_geocode: str) -> tuple[int, int]:
+    """Entropy of one block's enumeration stream."""
+    return (int(seed), int(raw_geocode))
+
+
+def node_seed(seed: int, node_id: str) -> np.random.SeedSequence:
+    """One node's measurement stream: the seed's low 64 bits, spawned by
+    a blake2b digest of the node id."""
+    digest = hashlib.blake2b(node_id.encode(), digest_size=8).digest()
+    return np.random.SeedSequence(
+        entropy=int(seed) & 0xFFFFFFFFFFFFFFFF,
+        spawn_key=(int.from_bytes(digest, "big"),),
+    )
 
 
 def dgauss_support(sigma2: float) -> np.ndarray:

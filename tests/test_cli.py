@@ -150,6 +150,8 @@ _MISREAD = {
     "negative seed": (_config(seed=-1), [], "seed must be in [0, 2**63)"),
     "seed past 2**63": (_config(seed=2**63), [], "seed must be in [0, 2**63)"),
     "negative --seed": (_config(), ["--seed", "-1"], "seed must be in [0, 2**63)"),
+    "spine-node report level": (_config(report={"levels": ["optimized_blockgroup"]}), [],
+                                "config.report: levels: optimized_blockgroup"),
     "not UTF-8": (b'{"config_version": 1, "seed": "\xff"}', [], "cfg.json"),
     "nested too deep": (b"[" * 100_000 + b"]" * 100_000, [], "cfg.json"),
 }

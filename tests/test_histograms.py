@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,12 @@ from hypothesis.extra.numpy import arrays
 from conftest import SWEEP_SEEDS
 from oracles import cef_loop
 
-from dasim.errors import SchemaError
+from dasim.errors import ParameterError, SchemaError
 from dasim.geo import NMF_LEVEL_ORDER, GeoId, GeoLevel, SpineSpec, make_synthetic_spine
 from dasim.histograms import (
     DESK_SCHEMA,
     FULL_SCHEMA,
+    STREAM_CHUNK,
     AggregationMatrix,
     CellSchema,
     GenerationProfile,
@@ -19,6 +22,7 @@ from dasim.histograms import (
     aggregate,
     default_statistics,
     generate_synthetic_cef,
+    streams,
 )
 
 
@@ -232,3 +236,90 @@ def test_level_histograms_match_node_histograms(sweep_world):
     nodes = [spine.blocks[-1], spine.nodes_at(GeoLevel.COUNTY)[0], "US"]
     np.testing.assert_array_equal(cef.node_histograms(nodes),
                                   [cef.node_histogram(n) for n in nodes])
+
+
+# ----------------------------------------------------------------------
+# RNG streams
+
+# key ints of one to four 32-bit words, at the edges between word counts
+# and up to the largest 31-digit geocode
+_EDGE_INTS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 10**30, 10**31 - 1)
+
+
+def _draws(rng):
+    return rng.bit_generator.random_raw(2).tolist() + [rng.random()]
+
+
+def _numpy_draws(key, spawn=()):
+    return _draws(np.random.default_rng(np.random.SeedSequence(entropy=key, spawn_key=spawn)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 12), st.just(STREAM_CHUNK + 5)),
+    key_width=st.integers(1, 3),
+    spawn_width=st.integers(0, 2),
+    picks=st.lists(st.one_of(st.sampled_from(_EDGE_INTS), st.integers(0, 10**31 - 1)),
+                   min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streams_draw_what_numpy_seeds(n, key_width, spawn_width, picks, seed):
+    """Every stream of one call, keys of mixed word counts included, draws
+    as default_rng(SeedSequence(entropy=key, spawn_key=spawn)) does."""
+    rng = np.random.default_rng(seed)
+
+    def rows(width):
+        return [tuple(picks[i] for i in rng.integers(0, len(picks), width)) for _ in range(n)]
+
+    keys = rows(key_width)
+    spawn = rows(spawn_width) if spawn_width else None
+    got = streams(keys, spawn)
+    assert len(got) == n
+    for i, stream in enumerate(got):
+        assert _draws(stream) == _numpy_draws(keys[i], spawn[i] if spawn else ())
+
+
+def test_streams_pin_numpy_seedsequence_and_pcg64():
+    """First draws of an enumeration, a household and a measurement stream,
+    recorded from numpy's own seeding: a numpy release that changes
+    SeedSequence or PCG64 changes every stream dasim draws, and fails here."""
+    block = 1011000100011010100100010011003
+    us = int.from_bytes(hashlib.blake2b(b"US", digest_size=8).digest(), "big")
+    want = [
+        [1070342749845958678, 67511506827487455],
+        [14295110239698827647, 1326035449257558957],
+        [7520017742565640201, 10363351805822707299],
+    ]
+    assert [_numpy_draws((3, block))[:2], _numpy_draws((3, block, 0x11D))[:2],
+            _numpy_draws((3,), (us,))[:2]] == want
+    got = streams([(3, block)]) + streams([(3, block, 0x11D)]) + streams([(3,)], [(us,)])
+    assert [stream.bit_generator.random_raw(2).tolist() for stream in got] == want
+
+
+def test_streams_reject_keys_numpy_would_refuse_or_misread():
+    assert streams([]) == []
+    with pytest.raises(ValueError):
+        streams([(3, -1)])
+    with pytest.raises(ValueError):
+        streams([(3, 1), (3,)])
+    with pytest.raises(ValueError):
+        streams([(3,), (4,)], [(1,)])
+    with pytest.raises(ValueError):
+        streams([()])
+
+
+def test_histogram_totals_stay_below_2_to_the_53():
+    """Measurement sums counts in float64, exact up to the bound."""
+    spine = make_synthetic_spine(SpineSpec(counties_per_state=1, tracts_per_county=1,
+                                           blockgroups_per_tract=1, blocks_per_blockgroup=2),
+                                 seed=1)
+    counts = np.zeros((len(spine.blocks), DESK_SCHEMA.size), dtype=np.int64)
+    counts[0, 0] = 2**53 - 2
+    counts[1, 5] = 1
+    HistogramDataset(spine, DESK_SCHEMA, counts)
+    counts[1, 5] = 2
+    with pytest.raises(ParameterError, match="2\\*\\*53"):
+        HistogramDataset(spine, DESK_SCHEMA, counts)
+    counts[:] = 2**62
+    with pytest.raises(ParameterError):
+        HistogramDataset(spine, DESK_SCHEMA, counts)

@@ -12,9 +12,11 @@ from dasim.histograms import (
     AggregationMatrix,
     CellSchema,
     GenerationProfile,
+    HistogramDataset,
     aggregate,
     default_statistics,
     generate_synthetic_cef,
+    streams,
 )
 from dasim.noise import (
     MAX_VARIANCE,
@@ -23,7 +25,6 @@ from dasim.noise import (
     combine_estimates,
     make_noisy_measurements,
     nm_statistics,
-    node_seed,
     sample_discrete_gaussian_array,
 )
 
@@ -34,6 +35,7 @@ from oracles import (
     dgauss_variance,
     measurements_loop,
     nm_statistics_loop,
+    node_seed,
 )
 
 
@@ -106,9 +108,8 @@ def test_node_seed_streams_differ():
     a = node_seed(3, "US")
     b = node_seed(3, "01")
     assert a.spawn_key != b.spawn_key
-    x = np.random.default_rng(a).integers(0, 2**32, 4)
-    y = np.random.default_rng(b).integers(0, 2**32, 4)
-    assert (x != y).any()
+    x, y = streams([(a.entropy,), (b.entropy,)], [a.spawn_key, b.spawn_key])
+    assert (x.integers(0, 2**32, 4) != y.integers(0, 2**32, 4)).any()
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +235,23 @@ def test_zero_budget_measurements_are_exact(tiny_world):
     exact = q0.matrix.astype(np.int64) @ cef.node_histogram(node)
     assert (nms.values[nms.rows([node])] == exact).all()
     assert (q0.variances_for(GeoLevel.TRACT) == 0).all()
+
+
+def test_exact_answers_hold_up_to_the_population_bound():
+    """Exact answers come from a float64 product, exact while the total
+    population stays below 2**53, which HistogramDataset enforces."""
+    spine = make_synthetic_spine(SpineSpec(counties_per_state=1, tracts_per_county=1,
+                                           blockgroups_per_tract=1, blocks_per_blockgroup=2),
+                                 seed=1)
+    counts = np.zeros((len(spine.blocks), DESK_SCHEMA.size), dtype=np.int64)
+    counts[0, 0] = 2**53 - 3
+    counts[1, 7] = 2
+    cef = HistogramDataset(spine, DESK_SCHEMA, counts)
+    q0 = QueryMatrix(DESK_SCHEMA, budget=BudgetSchedule.constant(0.0))
+    nms = make_noisy_measurements(cef, q0, seed=1)
+    want = [q0.matrix.astype(np.int64) @ cef.node_histogram(n) for n in nms.nodes]
+    np.testing.assert_array_equal(nms.values, want)
+    assert nms.values.max() == 2**53 - 1
 
 
 def test_nm_statistics_exact_when_noiseless(tiny_world):
