@@ -31,6 +31,7 @@ import numpy as np
 from scipy import stats as _sps
 
 from . import geo
+from .config import RunConfig
 from .errors import (
     EmptyInput,
     InconsistentGeocode,
@@ -66,7 +67,7 @@ from .noise import (
     nm_statistics,
     sample_discrete_gaussian_array,
 )
-from .pipeline import swap_release
+from .pipeline import build_world, swap_release
 from .swapping import SwapConfig
 from .topdown import PostProcessConfig, topdown_postprocess
 
@@ -216,12 +217,6 @@ def _combined_variance(q: QueryMatrix, level: geo.GeoLevel, stat_row) -> float:
 def _single_stat(agg: AggregationMatrix, label: str) -> AggregationMatrix:
     i = agg.labels.index(label)
     return AggregationMatrix((label,), agg.matrix[i : i + 1])
-
-
-def _axis_mask(schema: CellSchema, axis: str, category: int) -> np.ndarray:
-    names = [n for n, _ in schema.axes]
-    grid = np.indices(schema.shape)[names.index(axis)].reshape(schema.size)
-    return grid == category
 
 
 # ----------------------------------------------------------------------
@@ -410,10 +405,8 @@ def check_estimator_calibration() -> tuple[bool, str]:
     """
     checks = _Checks()
     start = time.perf_counter()
-    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
-    cef = generate_synthetic_cef(spine, seed=7)
-    q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
-    agg = default_statistics(DESK_SCHEMA)
+    world = build_world(RunConfig(seed=7))
+    spine, cef, q, agg = world.spine, world.cef, world.query, world.agg
 
     codes = sorted(spine.units_at(geo.GeoLevel.BLOCK))
     half = tuple(geo.GeoId(geo.GeoLevel.BLOCK, c) for c in codes[: len(codes) // 2])
@@ -491,10 +484,8 @@ def check_swap_variance_conservative() -> tuple[bool, str]:
     that observed variance.
     """
     checks = _Checks()
-    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
-    cef = generate_synthetic_cef(spine, seed=7)
-    q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
-    agg = default_statistics(DESK_SCHEMA)
+    world = build_world(RunConfig(seed=7))
+    spine, cef, q, agg = world.spine, world.cef, world.query, world.agg
     sel = selection_for_level(spine, geo.GeoLevel.TRACT, ("hispanic",))
     needed = set()
     for target in sel.targets:
@@ -563,10 +554,10 @@ def check_swap_invariants() -> tuple[bool, str]:
     households, so the invariance is not satisfied vacuously.
     """
     checks = _Checks()
-    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
-    cef = generate_synthetic_cef(spine, seed=7)
-    va_mask = _axis_mask(DESK_SCHEMA, "voting_age", 1)
-    gq_mask = ~_axis_mask(DESK_SCHEMA, "housing", 0)
+    world = build_world(RunConfig(seed=7))
+    spine, cef = world.spine, world.cef
+    va_mask = DESK_SCHEMA.categories("voting_age") == 1
+    gq_mask = DESK_SCHEMA.categories("housing") != 0
 
     policies = (
         SwapConfig(),
@@ -660,7 +651,7 @@ def check_postprocessing_constraints() -> tuple[bool, str]:
     cef2 = generate_synthetic_cef(spine2, seed=3)
     q2 = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
     agg = default_statistics(DESK_SCHEMA)
-    va_mask = _axis_mask(DESK_SCHEMA, "voting_age", 1)
+    va_mask = DESK_SCHEMA.categories("voting_age") == 1
     extra = PostProcessConfig(
         invariants=(
             (geo.GeoLevel.STATE, "total"),
@@ -897,10 +888,8 @@ def check_error_ordering() -> tuple[bool, str]:
     """
     checks = _Checks()
     start = time.perf_counter()
-    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
-    cef = generate_synthetic_cef(spine, seed=7)
-    q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
-    agg = default_statistics(DESK_SCHEMA)
+    world = build_world(RunConfig(seed=7))
+    spine, cef, q, agg = world.spine, world.cef, world.query, world.agg
     agg_total = _single_stat(agg, "total")
     sel_blocks = selection_for_level(spine, geo.GeoLevel.BLOCK, ("total",))
 
@@ -1021,8 +1010,8 @@ def check_degenerate_inputs() -> tuple[bool, str]:
         "zero-budget pipeline did not reproduce the enumeration",
     )
 
-    spine2 = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
-    cef2 = generate_synthetic_cef(spine2, seed=7)
+    world = build_world(RunConfig(seed=7))
+    spine2, cef2 = world.spine, world.cef
     _, stats, sw = swap_release(cef2, SwapConfig(base_rate=0.0), seed=13)
     checks.expect(
         stats.n_swapped == 0

@@ -256,22 +256,16 @@ CROSSWALK_COLUMNS = (
     "nmf_tract",
     "opt_blockgroup",
 )
+REJECT_COLUMNS = ("line", "geocode", "reason")
 
 
-def write_crosswalk_csv(rows: Sequence[Mapping[str, str]], path: PathLike) -> None:
+def write_table_csv(path: PathLike, columns: Sequence[str], rows: Sequence[Mapping]) -> None:
+    """A header, then each row's value per column: a missing or None value
+    is empty, a float (numpy's too) is in repr form, round-trip safe."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(CROSSWALK_COLUMNS)
-        for row in rows:
-            w.writerow([row.get(col, "") for col in CROSSWALK_COLUMNS])
-
-
-def write_rejects_csv(rows: Sequence[Mapping[str, str]], path: PathLike) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["line", "geocode", "reason"])
-        for row in rows:
-            w.writerow([row["line"], row["geocode"], row["reason"]])
+        w.writerow(columns)
+        w.writerows([row.get(col) for col in columns] for row in rows)
 
 
 # ----------------------------------------------------------------------
@@ -292,47 +286,12 @@ REPORT_COLUMNS = (
 )
 
 
-def write_error_report_csv(rows: Sequence[Mapping], path: PathLike) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        for row in rows:
-            out = []
-            for col in REPORT_COLUMNS:
-                v = row.get(col)
-                if v is None:
-                    out.append("")
-                elif isinstance(v, float):
-                    out.append(_fmt(v))
-                else:
-                    out.append(str(v))
-            w.writerow(out)
-
-
 def write_error_report_json(rows: Sequence[Mapping], path: PathLike) -> None:
     payload = [{col: row.get(col) for col in REPORT_COLUMNS} for row in rows]
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 QUARTILE_COLUMNS = ("level", "statistic", "method", "q25", "q50", "q75", "n")
-
-
-def write_quartiles_csv(rows: Sequence[Mapping], path: PathLike) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(QUARTILE_COLUMNS)
-        for row in rows:
-            w.writerow(
-                [
-                    row["level"],
-                    row["statistic"],
-                    row["method"],
-                    _fmt(row["q25"]),
-                    _fmt(row["q50"]),
-                    _fmt(row["q75"]),
-                    str(row["n"]),
-                ]
-            )
 
 
 # ----------------------------------------------------------------------

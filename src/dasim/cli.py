@@ -21,23 +21,24 @@ import numpy as np
 
 from . import geo
 from .artifacts import (
+    CROSSWALK_COLUMNS,
+    QUARTILE_COLUMNS,
+    REJECT_COLUMNS,
+    REPORT_COLUMNS,
     read_geocodes_csv,
     read_histogram_csv,
     read_nmf_csv,
     read_schema_json,
     read_text,
     verify_manifest,
-    write_crosswalk_csv,
-    write_error_report_csv,
     write_error_report_json,
     write_geocodes_csv,
     write_histogram_csv,
     write_households_csv,
     write_manifest,
     write_nmf_csv,
-    write_quartiles_csv,
-    write_rejects_csv,
     write_schema_json,
+    write_table_csv,
 )
 from .config import RunConfig
 from .errors import DasimError, InfeasibleConstraints, ParameterError
@@ -87,10 +88,10 @@ def cmd_crosswalk(args: argparse.Namespace) -> int:
             rows.append(_crosswalk_row(raw, vtd, place))
         except DasimError as exc:
             rejects.append({"line": str(line), "geocode": raw, "reason": str(exc)})
-    write_crosswalk_csv(rows, out_dir / "crosswalk.csv")
+    write_table_csv(out_dir / "crosswalk.csv", CROSSWALK_COLUMNS, rows)
     print(f"crosswalk.csv: {len(rows)} rows")
     if rejects:
-        write_rejects_csv(rejects, out_dir / "rejects.csv")
+        write_table_csv(out_dir / "rejects.csv", REJECT_COLUMNS, rejects)
         print(f"rejects.csv: {len(rejects)} rows rejected", file=sys.stderr)
         return 1
     return 0
@@ -205,9 +206,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     reps = _load_replicates(out_dir, cfg, spine, schema, q)
     rows, quartiles = error_report(spine, q, agg, reps, levels, statistics)
-    write_error_report_csv(rows, out_dir / "error_report.csv")
+    write_table_csv(out_dir / "error_report.csv", REPORT_COLUMNS, rows)
     write_error_report_json(rows, out_dir / "error_report.json")
-    write_quartiles_csv(quartiles, out_dir / "quartiles.csv")
+    write_table_csv(out_dir / "quartiles.csv", QUARTILE_COLUMNS, quartiles)
 
     for row in rows:
         half = row["ci_hi"] - row["estimate"]

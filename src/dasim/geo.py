@@ -508,14 +508,18 @@ class SpineSpec:
             raise ParameterError("blocks_per_blockgroup must be in 1..999")
         if self.obg_size < 1:
             raise ParameterError("obg_size must be positive")
+        # optimized block-group codes run 101 + pos // obg_size up to 999
+        if (self.blockgroups_per_tract * self.blocks_per_blockgroup - 1) // self.obg_size > 898:
+            raise ParameterError("a tract's blocks need more than 899 optimized block groups; "
+                                 "raise obg_size")
         if not (0.0 <= self.aian_tract_prob <= 1.0):
             raise ParameterError("aian_tract_prob must be in [0, 1]")
         if not (0.0 < self.aian_block_frac < 1.0) and self.aian_tract_prob > 0:
             raise ParameterError("aian_block_frac must be in (0, 1)")
         if self.vtds_per_county < 1:
             raise ParameterError("vtds_per_county must be positive")
-        if self.places_per_state < 0:
-            raise ParameterError("places_per_state must be non-negative")
+        if not (0 <= self.places_per_state <= 40000):  # place codes 60000 + pi
+            raise ParameterError("places_per_state must be in 0..40000")
 
 
 def make_synthetic_spine(spec: SpineSpec, seed: int) -> Spine:

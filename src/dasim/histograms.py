@@ -56,6 +56,10 @@ class CellSchema:
                 return i
         raise SchemaError(f"no axis named {name!r}")
 
+    def categories(self, axis: str) -> np.ndarray:
+        """The category along one axis of every flat cell."""
+        return np.indices(self.shape)[self.axis_index(axis)].reshape(self.size)
+
 
 DESK_SCHEMA = CellSchema(
     (("voting_age", 2), ("hispanic", 2), ("race", 6), ("housing", 2))
@@ -107,20 +111,17 @@ def default_statistics(schema: CellSchema) -> AggregationMatrix:
     race category, named from RACE_BASE when the cardinality matches.
     Built once per schema; the result is immutable.
     """
-    shape = schema.shape
-    size = schema.size
     labels: list[str] = []
     rows: list[np.ndarray] = []
 
     def axis_rows(axis_name: str, wanted: Mapping[str, Sequence[int]]) -> None:
-        ai = schema.axis_index(axis_name)
-        grid = np.indices(shape)[ai].reshape(size)
+        grid = schema.categories(axis_name)
         for label, values in wanted.items():
             labels.append(label)
             rows.append(np.isin(grid, values).astype(np.int64))
 
     labels.append("total")
-    rows.append(np.ones(size, dtype=np.int64))
+    rows.append(np.ones(schema.size, dtype=np.int64))
     axis_rows("voting_age", {"voting_age": [1]})
     axis_rows("hispanic", {"hispanic": [1]})
 

@@ -198,7 +198,6 @@ class QueryMatrix:
         self.groups = tuple(groups)
 
         size = schema.size
-        shape = schema.shape
         ids: list[str] = []
         row_groups: list[str] = []
         rows: list[np.ndarray] = []
@@ -214,8 +213,8 @@ class QueryMatrix:
             row_groups.append("total")
             rows.append(np.ones(size, dtype=np.int8))
         if "marginal" in self.groups:
-            for ai, (name, card) in enumerate(schema.axes):
-                grid = np.indices(shape)[ai].reshape(size)
+            for name, card in schema.axes:
+                grid = schema.categories(name)
                 for v in range(card):
                     ids.append(f"marginal_{name}_{v}")
                     row_groups.append("marginal")

@@ -39,7 +39,7 @@ from .swapping import (
     make_household_file,
     swap_households,
 )
-from .topdown import topdown_postprocess
+from .topdown import resolve_invariants, topdown_postprocess
 
 
 @dataclass
@@ -55,10 +55,12 @@ class World:
 
 def build_world(cfg: RunConfig) -> World:
     """The world of a config; CoverageError unless the configured query
-    groups can measure every report statistic."""
+    groups can measure every report statistic, and the post-processing's
+    errors if its invariants cannot be resolved."""
     q = QueryMatrix(DESK_SCHEMA, cfg.budget, cfg.query_groups)
     agg = default_statistics(DESK_SCHEMA)
     q.check_coverage(agg, cfg.report.statistics)
+    resolve_invariants(cfg.postprocess, agg)
     spine = geo.make_synthetic_spine(cfg.spine, cfg.seed)
     cef = generate_synthetic_cef(spine, cfg.seed, cfg.population)
     return World(cfg, spine, cef, q, agg)

@@ -82,12 +82,6 @@ class HouseholdFile:
         return HistogramDataset(self.spine, self.schema, counts, kind, run_seed)
 
 
-def _axis_category(schema: CellSchema, axis: str) -> np.ndarray:
-    """Category index along one axis for every flat cell."""
-    ai = schema.axis_index(axis)
-    return np.indices(schema.shape)[ai].reshape(schema.size)
-
-
 def make_household_file(
     cef: HistogramDataset,
     seed: int,
@@ -107,8 +101,8 @@ def make_household_file(
     if not math.isclose(float(pmf.sum()), 1.0, rel_tol=0, abs_tol=1e-9):
         raise ParameterError("size_pmf must sum to 1")
     schema = cef.schema
-    housing = _axis_category(schema, "housing")
-    voting = _axis_category(schema, "voting_age")
+    housing = schema.categories("housing")
+    voting = schema.categories("voting_age")
     # numpy's Generator.choice(p=pmf) draws one uniform per value and
     # looks it up in this normalized cdf
     cdf = pmf.cumsum()

@@ -34,7 +34,6 @@ measurements, which is all the estimators downstream require.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -61,15 +60,21 @@ _CHUNK = 2**16
 class PostProcessConfig:
     """Constraints the post-processing must honor.
 
-    Invariants are (level, statistic label) pairs held exactly to the
-    enumeration value at that level and, by aggregation, at every level
-    above it.  Invariant statistics must be 0/1 rows of the aggregation
-    matrix.
+    Invariants are (optimized-spine level, statistic label) pairs held
+    exactly to the enumeration value at that level and, by aggregation,
+    at every level above it.  Invariant statistics must be 0/1 rows of
+    the aggregation matrix, and for integer output their supports must be
+    nested or disjoint (``resolve_invariants``).
     """
 
     invariants: tuple[tuple[geo.GeoLevel, str], ...] = ((geo.GeoLevel.STATE, "total"),)
     nonneg: bool = True
     integerize: bool = True
+
+    def __post_init__(self) -> None:
+        for level, _ in self.invariants:
+            if level not in _LEVEL_INDEX:
+                raise SchemaError(f"invariants: {level.value} is not an optimized-spine level")
 
 
 # ----------------------------------------------------------------------
@@ -360,35 +365,19 @@ def _largest_remainder(values: np.ndarray, target,
     return out.reshape(shape)
 
 
-@dataclass(frozen=True)
-class _Invariant:
-    label: str
-    support: np.ndarray  # bool mask over cells
-    targets: np.ndarray  # one per node of the group being processed
-
-
-def _check_nested(invariants: Sequence[_Invariant]) -> None:
-    for a, b in itertools.combinations([inv.support for inv in invariants], 2):
-        if (a & b).any() and not (a <= b).all() and not (b <= a).all():
-            raise InfeasibleConstraints(
-                "overlapping invariant supports must be nested or disjoint"
-            )
-
-
-def _repair_invariants(X: np.ndarray, invariants: Sequence[_Invariant], nonneg: bool) -> None:
+def _repair_invariants(X: np.ndarray, labels: Sequence[str], supports: np.ndarray,
+                       targets: np.ndarray, nonneg: bool) -> None:
     """Unit moves between siblings, inside one invariant's exclusive
-    cells, until every invariant statistic is exact.  Moves happen at a
+    cells, until every invariant statistic is exact.  Supports come
+    smallest first, targets one column per support.  Moves happen at a
     single cell at a time, so per-cell parent sums are untouched."""
-    if not invariants:
-        return
-    _check_nested(invariants)
     done = np.zeros(X.shape[1], dtype=bool)
-    for inv in sorted(invariants, key=lambda e: (int(e.support.sum()), e.label)):
-        free = np.nonzero(inv.support & ~done)[0]
-        s = X[:, inv.support].sum(axis=1).astype(np.int64) - inv.targets
+    for label, support, target in zip(labels, supports, targets.T):
+        free = np.nonzero(support & ~done)[0]
+        s = X[:, support].sum(axis=1).astype(np.int64) - target
         if s.sum() != 0:
             raise InfeasibleConstraints(
-                f"invariant {inv.label!r} targets do not sum to the parent value"
+                f"invariant {label!r} targets do not sum to the parent value"
             )
         while (s > 0).any():
             i = int(np.nonzero(s > 0)[0][0])
@@ -396,50 +385,43 @@ def _repair_invariants(X: np.ndarray, invariants: Sequence[_Invariant], nonneg: 
             movable = free[X[i, free] >= 1]
             if movable.size == 0 and nonneg:
                 raise InfeasibleConstraints(
-                    f"no movable mass to repair invariant {inv.label!r}"
+                    f"no movable mass to repair invariant {label!r}"
                 )
             cell = movable[0] if movable.size else free[np.argmax(X[i, free])]
             X[[i, j], cell] += (-1, 1)
             s[[i, j]] += (-1, 1)
-        done |= inv.support
+        done |= support
 
 
-def _round_root(x: np.ndarray, invariants: Sequence[_Invariant]) -> np.ndarray:
+def _round_root(x: np.ndarray, labels: Sequence[str], supports: np.ndarray,
+                target: np.ndarray) -> np.ndarray:
     """Integerize the root against its invariant partition.
 
-    Cells are grouped by the smallest invariant support containing them
-    (supports must be nested or disjoint); each group is rounded to its
-    exclusive integer target, cells under no invariant round to the
-    rounded continuous total.
+    Supports come smallest first and are nested or disjoint.  Cells are
+    grouped by the smallest support containing them; each group is
+    rounded to its exclusive integer target, cells under no invariant
+    round to the rounded continuous total.
     """
-    C = x.size
-    _check_nested(invariants)
-    order = sorted(invariants, key=lambda e: (int(e.support.sum()), e.label))
-    assigned = np.zeros(C, dtype=bool)
-    groups: list[tuple[np.ndarray, int]] = []
-    seen: list[tuple[np.ndarray, int]] = []  # (support, exclusive target)
-    for inv in order:
-        cells = np.nonzero(inv.support & ~assigned)[0]
-        target = int(inv.targets[0])
+    k = len(labels)
+    # the smallest support holding each cell, k for none; inner[j, i]: j inside i
+    owner = np.vstack([supports, np.ones((1, x.size), dtype=bool)]).argmax(axis=0)
+    inner = (supports.astype(np.int64) @ supports.T) == supports.sum(axis=1)[:, None]
+    exclusive = np.zeros(k + 1, dtype=np.int64)
+    for i, label in enumerate(labels):
         # exclusive targets of inner supports partition their mass, so
         # subtracting them never double-counts on deeper nesting chains
-        for supp, t in seen:
-            if (supp <= inv.support).all():
-                target -= t
-        if target < 0 or (cells.size == 0 and target != 0):
+        exclusive[i] = int(target[i]) - exclusive[:i][inner[:i, i]].sum()
+        if exclusive[i] < 0 or (not (owner == i).any() and exclusive[i] != 0):
             raise InfeasibleConstraints(
-                f"invariant {inv.label!r} leaves an unroundable exclusive target"
+                f"invariant {label!r} leaves an unroundable exclusive target"
             )
-        groups.append((cells, target))
-        seen.append((inv.support.copy(), target))
-        assigned[cells] = True
-    rest = np.nonzero(~assigned)[0]
+    rest = np.nonzero(owner == k)[0]
     if rest.size:
-        groups.append((rest, int(round(float(x[rest].sum())))))
-    out = np.zeros(C, dtype=np.int64)
-    for cells, target in groups:
-        if cells.size:
-            out[cells] = _largest_remainder(x[cells], target)
+        exclusive[k] = int(round(float(x[rest].sum())))
+    cells = np.argsort(owner, kind="stable")
+    used, seg = np.unique(owner[cells], return_inverse=True)
+    out = np.zeros(x.size, dtype=np.int64)
+    out[cells] = _largest_remainder(x[cells], exclusive[used], seg)
     return out
 
 
@@ -447,24 +429,32 @@ def _round_root(x: np.ndarray, invariants: Sequence[_Invariant]) -> np.ndarray:
 # the post-processing map
 
 
-def _resolve_invariants(
+def resolve_invariants(
     cfg: PostProcessConfig, agg: AggregationMatrix
-) -> dict[geo.GeoLevel, list[tuple[str, np.ndarray]]]:
-    """Rows to hold exact, per spine level (a level inherits every
-    invariant declared at or below it)."""
-    by_level: dict[geo.GeoLevel, list[tuple[str, np.ndarray]]] = {
-        lv: [] for lv in geo.NMF_LEVEL_ORDER
-    }
-    for level, label in cfg.invariants:
-        if level not in _LEVEL_INDEX:
-            raise SchemaError(f"{level.value} is not an optimized-spine level")
-        row = agg.row(label)
-        if not np.isin(row, (0, 1)).all():
+) -> dict[geo.GeoLevel, tuple[tuple[str, ...], np.ndarray]]:
+    """Statistics to hold exact, per spine level: their labels in
+    declaration order and a read-only (labels x cells) bool support
+    matrix.  A level inherits every invariant declared at or below it, so
+    the nation holds them all, and integer rounding needs them nested or
+    disjoint there (and so at every level)."""
+    rows = {}
+    for _, label in cfg.invariants:
+        rows[label] = agg.row(label)
+        if ((rows[label] != 0) & (rows[label] != 1)).any():
             raise SchemaError(f"invariant statistic {label!r} must be a 0/1 row")
-        for lv in geo.NMF_LEVEL_ORDER[: _LEVEL_INDEX[level] + 1]:
-            if label not in [lb for lb, _ in by_level[lv]]:
-                by_level[lv].append((label, row.astype(bool)))
-    return by_level
+    table = {}
+    for lv in geo.NMF_LEVEL_ORDER:
+        labels = tuple(dict.fromkeys(label for level, label in cfg.invariants
+                                     if _LEVEL_INDEX[level] >= _LEVEL_INDEX[lv]))
+        supports = np.array([rows[label] for label in labels], dtype=bool).reshape(
+            len(labels), agg.matrix.shape[1])
+        supports.flags.writeable = False
+        table[lv] = (labels, supports)
+    supports = table[geo.GeoLevel.NATION][1].astype(np.int64)
+    common, size = supports @ supports.T, supports.sum(axis=1)
+    if cfg.integerize and ((common > 0) & (common < np.minimum.outer(size, size))).any():
+        raise InfeasibleConstraints("overlapping invariant supports must be nested or disjoint")
+    return table
 
 
 def _level_hessian(H: np.ndarray) -> np.ndarray:
@@ -496,41 +486,48 @@ def topdown_postprocess(
         raise SchemaError("query matrix and enumeration schema disagree")
     spine = cef.spine
     levels = geo.NMF_LEVEL_ORDER
-    inv_by_level = _resolve_invariants(cfg, agg)
+    invariants = resolve_invariants(cfg, agg)
     position = {n: i for lv in levels for i, n in enumerate(spine.nodes_at(lv))}
 
-    # per-level data: measurements, invariant targets per node, and the
-    # query split into weighted rows vs exact rows, which with the
-    # invariant supports form every child's equality rows
+    # per-level data: measurements, the invariants with their targets per
+    # node (in declaration order, and ranked smallest support first for
+    # rounding), and the query split into weighted rows vs exact rows,
+    # which with the invariant supports form every child's equality rows
     per_level: dict[geo.GeoLevel, dict] = {}
     qmat = q.matrix.astype(float)
     for lv in levels:
+        labels, supports = invariants[lv]
+        targets = (cef.level_histograms(lv) @ supports.T if labels
+                   else np.zeros((len(spine.nodes_at(lv)), 0), dtype=np.int64))
+        rank = sorted(range(len(labels)), key=lambda i: (int(supports[i].sum()), labels[i]))
         variances = q.variances_for(lv)
         wmask = variances > 0
         Qw = qmat[wmask]
         QtW = Qw.T * (1.0 / variances[wmask])
-        truth = cef.level_histograms(lv) if inv_by_level[lv] else None
         per_level[lv] = {
             "vals": nms.values[nms.rows(spine.nodes_at(lv))].astype(float),
-            "targets": [truth[:, s].sum(axis=1) for _, s in inv_by_level[lv]],
+            "labels": labels,
+            "supports": supports,
+            "targets": targets,
+            "ranked": ([labels[i] for i in rank], supports[rank], targets[:, rank]),
             "wmask": wmask,
-            "E": np.vstack([qmat[~wmask]] + [s[None, :] for _, s in inv_by_level[lv]]),
+            "E": np.vstack([qmat[~wmask], supports]),
             "H": _level_hessian(2.0 * (QtW @ Qw)),
             "QtW2": 2.0 * QtW,
         }
 
-    def fit(level, rows, parents, seg, where) -> tuple[np.ndarray, list[_Invariant]]:
+    def fit(level, rows, parents, seg, where) -> np.ndarray:
         lvdat = per_level[level]
         vals = lvdat["vals"][rows]
-        invs = [_Invariant(label, support, t[rows])
-                for (label, support), t in zip(inv_by_level[level], lvdat["targets"])]
-        e = np.column_stack([vals[:, ~lvdat["wmask"]]] + [inv.targets for inv in invs])
+        e = np.hstack([vals[:, ~lvdat["wmask"]], lvdat["targets"][rows]])
         G = vals[:, lvdat["wmask"]] @ lvdat["QtW2"].T
-        return _solve_level(lvdat["H"], lvdat["E"], G, e, parents, seg, cfg.nonneg, where), invs
+        return _solve_level(lvdat["H"], lvdat["E"], G, e, parents, seg, cfg.nonneg, where)
 
-    x, invs = fit(geo.GeoLevel.NATION, [0], None, np.zeros(1, dtype=int),
-                  [f"{geo.NATION_ID} (root)"])
-    solved = _round_root(x[0], invs)[None, :].astype(float) if cfg.integerize else x
+    solved = fit(geo.GeoLevel.NATION, [0], None, np.zeros(1, dtype=int),
+                 [f"{geo.NATION_ID} (root)"])
+    if cfg.integerize:
+        labels, supports, targets = per_level[geo.GeoLevel.NATION]["ranked"]
+        solved = _round_root(solved[0], labels, supports, targets[0])[None, :].astype(float)
 
     # descend one generation at a time, every node group of it at once
     for parent_level, child_level in zip(levels, levels[1:]):
@@ -545,13 +542,13 @@ def topdown_postprocess(
             rows = np.concatenate([families[i] for i in multi])
             seg = np.repeat(np.arange(len(multi)), [len(families[i]) for i in multi])
             where = [f"parent {parents[i]} ({child_level.value} children)" for i in multi]
-            x, invs = fit(child_level, rows, solved[multi], seg, where)
+            x = fit(child_level, rows, solved[multi], seg, where)
             if cfg.integerize:
                 x = _largest_remainder(x, solved[multi].astype(np.int64), seg)
+                labels, supports, targets = per_level[child_level]["ranked"]
                 bounds = np.searchsorted(seg, np.arange(len(multi) + 1))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if invs else ():
-                    _repair_invariants(x[lo:hi], [_Invariant(i.label, i.support, i.targets[lo:hi])
-                                                  for i in invs], cfg.nonneg)
+                for lo, hi in zip(bounds[:-1], bounds[1:]) if labels else ():
+                    _repair_invariants(x[lo:hi], labels, supports, targets[rows[lo:hi]], cfg.nonneg)
             kids_solved[rows] = x
         solved = kids_solved
 
@@ -560,25 +557,19 @@ def topdown_postprocess(
         kind="postprocessed", run_seed=nms.seed,
     )
     if cfg.integerize:
-        _validate_postprocessed(out, inv_by_level, per_level)
+        _validate_postprocessed(out, per_level)
     return out
 
 
-def _validate_postprocessed(
-    ds: HistogramDataset,
-    inv_by_level: Mapping[geo.GeoLevel, list[tuple[str, np.ndarray]]],
-    per_level: Mapping[geo.GeoLevel, dict],
-) -> None:
-    for lv, invs in inv_by_level.items():
-        if not invs:
+def _validate_postprocessed(ds: HistogramDataset, per_level: Mapping[geo.GeoLevel, dict]) -> None:
+    for lv, lvdat in per_level.items():
+        if not lvdat["labels"]:
             continue
-        hist = ds.level_histograms(lv)
-        for (label, support), want in zip(invs, per_level[lv]["targets"]):
-            got = hist[:, support].sum(axis=1)
-            bad = np.nonzero(got != want)[0]
-            if bad.size:
-                i = bad[0]
-                raise InfeasibleConstraints(
-                    f"invariant {label!r} broken at {ds.spine.nodes_at(lv)[i]}: "
-                    f"{got[i]} != {want[i]}"
-                )
+        got, want = ds.level_histograms(lv) @ lvdat["supports"].T, lvdat["targets"]
+        bad = np.argwhere(got.T != want.T)
+        if bad.size:
+            k, i = bad[0]
+            raise InfeasibleConstraints(
+                f"invariant {lvdat['labels'][k]!r} broken at {ds.spine.nodes_at(lv)[i]}: "
+                f"{got[i, k]} != {want[i, k]}"
+            )

@@ -152,6 +152,9 @@ _MISREAD = {
     "negative --seed": (_config(), ["--seed", "-1"], "seed must be in [0, 2**63)"),
     "spine-node report level": (_config(report={"levels": ["optimized_blockgroup"]}), [],
                                 "config.report: levels: optimized_blockgroup"),
+    "block-group codes past 999": (
+        _config(spine={"blockgroups_per_tract": 9, "blocks_per_blockgroup": 100, "obg_size": 1,
+                       "tracts_per_county": 1, "counties_per_state": 1}), [], "config.spine"),
     "not UTF-8": (b'{"config_version": 1, "seed": "\xff"}', [], "cfg.json"),
     "nested too deep": (b"[" * 100_000 + b"]" * 100_000, [], "cfg.json"),
 }
@@ -167,6 +170,37 @@ def test_simulate_rejects_misread_config_values(tmp_path, capsys, body, flags, n
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error:") and names in line
+
+
+# each was once raised inside TopDown, after simulate had written four files
+_BAD_INVARIANTS = {
+    "unknown label": ([["state", "nope"]], 1, "no statistic named 'nope'"),
+    "off the spine": ([["blockgroup", "total"]], 1,
+                      "config.postprocess: invariants: blockgroup is not an optimized-spine level"),
+    "overlapping": ([["state", "voting_age"], ["state", "hispanic"]], 3,
+                    "overlapping invariant supports must be nested or disjoint"),
+}
+
+
+@pytest.mark.parametrize("invariants,code,message", _BAD_INVARIANTS.values(),
+                         ids=list(_BAD_INVARIANTS))
+def test_simulate_rejects_bad_invariants_before_writing(tmp_path, capsys, invariants, code,
+                                                         message):
+    p, out = tmp_path / "cfg.json", tmp_path / "o"
+    p.write_bytes(_config(postprocess={"invariants": invariants}))
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no world: line
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_overlapping_invariants_are_fine_without_integer_rounding(tmp_path):
+    p = tmp_path / "cfg.json"
+    overlapping = [["state", "voting_age"], ["state", "hispanic"]]
+    p.write_text(json.dumps({**TINY_CONFIG, "postprocess": {"invariants": overlapping,
+                                                            "integerize": False}}))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -285,6 +285,25 @@ def test_synthetic_spine_obgs_differ_from_blockgroups():
     assert mismatch, "optimized block groups should regroup blocks across standard BGs"
 
 
+def test_spine_spec_keeps_every_code_within_its_digits():
+    # optimized block groups are coded 101 + position // obg_size, three digits
+    wide = dict(blockgroups_per_tract=9, blocks_per_blockgroup=100, tracts_per_county=1,
+                counties_per_state=1)
+    with pytest.raises(ParameterError, match="obg_size"):
+        SpineSpec(**wide, obg_size=1)
+    for spec in (SpineSpec(**wide, obg_size=2),
+                 SpineSpec(blockgroups_per_tract=1, blocks_per_blockgroup=899,
+                           tracts_per_county=1, counties_per_state=1, obg_size=1,
+                           aian_tract_prob=0.0)):
+        spine = make_synthetic_spine(spec, seed=1)
+        assert all(parse_geocode(raw).raw == raw for raw in spine.blocks)
+    assert max(n[-3:] for n in spine.nodes_at(GeoLevel.OPT_BLOCKGROUP)) == "999"
+    # places are coded 60000 + index, five digits
+    SpineSpec(places_per_state=40000)
+    with pytest.raises(ParameterError, match="places_per_state"):
+        SpineSpec(places_per_state=40001)
+
+
 # ----------------------------------------------------------------------
 # the array-built spine against the per-record loop
 

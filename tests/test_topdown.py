@@ -30,8 +30,9 @@ from dasim.topdown import (
     _dual_active_set,
     _largest_remainder,
     _repair_invariants,
-    _Invariant,
+    _round_root,
     _solve_level,
+    resolve_invariants,
     topdown_postprocess,
 )
 
@@ -90,12 +91,27 @@ def test_largest_remainder_rejects_impossible_target():
 
 def test_invariant_repair_moves_single_units():
     X = np.array([[2, 0], [0, 3]], dtype=np.int64)
-    support = np.array([True, False])
-    inv = _Invariant("total_cell0", support, np.array([1, 1], dtype=np.int64))
-    _repair_invariants(X, [inv], nonneg=True)
+    supports = np.array([[True, False]])
+    targets = np.array([[1], [1]], dtype=np.int64)  # one column per support
+    _repair_invariants(X, ["total_cell0"], supports, targets, nonneg=True)
     assert X[:, 0].tolist() == [1, 1]
     assert X[:, 1].tolist() == [0, 3]  # untouched cells stay put
     assert X.sum() == 5
+
+
+def test_root_rounding_holds_every_support_of_a_nesting_chain():
+    # a inside b inside c, cells 5 and 6 under no invariant
+    rows = np.array([[1, 1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 0, 0]])
+    agg = AggregationMatrix(("a", "b", "c"), rows)
+    cfg = PostProcessConfig(invariants=tuple((geo.GeoLevel.NATION, lb) for lb in "abc"))
+    labels, supports = resolve_invariants(cfg, agg)[geo.GeoLevel.NATION]
+    assert labels == ("a", "b", "c")  # smallest support first, as TopDown ranks them
+    truth = np.array([3, 1, 4, 1, 5, 9, 2])
+    x = np.array([2.6, 1.7, 4.4, 0.2, 6.3, 8.5, 2.2])
+    out = _round_root(x, labels, supports, supports @ truth)
+    assert (supports @ out).tolist() == (supports @ truth).tolist() == [4, 9, 14]
+    assert out[5:].sum() == 11  # the rest rounds to its rounded continuous total
+    assert (out >= 0).all()
 
 
 # ----------------------------------------------------------------------
