@@ -48,7 +48,6 @@ from .estimators import (
     estimate_mse,
     nmf_rmse_exact,
     noisy_stat_table,
-    run_correlation,
     selection_for_level,
 )
 from .histograms import (
@@ -991,8 +990,7 @@ def check_degenerate_inputs() -> tuple[bool, str]:
     post-processing; a zero-rate swap is the identity; zero-variance
     sampling returns zeros; empty selections are rejected rather than
     silently producing empty tables; all-tied values share one
-    quantile bin; correlation of a constant run is reported as
-    undefined, not zero; and a negative raw error estimate survives
+    quantile bin; and a negative raw error estimate survives
     clamping (the clamped RMSE is zero, the raw value keeps its sign).
     """
     checks = _Checks()
@@ -1043,12 +1041,6 @@ def check_degenerate_inputs() -> tuple[bool, str]:
     cells = tuple((geo.GeoId(geo.GeoLevel.BLOCK, spine.block_geoid(b)), "total")
                   for b in blocks)
     values = np.array([5.0, 5.0])
-    flat = StatTable("postprocessed", cells, values, run_seed=1)
-    checks.expect(
-        run_correlation(flat, StatTable("noisy", cells, values, run_seed=2)) is None,
-        "correlation of a constant run should be undefined, not a number",
-    )
-
     noisy = StatTable("noisy", cells, values, variances=np.full(2, 4.0), run_seed=3)
     release = StatTable("postprocessed", cells, values, run_seed=8)
     est = estimate_mse(release, noisy)

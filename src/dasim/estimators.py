@@ -292,16 +292,3 @@ def decile_bins(values: Mapping, k: int = 10) -> dict:
         first_pos.setdefault(values[i], pos)
     return {i: first_pos[values[i]] * k // n for i in ids}
 
-
-def run_correlation(a: StatTable, b: StatTable) -> Optional[float]:
-    """Pearson correlation between two runs' values over a selection.
-
-    Returns None when either side is constant: correlation is undefined
-    there, and masking that with 0 would fake independence.
-    """
-    _check_aligned(a, b)
-    x = a.values.astype(float)
-    y = b.values.astype(float)
-    if x.std() == 0.0 or y.std() == 0.0:
-        return None
-    return float(np.corrcoef(x, y)[0, 1])

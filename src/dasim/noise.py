@@ -14,6 +14,7 @@ each part by an inverse-variance-weighted mean.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -222,6 +223,7 @@ class QueryMatrix:
         self.row_ids = tuple(ids)
         self.row_groups = tuple(row_groups)
         self.matrix = np.array(rows, dtype=np.int8)
+        self.matrix.flags.writeable = False
         self._row_of = {rid: i for i, rid in enumerate(ids)}
         self._detail_rows = np.array(
             [self._row_of.get(f"cell_{i}", -1) for i in range(size)], dtype=np.int64
@@ -354,38 +356,68 @@ def make_noisy_measurements(
     regardless of the order nodes are generated in.  A stream draws one
     noise group after another, in ascending variance order.  ``nodes``
     restricts generation to a subset without changing any node's draws.
+    The first call per (enumeration, query, subset) builds its plan, and
+    later calls draw only the noise.
     """
-    if nodes is None:
-        node_list = [n for lv in geo.NMF_LEVEL_ORDER for n in cef.spine.nodes_at(lv)]
-    else:
-        node_list = sorted(set(nodes), key=lambda n: (len(n), n))
-        for n in node_list:
-            if not cef.spine.has_node(n):
-                raise ParameterError(f"unknown spine node {n!r}")
-    # every answer is at most the total population, below 2**53, so the
-    # float64 product is exact; assigning it casts it back to int64
-    qmat = q.matrix.T.astype(float)
-    values = np.empty((len(node_list), q.n_rows), dtype=np.int64)
-    levels = [geo.node_level(n) for n in node_list]
-    at_level: dict[geo.GeoLevel, list[int]] = {}
-    for i, level in enumerate(levels):
-        at_level.setdefault(level, []).append(i)
-    for level, idx in at_level.items():
-        values[idx] = cef.node_histograms([node_list[i] for i in idx]).astype(float) @ qmat
-    noisy = [i for i, level in enumerate(levels) if q.noise_groups(level)]
+    subset = None if nodes is None else frozenset(nodes)
+    plans = _PLANS.setdefault(cef, weakref.WeakKeyDictionary()).setdefault(q, {})
+    plan = plans.get(subset)
+    if plan is None:
+        plan = plans[subset] = _MeasurePlan(cef, q, subset)
+    values = plan.exact.copy()
     key = int(seed) & 0xFFFFFFFFFFFFFFFF
-    for start in range(0, len(noisy), STREAM_CHUNK):
-        chunk = noisy[start : start + STREAM_CHUNK]
-        spawn = [(_digest(node_list[i]),) for i in chunk]
-        by_level: dict[geo.GeoLevel, tuple[list[int], list[np.random.Generator]]] = {}
-        for i, rng in zip(chunk, streams([(key,)] * len(chunk), spawn)):
-            rows, rngs = by_level.setdefault(levels[i], ([], []))
-            rows.append(i)
-            rngs.append(rng)
-        for level, (rows, rngs) in by_level.items():
+    for spawn, by_level in plan.chunks:
+        rngs = streams([(key,)] * len(spawn), spawn)
+        for level, rows, at in by_level:
+            sub = [rngs[i] for i in at]
             for v, cols in q.noise_groups(level):
-                values[np.array(rows)[:, None], cols] += _dgauss_streams(v, cols.size, rngs)
-    return NoisyMeasurements(q, int(seed), tuple(node_list), values)
+                values[rows, cols] += _dgauss_streams(v, cols.size, sub)
+    return NoisyMeasurements(q, int(seed), plan.nodes, values)
+
+
+# plans by enumeration, then by query, each dropped with its key, then by
+# node subset
+_PLANS: "weakref.WeakKeyDictionary[HistogramDataset, weakref.WeakKeyDictionary]" = (
+    weakref.WeakKeyDictionary())
+
+
+class _MeasurePlan:
+    """What measuring ``subset`` (None for every node) of one enumeration
+    with one query needs besides the noise: the node list, the exact
+    answers, read-only, and per chunk of noisy nodes their spawn keys and
+    their rows grouped by level, each with its streams' places in the
+    chunk."""
+
+    def __init__(self, cef: HistogramDataset, q: QueryMatrix, subset: Optional[frozenset]):
+        if subset is None:
+            node_list = [n for lv in geo.NMF_LEVEL_ORDER for n in cef.spine.nodes_at(lv)]
+        else:
+            node_list = sorted(subset, key=lambda n: (len(n), n))
+            for n in node_list:
+                if not cef.spine.has_node(n):
+                    raise ParameterError(f"unknown spine node {n!r}")
+        # every answer is at most the total population, below 2**53, so the
+        # float64 product is exact; assigning it casts it back to int64
+        qmat = q.matrix.T.astype(float)
+        exact = np.empty((len(node_list), q.n_rows), dtype=np.int64)
+        levels = [geo.node_level(n) for n in node_list]
+        at_level: dict[geo.GeoLevel, list[int]] = {}
+        for i, level in enumerate(levels):
+            at_level.setdefault(level, []).append(i)
+        for level, idx in at_level.items():
+            exact[idx] = cef.node_histograms([node_list[i] for i in idx]).astype(float) @ qmat
+        exact.flags.writeable = False
+        self.nodes, self.exact, self.chunks = tuple(node_list), exact, []
+        noisy = [i for i, level in enumerate(levels) if q.noise_groups(level)]
+        for start in range(0, len(noisy), STREAM_CHUNK):
+            chunk = noisy[start : start + STREAM_CHUNK]
+            by_level: dict[geo.GeoLevel, list[int]] = {}
+            for at, i in enumerate(chunk):
+                by_level.setdefault(levels[i], []).append(at)
+            self.chunks.append((
+                [(_digest(node_list[i]),) for i in chunk],
+                [(level, np.array(chunk)[at][:, None], at) for level, at in by_level.items()],
+            ))
 
 
 def _digest(node_id: str) -> int:

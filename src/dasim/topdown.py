@@ -35,6 +35,7 @@ measurements, which is all the estimators downstream require.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -43,7 +44,7 @@ import numpy as np
 from . import geo
 from .errors import InfeasibleConstraints, SchemaError
 from .histograms import AggregationMatrix, HistogramDataset, default_statistics
-from .noise import NoisyMeasurements
+from .noise import NoisyMeasurements, QueryMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -86,12 +87,17 @@ class _Batch:
     their G and e per child, parent sums (None at the root), tolerances and
     names.  Group b's children share the inverse of one KKT matrix, H[b] of
     its kept cells bordered by its rows E[b]; a child whose pins change is
-    refactored alone, each pinned (or pad) cell held at zero by identity."""
+    refactored alone, each pinned (or pad) cell held at zero by identity.
+    The per-child copies of H, E, pad and tol, and each group's E'E, are
+    gathered once, for every active-set step."""
 
     def __init__(self, H, E, pad, seg, G, e, parent, tol, where):
         self.H, self.E, self.pad, self.seg, self.G, self.e = H, E, pad, seg, G, e
         self.parent, self.tol, self.where = parent, tol, where
         self.start = np.searchsorted(seg, np.arange(len(where)))
+        self.kid_H, self.kid_E = H[seg], E[seg]
+        self.kid_pad, self.kid_tol = pad[seg], tol[seg, None]
+        self.EtE = E.transpose(0, 2, 1) @ E
         m = E.shape[1]
         self.kkt = np.block([[H + pad[:, :, None] * np.eye(pad.shape[1]), E.transpose(0, 2, 1)],
                              [E, np.zeros((len(where), m, m))]])
@@ -122,7 +128,7 @@ class _Batch:
         subject to E x_i = e_i, its parent sums (unless None) and the pins.
         Returns x and the multiplier of every pin (zero on free cells)."""
         n, seg = self.H.shape[1], self.seg
-        free = ~(self.pins | self.pad[seg])
+        free = ~(self.pins | self.kid_pad)
         sol = np.einsum("kij,kj->ki", self.inv, np.concatenate([G * free, e], axis=1))
         mu = np.zeros((self.start.size, n))
         if parent is not None:
@@ -133,19 +139,19 @@ class _Batch:
             # and the least-squares answer shows up as an inconsistent x.
             S = np.add.reduceat(self.inv[:, :n, :n] * free[:, None, :], self.start, axis=0)
             top = np.maximum(S.diagonal(axis1=1, axis2=2).max(axis=1, initial=0.0), 1.0)
-            S += top[:, None, None] * (self.E.transpose(0, 2, 1) @ self.E)
+            S += top[:, None, None] * self.EtE
             S[:, range(n), range(n)] += self.pad
             mu = _solve(S, np.add.reduceat(sol[:, :n], self.start, axis=0) - parent)
             sol -= np.einsum("kij,kj->ki", self.inv[:, :, :n], mu[seg] * free)
         x, lam = sol[:, :n], sol[:, n:]
-        grad = np.einsum("kj,kij->ki", x, self.H[seg]) - G + np.einsum(
-            "ki,kij->kj", lam, self.E[seg]) + mu[seg]
+        grad = np.einsum("kj,kij->ki", x, self.kid_H) - G + np.einsum(
+            "ki,kij->kj", lam, self.kid_E) + mu[seg]
         return x, np.where(self.pins, grad, 0.0)
 
     def violation(self, x: np.ndarray, e: np.ndarray,
                   parent: Optional[np.ndarray]) -> np.ndarray:
         """Largest equality residual of each group's solution."""
-        return _residual(np.einsum("kj,kij->ki", x, self.E[self.seg]), e, x, parent, self.start)
+        return _residual(np.einsum("kj,kij->ki", x, self.kid_E), e, x, parent, self.start)
 
 
 def _invert(K: np.ndarray) -> np.ndarray:
@@ -191,7 +197,7 @@ def _active_set(batch: _Batch) -> np.ndarray:
     ends = np.append(batch.start[1:], len(batch.pins))
     for step in range(1, _CAP + 1):
         x, nu = batch.solve(batch.G, batch.e, batch.parent)
-        tol = batch.tol[batch.seg, None]
+        tol = batch.kid_tol
         pins = (batch.pins & (nu >= -tol)) | (x < -tol)
         moved = np.logical_or.reduceat((pins != batch.pins).any(axis=1), batch.start) & live
         stop = live & (batch.violation(x, batch.e, batch.parent) > _EQ_TOL * batch.tol)
@@ -477,48 +483,26 @@ def topdown_postprocess(
 
     Each generation is one (nodes x cells) array in ``spine.nodes_at``
     order.  The map is fully deterministic: rounding ties are resolved
-    by index order.
+    by index order.  The first call per (enumeration, query, config,
+    aggregation) builds its ``_Plan``, and later calls reuse it.
     """
     cfg = cfg or PostProcessConfig()
     agg = agg or default_statistics(cef.schema)
     q = nms.query
     if q.schema.size != cef.schema.size:
         raise SchemaError("query matrix and enumeration schema disagree")
-    spine = cef.spine
-    levels = geo.NMF_LEVEL_ORDER
-    invariants = resolve_invariants(cfg, agg)
-    position = {n: i for lv in levels for i, n in enumerate(spine.nodes_at(lv))}
-
-    # per-level data: measurements, the invariants with their targets per
-    # node (in declaration order, and ranked smallest support first for
-    # rounding), and the query split into weighted rows vs exact rows,
-    # which with the invariant supports form every child's equality rows
-    per_level: dict[geo.GeoLevel, dict] = {}
-    qmat = q.matrix.astype(float)
-    for lv in levels:
-        labels, supports = invariants[lv]
-        targets = (cef.level_histograms(lv) @ supports.T if labels
-                   else np.zeros((len(spine.nodes_at(lv)), 0), dtype=np.int64))
-        rank = sorted(range(len(labels)), key=lambda i: (int(supports[i].sum()), labels[i]))
-        variances = q.variances_for(lv)
-        wmask = variances > 0
-        Qw = qmat[wmask]
-        QtW = Qw.T * (1.0 / variances[wmask])
-        per_level[lv] = {
-            "vals": nms.values[nms.rows(spine.nodes_at(lv))].astype(float),
-            "labels": labels,
-            "supports": supports,
-            "targets": targets,
-            "ranked": ([labels[i] for i in rank], supports[rank], targets[:, rank]),
-            "wmask": wmask,
-            "E": np.vstack([qmat[~wmask], supports]),
-            "H": _level_hessian(2.0 * (QtW @ Qw)),
-            "QtW2": 2.0 * QtW,
-        }
+    # an AggregationMatrix holds an array, so it is keyed by identity; the
+    # plan holds it, so its id names no other matrix while the plan lives
+    plans = _PLANS.setdefault(cef, weakref.WeakKeyDictionary()).setdefault(q, {})
+    plan = plans.get((cfg, id(agg)))
+    if plan is None:
+        plan = plans[cfg, id(agg)] = _Plan(cef, q, cfg, agg)
+    per_level = plan.levels
+    measured = {lv: nms.values[nms.rows(lvdat["nodes"])] for lv, lvdat in per_level.items()}
 
     def fit(level, rows, parents, seg, where) -> np.ndarray:
         lvdat = per_level[level]
-        vals = lvdat["vals"][rows]
+        vals = measured[level][rows].astype(float)
         e = np.hstack([vals[:, ~lvdat["wmask"]], lvdat["targets"][rows]])
         G = vals[:, lvdat["wmask"]] @ lvdat["QtW2"].T
         return _solve_level(lvdat["H"], lvdat["E"], G, e, parents, seg, cfg.nonneg, where)
@@ -530,35 +514,117 @@ def topdown_postprocess(
         solved = _round_root(solved[0], labels, supports, targets[0])[None, :].astype(float)
 
     # descend one generation at a time, every node group of it at once
-    for parent_level, child_level in zip(levels, levels[1:]):
-        parents = spine.nodes_at(parent_level)
-        families = [[position[k] for k in spine.children(p)] for p in parents]
-        kids_solved = np.empty((len(spine.nodes_at(child_level)), cef.schema.size))
-        for rows, pvec in zip(families, solved):
-            if len(rows) == 1:
-                kids_solved[rows[0]] = pvec
-        multi = [i for i, rows in enumerate(families) if len(rows) > 1]
-        if multi:
-            rows = np.concatenate([families[i] for i in multi])
-            seg = np.repeat(np.arange(len(multi)), [len(families[i]) for i in multi])
-            where = [f"parent {parents[i]} ({child_level.value} children)" for i in multi]
-            x = fit(child_level, rows, solved[multi], seg, where)
+    for gen in plan.generations:
+        kids_solved = np.empty((gen.size, cef.schema.size))
+        kids_solved[gen.only] = solved[gen.only_parent]
+        if gen.multi.size:
+            multi, rows, seg = gen.multi, gen.rows, gen.seg
+            x = fit(gen.level, rows, solved[multi], seg, gen.where)
             if cfg.integerize:
                 x = _largest_remainder(x, solved[multi].astype(np.int64), seg)
-                labels, supports, targets = per_level[child_level]["ranked"]
-                bounds = np.searchsorted(seg, np.arange(len(multi) + 1))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if labels else ():
+                labels, supports, targets = per_level[gen.level]["ranked"]
+                for lo, hi in zip(gen.bounds[:-1], gen.bounds[1:]) if labels else ():
                     _repair_invariants(x[lo:hi], labels, supports, targets[rows[lo:hi]], cfg.nonneg)
             kids_solved[rows] = x
         solved = kids_solved
 
     out = HistogramDataset(
-        spine, cef.schema, solved.astype(np.int64) if cfg.integerize else solved,
+        cef.spine, cef.schema, solved.astype(np.int64) if cfg.integerize else solved,
         kind="postprocessed", run_seed=nms.seed,
     )
     if cfg.integerize:
         _validate_postprocessed(out, per_level)
     return out
+
+
+# plans by enumeration, then by query, each dropped with its key, then by
+# (config, id(agg))
+_PLANS: "weakref.WeakKeyDictionary[HistogramDataset, weakref.WeakKeyDictionary]" = (
+    weakref.WeakKeyDictionary())
+
+
+@dataclass(frozen=True)
+class _Generation:
+    """The ``size`` nodes at ``level``, children of the level above.  The
+    only child at row ``only[i]`` copies its parent, row ``only_parent[i]``.
+    Each parent in ``multi`` has a node group of its children: their rows
+    are ``rows``, their group numbers ``seg``, and group b is
+    ``rows[bounds[b]:bounds[b + 1]]``, named ``where[b]``."""
+
+    level: geo.GeoLevel
+    size: int
+    only: np.ndarray
+    only_parent: np.ndarray
+    multi: np.ndarray
+    rows: np.ndarray
+    seg: np.ndarray
+    bounds: np.ndarray
+    where: list[str]
+
+    def __post_init__(self) -> None:
+        for a in (self.only, self.only_parent, self.multi, self.rows, self.seg, self.bounds):
+            a.flags.writeable = False  # shared by every call
+
+
+class _Plan:
+    """What post-processing one enumeration's measurements under one
+    query, config and aggregation needs besides the measurements.
+
+    Per level: its nodes, the invariants with their targets per node (in
+    declaration order, and ranked smallest support first for rounding),
+    and the query split into weighted rows vs exact rows, which with the
+    invariant supports form every child's equality rows, and the level
+    Hessian of the weighted rows.  Per generation, a ``_Generation``.
+    Nothing here holds the enumeration, so the plan never keeps it alive.
+    """
+
+    def __init__(self, cef: HistogramDataset, q: QueryMatrix, cfg: PostProcessConfig,
+                 agg: AggregationMatrix):
+        self.agg = agg
+        spine, levels = cef.spine, geo.NMF_LEVEL_ORDER
+        invariants = resolve_invariants(cfg, agg)
+        self.levels: dict[geo.GeoLevel, dict] = {}
+        qmat = q.matrix.astype(float)
+        for lv in levels:
+            labels, supports = invariants[lv]
+            targets = (cef.level_histograms(lv) @ supports.T if labels
+                       else np.zeros((len(spine.nodes_at(lv)), 0), dtype=np.int64))
+            rank = sorted(range(len(labels)), key=lambda i: (int(supports[i].sum()), labels[i]))
+            variances = q.variances_for(lv)
+            wmask = variances > 0
+            Qw = qmat[wmask]
+            QtW = Qw.T * (1.0 / variances[wmask])
+            ranked = ([labels[i] for i in rank], supports[rank], targets[:, rank])
+            E, QtW2 = np.vstack([qmat[~wmask], supports]), 2.0 * QtW
+            H = _level_hessian(2.0 * (QtW @ Qw))
+            for a in (targets, *ranked[1:], wmask, E, H, QtW2):  # shared by every call
+                a.flags.writeable = False
+            self.levels[lv] = {
+                "nodes": spine.nodes_at(lv),
+                "labels": labels,
+                "supports": supports,
+                "targets": targets,
+                "ranked": ranked,
+                "wmask": wmask,
+                "E": E,
+                "H": H,
+                "QtW2": QtW2,
+            }
+        position = {n: i for lv in levels for i, n in enumerate(spine.nodes_at(lv))}
+        self.generations = []
+        for parent_level, child_level in zip(levels, levels[1:]):
+            parents = spine.nodes_at(parent_level)
+            families = [[position[k] for k in spine.children(p)] for p in parents]
+            only = [i for i, rows in enumerate(families) if len(rows) == 1]
+            multi = [i for i, rows in enumerate(families) if len(rows) > 1]
+            seg = np.repeat(np.arange(len(multi)), [len(families[i]) for i in multi])
+            self.generations.append(_Generation(
+                child_level, len(spine.nodes_at(child_level)),
+                np.array([families[i][0] for i in only], dtype=np.intp),
+                np.array(only, dtype=np.intp), np.array(multi, dtype=np.intp),
+                np.array([k for i in multi for k in families[i]], dtype=np.intp), seg,
+                np.searchsorted(seg, np.arange(len(multi) + 1)),
+                [f"parent {parents[i]} ({child_level.value} children)" for i in multi]))
 
 
 def _validate_postprocessed(ds: HistogramDataset, per_level: Mapping[geo.GeoLevel, dict]) -> None:

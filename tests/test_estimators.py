@@ -16,7 +16,6 @@ from dasim.estimators import (
     estimate_mse,
     nmf_rmse_exact,
     noisy_stat_table,
-    run_correlation,
     selection_for_level,
 )
 from dasim.histograms import DESK_SCHEMA, default_statistics, generate_synthetic_cef
@@ -204,7 +203,7 @@ def test_nmf_rmse_is_exact():
 
 
 # ----------------------------------------------------------------------
-# binning and correlation diagnostics
+# binning diagnostics
 
 
 def test_decile_bins_match_oracle():
@@ -226,14 +225,6 @@ def test_decile_bins_guards():
         decile_bins({})
     with pytest.raises(ParameterError):
         decile_bins({"a": 1.0}, k=0)
-
-
-def test_run_correlation_undefined_on_constant_input():
-    a = _table("postprocessed", [3.0, 3.0], run_seed=1)
-    b = _table("postprocessed", [1.0, 5.0], run_seed=2)
-    assert run_correlation(a, b) is None
-    c = _table("postprocessed", [2.0, 6.0], run_seed=3)
-    assert run_correlation(b, c) == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------

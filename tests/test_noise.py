@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +166,12 @@ def test_query_matrix_row_inventory():
     assert set(q.row_groups) == {"detail", "total", "marginal"}
 
 
+def test_query_matrix_is_read_only():
+    q = QueryMatrix(DESK_SCHEMA)
+    with pytest.raises(ValueError):
+        q.matrix[0, 0] = 0
+
+
 def test_paths_for_total_statistic():
     q = QueryMatrix(DESK_SCHEMA)
     agg = default_statistics(DESK_SCHEMA)
@@ -225,6 +234,50 @@ def test_measurements_deterministic_and_subset_stable(tiny_world):
     assert (c.values == a.values[a.rows(block)]).all()
     d = make_noisy_measurements(cef, q, seed=5)
     assert (d.values[d.rows(block)] != a.values[a.rows(block)]).any()
+
+
+def test_measurement_plans_serve_interleaved_calls_byte_for_byte(tiny_world):
+    """Plans per (query, node subset) on one enumeration give every call
+    the bytes it gets on a fresh enumeration and query, which have none."""
+    spine, cef, q = tiny_world
+    # other rows, so other exact answers, and counties measured exactly
+    q1 = QueryMatrix(DESK_SCHEMA, BudgetSchedule.uniform(
+        {lv: 0.0 if lv is GeoLevel.COUNTY else 1.0 for lv in NMF_LEVEL_ORDER}),
+        groups=("total", "marginal"))
+    subset = [spine.blocks[0], *spine.nodes_at(GeoLevel.TRACT)]
+    calls = [(q, None), (q1, subset), (q, subset), (q1, None)] * 2
+    for seed, (query, nodes) in enumerate(calls):
+        got = make_noisy_measurements(cef, query, seed, nodes=nodes)
+        fresh = HistogramDataset(spine, DESK_SCHEMA, cef.counts)
+        want = make_noisy_measurements(fresh, QueryMatrix(DESK_SCHEMA, query.budget, query.groups),
+                                       seed, nodes=nodes)
+        assert got.nodes == want.nodes
+        np.testing.assert_array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("subset_first", [True, False])
+def test_subset_measurements_match_the_full_run(tiny_world, subset_first):
+    spine, cef, _ = tiny_world
+    world, q = HistogramDataset(spine, DESK_SCHEMA, cef.counts), QueryMatrix(DESK_SCHEMA)
+    subset = ["US", spine.blocks[-1], *spine.nodes_at(GeoLevel.COUNTY)]
+    if subset_first:
+        part = make_noisy_measurements(world, q, 3, nodes=subset)
+    full = make_noisy_measurements(world, q, 3)
+    if not subset_first:
+        part = make_noisy_measurements(world, q, 3, nodes=subset)
+    np.testing.assert_array_equal(part.values, full.values[full.rows(part.nodes)])
+
+
+def test_a_dropped_enumeration_is_collectable():
+    spine = make_synthetic_spine(SpineSpec(), seed=2)
+    cef = generate_synthetic_cef(spine, 2)
+    q = QueryMatrix(DESK_SCHEMA)
+    make_noisy_measurements(cef, q, 1)
+    make_noisy_measurements(cef, q, 1, nodes=[spine.blocks[0]])
+    refs = [weakref.ref(cef), weakref.ref(q)]
+    del cef, q
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_zero_budget_measurements_are_exact(tiny_world):

@@ -1,6 +1,8 @@
 """Hierarchical post-processing: optimality, constraints, rounding."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -540,3 +542,69 @@ def test_queries_without_detail_still_solve(noisy_world):
     out = topdown_postprocess(make_noisy_measurements(cef, q, seed=2), cef)
     for node in out.spine.nodes_at(geo.GeoLevel.STATE):
         assert int(out.node_histogram(node).sum()) == int(cef.node_histogram(node).sum())
+
+
+# ----------------------------------------------------------------------
+# plans and batches
+
+
+def test_plans_serve_interleaved_calls_byte_for_byte(noisy_world):
+    """Plans per (query, config, aggregation) on one enumeration give every
+    call the bytes it gets on fresh objects, which have no plan."""
+    cef, q, _ = noisy_world
+    q25 = QueryMatrix(DESK_SCHEMA, BudgetSchedule.constant(25.0))
+    base = default_statistics(DESK_SCHEMA)
+    # the same labels with "hispanic" on the other cells, so that an
+    # invariant on it holds other targets
+    m = base.matrix.copy()
+    m[base.labels.index("hispanic")] ^= 1
+    flipped = AggregationMatrix(base.labels, m)
+    cfgs = [PostProcessConfig(), PostProcessConfig(invariants=(
+        (geo.GeoLevel.STATE, "total"), (geo.GeoLevel.TRACT, "hispanic")))]
+    calls = [(query, cfg, agg) for cfg in cfgs for agg in (base, flipped) for query in (q, q25)]
+    released = {}
+    for seed, (query, cfg, agg) in enumerate(calls + calls[::-1]):
+        nms = make_noisy_measurements(cef, query, seed=seed % len(calls))
+        got = topdown_postprocess(nms, cef, cfg, agg)
+        fresh = HistogramDataset(cef.spine, cef.schema, cef.counts)
+        fresh_q = QueryMatrix(DESK_SCHEMA, query.budget)
+        want = topdown_postprocess(make_noisy_measurements(fresh, fresh_q, seed=seed % len(calls)),
+                                   fresh, cfg, AggregationMatrix(agg.labels, agg.matrix))
+        np.testing.assert_array_equal(got.counts, want.counts)
+        released[query, cfg, id(agg), seed % len(calls)] = got.counts
+    # the two matrices release differently under the second config
+    assert not np.array_equal(released[q, cfgs[1], id(base), 4],
+                              topdown_postprocess(make_noisy_measurements(cef, q, seed=4), cef,
+                                                  cfgs[1], flipped).counts)
+
+
+def test_a_dropped_world_is_collectable():
+    spine = geo.make_synthetic_spine(SMALL_SPEC, seed=5)
+    cef = generate_synthetic_cef(spine, seed=5)
+    q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
+    nms = make_noisy_measurements(cef, q, seed=1)
+    topdown_postprocess(nms, cef)
+    topdown_postprocess(nms, cef, PostProcessConfig(integerize=False))
+    refs = [weakref.ref(cef), weakref.ref(q)]
+    del cef, q, nms
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("chunk", [2**8, 2**20])
+def test_releases_do_not_depend_on_the_batch_size(monkeypatch, chunk):
+    """Batches hold at most _CHUNK KKT entries: 2**8 splits a generation
+    into many small batches, 2**20 stacks it into few."""
+    cfg = RunConfig()
+    world = build_world(cfg)
+    nms = [make_noisy_measurements(world.cef, world.query, seed=s)
+           for r in range(3) for s in replicate_seeds(cfg.seed, r)]
+
+    def releases():
+        return [topdown_postprocess(m, world.cef, cfg.postprocess, agg=world.agg).counts
+                for m in nms]
+
+    want = releases()
+    monkeypatch.setattr(topdown, "_CHUNK", chunk)
+    for got, expected in zip(releases(), want):
+        np.testing.assert_array_equal(got, expected)
