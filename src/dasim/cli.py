@@ -6,8 +6,9 @@ Verbs:
   report     compute error estimates from a simulate output directory
   verify     run the built-in verification suite
 
-Exit codes: 0 success, 1 rejected or invalid data, 2 file problems,
-3 infeasible constraints during post-processing.
+Exit codes: 0 success, 1 rejected or invalid data, 2 file problems or a
+replicate worker that died without a result, 3 infeasible constraints
+during post-processing.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _load_replicates(out_dir: Path, cfg: RunConfig, spine, schema, q) -> list[Re
             Replicate(
                 index=r, seed_a=seed_a, seed_b=seed_b,
                 nms_a=read_nmf_csv(out_dir / names["nmf_a"], q, seed_a),
-                nms_b=read_nmf_csv(out_dir / names["nmf_b"], q, seed_b),
+                nms_b=None,
                 post_a=release("post_a", "postprocessed", seed_a),
                 post_b=release("post_b", "postprocessed", seed_b),
                 swapped=release("swap", "swapped", seed_a, np.int64),

@@ -364,7 +364,7 @@ def make_noisy_measurements(
     plan = plans.get(subset)
     if plan is None:
         plan = plans[subset] = _MeasurePlan(cef, q, subset)
-    values = plan.exact.copy()
+    values = plan.exact.astype(np.int64)
     key = int(seed) & 0xFFFFFFFFFFFFFFFF
     for spawn, by_level in plan.chunks:
         rngs = streams([(key,)] * len(spawn), spawn)
@@ -384,9 +384,9 @@ _PLANS: "weakref.WeakKeyDictionary[HistogramDataset, weakref.WeakKeyDictionary]"
 class _MeasurePlan:
     """What measuring ``subset`` (None for every node) of one enumeration
     with one query needs besides the noise: the node list, the exact
-    answers, read-only, and per chunk of noisy nodes their spawn keys and
-    their rows grouped by level, each with its streams' places in the
-    chunk."""
+    answers, read-only and in the narrowest unsigned type that holds
+    them, and per chunk of noisy nodes their spawn keys and their rows
+    grouped by level, each with its streams' places in the chunk."""
 
     def __init__(self, cef: HistogramDataset, q: QueryMatrix, subset: Optional[frozenset]):
         if subset is None:
@@ -406,6 +406,8 @@ class _MeasurePlan:
             at_level.setdefault(level, []).append(i)
         for level, idx in at_level.items():
             exact[idx] = cef.node_histograms([node_list[i] for i in idx]).astype(float) @ qmat
+        # kept for the whole run, so in the narrowest type that holds them
+        exact = exact.astype(np.min_scalar_type(exact.max(initial=0)))
         exact.flags.writeable = False
         self.nodes, self.exact, self.chunks = tuple(node_list), exact, []
         noisy = [i for i, level in enumerate(levels) if q.noise_groups(level)]

@@ -4,11 +4,19 @@ A replicate is two statistically independent passes of the noisy
 pipeline over one fixed world (seeds 2r and 2r+1 off the config seed)
 plus one swapped release.  Two passes per replicate is the minimum that
 identifies the post-processing run variance, which every downstream
-interval needs.
+interval needs.  The two passes share only the world, so pass b runs in a
+forked worker while this process runs pass a and the swap.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +86,8 @@ class Replicate:
     seed_a: int
     seed_b: int
     nms_a: NoisyMeasurements
-    nms_b: NoisyMeasurements
+    # None off disk: no report reads it
+    nms_b: NoisyMeasurements | None
     post_a: HistogramDataset
     post_b: HistogramDataset
     swapped: HistogramDataset
@@ -98,23 +107,143 @@ def swap_release(
 def run_replicate(world: World, index: int) -> Replicate:
     cfg = world.config
     seed_a, seed_b = replicate_seeds(cfg.seed, index)
-    nms_a = make_noisy_measurements(world.cef, world.query, seed=seed_a)
-    nms_b = make_noisy_measurements(world.cef, world.query, seed=seed_b)
-    post_a = topdown_postprocess(nms_a, world.cef, cfg.postprocess, agg=world.agg)
-    post_b = topdown_postprocess(nms_b, world.cef, cfg.postprocess, agg=world.agg)
-    swapped_file, stats, swapped = swap_release(world.cef, cfg.swap, seed_a)
+    with _forked(f"run b of replicate {index}", _run_b, world, seed_b) as run_b:
+        nms_a = make_noisy_measurements(world.cef, world.query, seed=seed_a)
+        post_a = topdown_postprocess(nms_a, world.cef, cfg.postprocess, agg=world.agg)
+        swapped_file, stats, swapped = swap_release(world.cef, cfg.swap, seed_a)
+        values_b, counts_b = run_b()
     return Replicate(
         index=index,
         seed_a=seed_a,
         seed_b=seed_b,
         nms_a=nms_a,
-        nms_b=nms_b,
+        nms_b=NoisyMeasurements(world.query, seed_b, nms_a.nodes, values_b),
         post_a=post_a,
-        post_b=post_b,
+        post_b=HistogramDataset(world.cef.spine, world.cef.schema, counts_b,
+                                kind="postprocessed", run_seed=seed_b),
         swapped=swapped,
         households=swapped_file,
         swap_stats=stats,
     )
+
+
+def _run_b(world: World, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A replicate's run b, reduced to the arrays its worker sends back:
+    the measurements' values and the release's counts."""
+    nms = make_noisy_measurements(world.cef, world.query, seed=seed)
+    post = topdown_postprocess(nms, world.cef, world.config.postprocess, agg=world.agg)
+    return nms.values, post.counts
+
+
+# ----------------------------------------------------------------------
+# forked worker
+
+
+def _can_fork() -> bool:
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus > 1
+
+
+@contextlib.contextmanager
+def _forked(what: str, fn, *args):
+    """Run ``fn(*args)`` in a forked worker while the body runs here, and
+    yield a function that waits for its result.  The result, or the
+    exception ``fn`` raised, comes back pickled over a pipe; a worker that
+    dies without one is a ChildProcessError.  Leaving the body early
+    kills the worker, and the worker is always reaped.  Without fork, or
+    with one usable CPU, ``fn`` runs inline when its result is asked for.
+    """
+    if not _can_fork():
+        yield lambda: fn(*args)
+        return
+    with _one_blas_thread():
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                try:
+                    outcome = (fn(*args), None)
+                except Exception as exc:
+                    outcome = (None, exc)
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            status = None
+
+            def result():
+                nonlocal status
+                try:
+                    outcome = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    outcome = None  # cut short by the worker's death
+                status = os.waitpid(pid, 0)[1]
+                code = os.waitstatus_to_exitcode(status)
+                if code < 0:
+                    raise ChildProcessError(f"the worker for {what} was killed by signal {-code}")
+                if code != 0 or outcome is None:
+                    raise ChildProcessError(
+                        f"the worker for {what} exited with code {code} without a result")
+                value, exc = outcome
+                if exc is not None:
+                    raise exc
+                return value
+
+            try:
+                yield result
+            finally:
+                if status is None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or None when numpy has none."""
+    for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """One OpenBLAS thread in the body, and in any worker forked in it:
+    the idle threads of two processes' pools would spin on each other's
+    CPU."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 # ----------------------------------------------------------------------

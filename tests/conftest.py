@@ -1,6 +1,8 @@
 """Worlds shared by the tests that hold the array passes to their loop
 forms in ``oracles.py``."""
 
+import os
+
 import pytest
 
 from dasim.geo import SpineSpec, make_synthetic_spine
@@ -22,3 +24,15 @@ def sweep_world(request):
     spec, seed = SWEEP_WORLDS[request.param]
     spine = make_synthetic_spine(spec, seed)
     return spine, generate_synthetic_cef(spine, seed)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped, such
+    as a replicate's run-b worker."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process is left {'running' if pid == 0 else f'unreaped (pid {pid})'}")

@@ -357,6 +357,20 @@ def test_report_recomputes_identically_from_artifacts(run_dir):
     assert payload[0]["method"] == rows[0]["method"]
 
 
+def test_report_reads_only_the_run_a_measurements(run_dir, monkeypatch):
+    from dasim import cli
+
+    read, real = [], cli.read_nmf_csv
+
+    def read_nmf_csv(path, *args):
+        read.append(path.name)
+        return real(path, *args)
+
+    monkeypatch.setattr(cli, "read_nmf_csv", read_nmf_csv)
+    assert main(["report", "--out", str(run_dir)]) == 0
+    assert read == ["nmf_r000_a.csv", "nmf_r001_a.csv"]
+
+
 def test_report_honors_filters(run_dir):
     assert main([
         "report", "--out", str(run_dir), "--level", "tract", "--statistic", "total",

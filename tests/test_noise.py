@@ -305,6 +305,20 @@ def test_exact_answers_hold_up_to_the_population_bound():
     want = [q0.matrix.astype(np.int64) @ cef.node_histogram(n) for n in nms.nodes]
     np.testing.assert_array_equal(nms.values, want)
     assert nms.values.max() == 2**53 - 1
+    assert noise._PLANS[cef][q0][None].exact.dtype == np.uint64
+
+
+def test_measure_plans_keep_exact_answers_narrow(tiny_world):
+    """A plan keeps its exact answers while the world lives, so in the
+    narrowest type that holds the largest; measurements are int64."""
+    spine, cef, q = tiny_world
+    nms = make_noisy_measurements(cef, q, seed=1)
+    exact = noise._PLANS[cef][q][None].exact
+    assert cef.total_population.bit_length() in range(9, 17)
+    assert exact.dtype == np.uint16
+    assert nms.values.dtype == np.int64
+    np.testing.assert_array_equal(make_noisy_measurements(cef, QueryMatrix(
+        DESK_SCHEMA, budget=BudgetSchedule.constant(0.0)), seed=1).values, exact)
 
 
 def test_nm_statistics_exact_when_noiseless(tiny_world):
