@@ -41,7 +41,7 @@ from .artifacts import (
     write_schema_json,
     write_table_csv,
 )
-from .config import RunConfig
+from .config import ReportSpec, RunConfig
 from .errors import DasimError, InfeasibleConstraints, ParameterError
 from .histograms import default_statistics
 from .noise import QueryMatrix
@@ -194,19 +194,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     q = QueryMatrix(schema, cfg.budget, cfg.query_groups)
     agg = default_statistics(schema)
 
-    if args.level:
-        levels = tuple(geo.GeoLevel.from_name(n) for n in args.level)
-    else:
-        levels = cfg.report.levels
-    statistics = tuple(args.statistic) if args.statistic else cfg.report.statistics
-    for s in statistics:
+    spec = ReportSpec(
+        tuple(geo.GeoLevel.from_name(n) for n in args.level) if args.level else cfg.report.levels,
+        tuple(args.statistic) if args.statistic else cfg.report.statistics,
+    )
+    for s in spec.statistics:
         if s not in agg.labels:
             raise ParameterError(
                 f"unknown statistic {s!r}; available: {', '.join(agg.labels)}"
             )
 
     reps = _load_replicates(out_dir, cfg, spine, schema, q)
-    rows, quartiles = error_report(spine, q, agg, reps, levels, statistics)
+    rows, quartiles = error_report(spine, q, agg, reps, spec.levels, spec.statistics)
     write_table_csv(out_dir / "error_report.csv", REPORT_COLUMNS, rows)
     write_error_report_json(rows, out_dir / "error_report.json")
     write_table_csv(out_dir / "quartiles.csv", QUARTILE_COLUMNS, quartiles)

@@ -240,6 +240,17 @@ def estimate_bias_swap(swapped: StatTable, noisy: StatTable) -> BiasEstimate:
     return BiasEstimate(estimate=est, variance=var, n_cells=n)
 
 
+def pool_replicates(estimates: Sequence[BiasEstimate]) -> BiasEstimate:
+    """Equal-weight pooling of iid replicate estimates of one selection:
+    their mean, whose variance is their summed variances over R**2."""
+    r = len(estimates)
+    return BiasEstimate(
+        estimate=float(np.mean([e.estimate for e in estimates])),
+        variance=float(np.sum([e.variance for e in estimates])) / r**2,
+        n_cells=estimates[0].n_cells,
+    )
+
+
 # ----------------------------------------------------------------------
 # variance and mean squared error
 

@@ -14,6 +14,7 @@ import contextlib
 import ctypes
 import functools
 import glob
+import logging
 import os
 import pickle
 import signal
@@ -24,12 +25,15 @@ import numpy as np
 from . import geo
 from .config import RunConfig
 from .estimators import (
+    BiasEstimate,
+    MseEstimate,
     dataset_stat_table,
     estimate_bias_indep,
     estimate_bias_swap,
     estimate_mse,
     nmf_rmse_exact,
     noisy_stat_table,
+    pool_replicates,
     selection_for_level,
 )
 from .histograms import (
@@ -153,10 +157,12 @@ def _can_fork() -> bool:
 def _forked(what: str, fn, *args):
     """Run ``fn(*args)`` in a forked worker while the body runs here, and
     yield a function that waits for its result.  The result, or the
-    exception ``fn`` raised, comes back pickled over a pipe; a worker that
-    dies without one is a ChildProcessError.  Leaving the body early
-    kills the worker, and the worker is always reaped.  Without fork, or
-    with one usable CPU, ``fn`` runs inline when its result is asked for.
+    exception ``fn`` raised, comes back pickled over a pipe together with
+    the worker's log records, which are handled here when the result is
+    collected; a worker that dies without one is a ChildProcessError.
+    Leaving the body early kills the worker, and the worker is always
+    reaped.  Without fork, or with one usable CPU, ``fn`` runs inline
+    when its result is asked for.
     """
     if not _can_fork():
         yield lambda: fn(*args)
@@ -173,10 +179,17 @@ def _forked(what: str, fn, *args):
             code = 1
             try:
                 os.close(read_fd)
+                # the worker emits nothing: its log records, made picklable as
+                # a queue handler makes them, go back with the outcome; only
+                # the worker imports logging.handlers, half a megabyte of RSS
+                from logging.handlers import QueueHandler
+
+                records, prepare = [], QueueHandler(None).prepare
+                logging.Logger.callHandlers = lambda _, record: records.append(prepare(record))
                 try:
-                    outcome = (fn(*args), None)
+                    outcome = (fn(*args), None, records)
                 except Exception as exc:
-                    outcome = (None, exc)
+                    outcome = (None, exc, records)
                 with open(write_fd, "wb") as pipe:
                     pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
                 code = 0
@@ -199,7 +212,9 @@ def _forked(what: str, fn, *args):
                 if code != 0 or outcome is None:
                     raise ChildProcessError(
                         f"the worker for {what} exited with code {code} without a result")
-                value, exc = outcome
+                value, exc, records = outcome
+                for record in records:
+                    logging.getLogger(record.name).handle(record)
                 if exc is not None:
                     raise exc
                 return value
@@ -250,12 +265,6 @@ def _one_blas_thread():
 # report computation
 
 
-def _combine_replicates(estimates: list[float], variances: list[float]) -> tuple[float, float]:
-    """Equal-weight pooling of iid replicate estimates."""
-    r = len(estimates)
-    return float(np.mean(estimates)), float(np.sum(variances)) / r**2
-
-
 def error_report(
     spine: geo.Spine,
     q: QueryMatrix,
@@ -277,82 +286,45 @@ def error_report(
     for level in levels:
         for stat in statistics:
             sel = selection_for_level(spine, level, (stat,))
-            td_est, td_var, td_mse = [], [], []
-            sw_est, sw_var, sw_mse = [], [], []
-            td_abs, sw_abs, nm_rmse_cells = [], [], None
-            nm_rmse = 0.0
+            # per method, one (bias, release, noisy) triple per replicate
+            methods: dict[str, list] = {"topdown": [], "swap": []}
             for rep in reps:
-                noisy_a = noisy_stat_table(rep.nms_a, q, agg, spine, sel)
-                table_a = dataset_stat_table(rep.post_a, agg, sel)
-                table_b = dataset_stat_table(rep.post_b, agg, sel)
-                table_sw = dataset_stat_table(rep.swapped, agg, sel)
-                best = estimate_bias_indep(noisy_a, table_b, table_a)
-                td_est.append(best.estimate)
-                td_var.append(best.variance)
-                td_mse.append(estimate_mse(table_b, noisy_a).raw)
-                sbest = estimate_bias_swap(table_sw, noisy_a)
-                sw_est.append(sbest.estimate)
-                sw_var.append(sbest.variance)
-                sw_mse.append(estimate_mse(table_sw, noisy_a).raw)
-                td_abs.append(np.abs(table_b.values - noisy_a.values))
-                sw_abs.append(np.abs(table_sw.values - noisy_a.values))
-                nm_rmse = nmf_rmse_exact(noisy_a)
-                nm_rmse_cells = np.sqrt(noisy_a.variances)
+                noisy = noisy_stat_table(rep.nms_a, q, agg, spine, sel)
+                post_a = dataset_stat_table(rep.post_a, agg, sel)
+                post_b = dataset_stat_table(rep.post_b, agg, sel)
+                swapped = dataset_stat_table(rep.swapped, agg, sel)
+                methods["topdown"].append(
+                    (estimate_bias_indep(noisy, post_b, post_a), post_b, noisy))
+                methods["swap"].append((estimate_bias_swap(swapped, noisy), swapped, noisy))
 
-            n = len(sel)
-            for method, ests, variances, mses in (
-                ("topdown", td_est, td_var, td_mse),
-                ("swap", sw_est, sw_var, sw_mse),
-            ):
-                est, var = _combine_replicates(ests, variances)
-                half = 1.96 * float(np.sqrt(max(var, 0.0)))
-                raw_mse = float(np.mean(mses))
-                rows.append(
-                    {
-                        "level": level.value,
-                        "statistic": stat,
-                        "bin": "all",
-                        "method": method,
-                        "estimate": est,
-                        "variance": var,
-                        "ci_lo": est - half,
-                        "ci_hi": est + half,
-                        "raw_mse": raw_mse,
-                        "rmse": float(np.sqrt(max(raw_mse, 0.0))),
-                        "n": n,
-                    }
-                )
-            rows.append(
-                {
-                    "level": level.value,
-                    "statistic": stat,
-                    "bin": "all",
-                    "method": "nmf",
-                    "estimate": 0.0,
-                    "variance": 0.0,
-                    "ci_lo": 0.0,
-                    "ci_hi": 0.0,
-                    "raw_mse": nm_rmse**2,
-                    "rmse": nm_rmse,
-                    "n": n,
-                }
-            )
-            for method, pools in (
-                ("topdown", td_abs),
-                ("swap", sw_abs),
-                ("nmf", [nm_rmse_cells]),
-            ):
-                pooled = np.concatenate(pools)
-                q25, q50, q75 = np.percentile(pooled, [25.0, 50.0, 75.0])
-                quartiles.append(
-                    {
-                        "level": level.value,
-                        "statistic": stat,
-                        "method": method,
-                        "q25": float(q25),
-                        "q50": float(q50),
-                        "q75": float(q75),
-                        "n": int(pooled.size),
-                    }
-                )
+            table = []  # (method, bias, raw MSE, RMSE, per-cell error magnitudes)
+            for method, items in methods.items():
+                raw_mse = float(np.mean([estimate_mse(release, noisy).raw
+                                         for _, release, noisy in items]))
+                table.append((method, pool_replicates([bias for bias, _, _ in items]), raw_mse,
+                              MseEstimate(raw_mse, len(sel)).rmse,
+                              np.concatenate([np.abs(release.values - noisy.values)
+                                              for _, release, noisy in items])))
+            # the measurements' error is known exactly: the budget sets their variances
+            rmse = nmf_rmse_exact(noisy)
+            table.append(("nmf", BiasEstimate(0.0, 0.0, len(sel)), rmse**2, rmse,
+                          np.sqrt(noisy.variances)))
+            for entry in table:
+                row, quartile = _method_rows(level, stat, *entry)
+                rows.append(row)
+                quartiles.append(quartile)
     return rows, quartiles
+
+
+def _method_rows(level: geo.GeoLevel, stat: str, method: str, bias: BiasEstimate,
+                 raw_mse: float, rmse: float, magnitudes: np.ndarray) -> tuple[dict, dict]:
+    """One method's error-report row and its quartile row of ``magnitudes``."""
+    ci_lo, ci_hi = bias.ci95
+    q25, q50, q75 = np.percentile(magnitudes, [25.0, 50.0, 75.0])
+    return (
+        {"level": level.value, "statistic": stat, "bin": "all", "method": method,
+         "estimate": bias.estimate, "variance": bias.variance, "ci_lo": ci_lo, "ci_hi": ci_hi,
+         "raw_mse": raw_mse, "rmse": rmse, "n": bias.n_cells},
+        {"level": level.value, "statistic": stat, "method": method,
+         "q25": float(q25), "q50": float(q50), "q75": float(q75), "n": int(magnitudes.size)},
+    )

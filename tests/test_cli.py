@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -25,6 +26,15 @@ from dasim.artifacts import (
 from dasim.cli import main
 from dasim.config import RunConfig
 from dasim.errors import ConfigError, DasimError, SchemaError
+from dasim.estimators import (
+    dataset_stat_table,
+    estimate_bias_indep,
+    estimate_bias_swap,
+    estimate_mse,
+    nmf_rmse_exact,
+    noisy_stat_table,
+    selection_for_level,
+)
 from dasim.histograms import DESK_SCHEMA
 from dasim.noise import make_noisy_measurements
 from dasim.pipeline import build_world, error_report, run_replicate
@@ -152,6 +162,10 @@ _MISREAD = {
     "negative --seed": (_config(), ["--seed", "-1"], "seed must be in [0, 2**63)"),
     "spine-node report level": (_config(report={"levels": ["optimized_blockgroup"]}), [],
                                 "config.report: levels: optimized_blockgroup"),
+    "repeated report level": (_config(report={"levels": ["county", "tract", "county"]}), [],
+                              "config.report: levels: repeated county"),
+    "repeated report statistic": (_config(report={"statistics": ["total", "total"]}), [],
+                                  "config.report: statistics: repeated total"),
     "block-group codes past 999": (
         _config(spine={"blockgroups_per_tract": 9, "blocks_per_blockgroup": 100, "obg_size": 1,
                        "tracts_per_county": 1, "counties_per_state": 1}), [], "config.spine"),
@@ -357,6 +371,63 @@ def test_report_recomputes_identically_from_artifacts(run_dir):
     assert payload[0]["method"] == rows[0]["method"]
 
 
+def test_report_pools_replicates_as_derived_by_hand(tmp_path):
+    config = {**TINY_CONFIG, "replicates": 3,
+              "report": {"levels": ["county", "tract", "block"],
+                         "statistics": ["total", "hispanic"]}}
+    p, out = tmp_path / "cfg.json", tmp_path / "out"
+    p.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    with open(out / "error_report.csv", newline="") as fh:
+        got_rows = list(csv.DictReader(fh))
+    with open(out / "quartiles.csv", newline="") as fh:
+        got_quartiles = list(csv.DictReader(fh))
+
+    cfg = RunConfig.from_dict(config)
+    world = build_world(cfg)
+    reps = [run_replicate(world, r) for r in range(cfg.replicates)]
+    R = len(reps)
+    rows, quartiles = [], []
+    for level in cfg.report.levels:
+        for stat in cfg.report.statistics:
+            sel = selection_for_level(world.spine, level, (stat,))
+            per_rep = {"topdown": [], "swap": []}
+            for rep in reps:
+                noisy = noisy_stat_table(rep.nms_a, world.query, world.agg, world.spine, sel)
+                post_a, post_b, swapped = (dataset_stat_table(ds, world.agg, sel)
+                                           for ds in (rep.post_a, rep.post_b, rep.swapped))
+                for method, bias, release in (
+                    ("topdown", estimate_bias_indep(noisy, post_b, post_a), post_b),
+                    ("swap", estimate_bias_swap(swapped, noisy), swapped),
+                ):
+                    per_rep[method].append((bias, estimate_mse(release, noisy),
+                                            release.values - noisy.values))
+            for method, items in per_rep.items():
+                est = sum(b.estimate for b, _, _ in items) / R
+                var = sum(b.variance for b, _, _ in items) / R**2
+                half = 1.96 * math.sqrt(max(var, 0.0))
+                raw = sum(m.raw for _, m, _ in items) / R
+                rows.append([level.value, stat, "all", method, est, var, est - half, est + half,
+                             raw, math.sqrt(max(raw, 0.0)), len(sel)])
+                diffs = np.abs(np.concatenate([d for _, _, d in items]))
+                quartiles.append([level.value, stat, method,
+                                  *np.percentile(diffs, [25, 50, 75]), diffs.size])
+            rmse = nmf_rmse_exact(noisy)
+            rows.append([level.value, stat, "all", "nmf", 0.0, 0.0, 0.0, 0.0, rmse**2, rmse,
+                         len(sel)])
+            sigma = np.sqrt(noisy.variances)
+            quartiles.append([level.value, stat, "nmf", *np.percentile(sigma, [25, 50, 75]),
+                              sigma.size])
+
+    def parsed(row, text_columns):
+        return [v if i < text_columns else (int(v) if k == "n" else float(v))
+                for i, (k, v) in enumerate(row.items())]
+
+    assert [parsed(r, 4) for r in got_rows] == rows
+    assert [parsed(r, 3) for r in got_quartiles] == quartiles
+
+
 def test_report_reads_only_the_run_a_measurements(run_dir, monkeypatch):
     from dasim import cli
 
@@ -379,6 +450,20 @@ def test_report_honors_filters(run_dir):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert {r["statistic"] for r in rows} == {"total"}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--level", "tract", "--level", "tract"], "levels: repeated tract"),
+    (["--statistic", "hispanic", "--statistic", "total", "--statistic", "hispanic"],
+     "statistics: repeated hispanic"),
+])
+def test_report_rejects_repeated_flags_before_writing(run_dir, tmp_path, capsys, flags, message):
+    report_files = ("error_report.csv", "error_report.json", "quartiles.csv")
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy, ignore=lambda _, names: set(report_files) & set(names))
+    assert main(["report", "--out", str(copy), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any((copy / name).exists() for name in report_files)
 
 
 def test_report_rejects_unknown_statistic(run_dir):

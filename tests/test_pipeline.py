@@ -1,14 +1,15 @@
 """A replicate's run b in its forked worker: the same bytes as inline,
-the worker's errors and deaths reach the caller, no worker outlives
-``run_replicate``, and the BLAS thread count comes back."""
+the worker's errors, deaths and log records reach the caller, no worker
+outlives ``run_replicate``, and the BLAS thread count comes back."""
 
+import logging
 import os
 import signal
 import time
 
 import pytest
 
-from dasim import pipeline
+from dasim import pipeline, topdown
 from dasim.cli import main
 from dasim.config import RunConfig
 from dasim.errors import InfeasibleConstraints, ParameterError
@@ -128,3 +129,76 @@ def test_run_replicate_restores_the_blas_thread_count(monkeypatch):
     finally:
         put(original)
     assert during == [1 if pipeline._can_fork() else 2]
+
+
+class _Collect(logging.Handler):
+    def __init__(self, records):
+        super().__init__()
+        self.records = records
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.fixture
+def topdown_records():
+    """Every record the ``dasim.topdown`` logger handles in this process."""
+    records, logger = [], logging.getLogger("dasim.topdown")
+    handler = _Collect(records)
+    logger.addHandler(handler)
+    yield records
+    logger.removeHandler(handler)
+
+
+def test_forked_run_b_logs_like_inline(monkeypatch, topdown_records):
+    monkeypatch.setattr(topdown, "_CAP", 1)  # every solve hits the cap and warns
+    world = pipeline.build_world(RunConfig())
+    pipeline.run_replicate(world, 0)
+    forked = [(r.name, r.levelno, r.getMessage()) for r in topdown_records]
+    pids = {r.process for r in topdown_records}
+    topdown_records.clear()
+    monkeypatch.delattr(os, "fork")
+    pipeline.run_replicate(world, 0)
+    inline = [(r.name, r.levelno, r.getMessage()) for r in topdown_records]
+
+    assert forked and forked == inline
+    assert {r.process for r in topdown_records} == {os.getpid()}
+    if pipeline._can_fork():
+        assert len(pids) == 2 and os.getpid() in pids
+
+
+def test_a_worker_warning_with_unpicklable_args_arrives_formatted(monkeypatch, topdown_records):
+    class Unpicklable:
+        def __reduce__(self):
+            raise TypeError("not picklable")
+
+        def __str__(self):
+            return "an unpicklable value"
+
+    real = pipeline._run_b
+
+    def run_b(world, seed):
+        logging.getLogger("dasim.topdown").warning("run b saw %s", Unpicklable())
+        return real(world, seed)
+
+    monkeypatch.setattr(pipeline, "_run_b", run_b)
+    pipeline.run_replicate(pipeline.build_world(RunConfig()), 0)
+    assert [r.getMessage() for r in topdown_records] == ["run b saw an unpicklable value"]
+
+
+@needs_fork
+def test_a_worker_warning_before_its_error_arrives(tmp_path, monkeypatch, capsys,
+                                                   topdown_records):
+    real = pipeline._run_b
+
+    def run_b(world, seed):
+        logging.getLogger("dasim.topdown").warning("run b for seed %d starts", seed)
+        return real(world, seed)
+
+    monkeypatch.setattr(pipeline, "_run_b", run_b)
+    _fail_at_seed(monkeypatch, 1, InfeasibleConstraints)
+    assert main(["simulate", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.endswith("error: no fit for seed 1 in the worker\n")
+    (record,) = topdown_records
+    assert record.getMessage() == "run b for seed 1 starts"
+    assert record.process != os.getpid()
