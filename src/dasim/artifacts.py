@@ -47,9 +47,7 @@ def write_geocodes_csv(spine: geo.Spine, path: PathLike) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["geocode", "vtd", "place"])
-        for raw in spine.blocks:
-            member = spine.membership(raw)
-            w.writerow([raw, member.get("vtd", ""), member.get("place", "")])
+        w.writerows(zip(spine.blocks, spine.unit_ids("vtd"), spine.unit_ids("place")))
 
 
 def read_text(path: PathLike) -> str:
@@ -147,20 +145,30 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
+_NMF_RUN = 64  # nodes formatted by one % call: bounds the text held at once
+
+
 def write_nmf_csv(nms: NoisyMeasurements, path: PathLike) -> None:
-    """One row per (node, query row), nodes in sorted order.  The row
-    index, row id and variance columns depend only on the query and the
-    node's level, so they are formatted once; each node is one write."""
+    """One row per (node, query row), nodes in sorted order.  A node's
+    rows differ from another's at its level only in the node id and the
+    values, so each level's rows are one %-template formatted once, the
+    node's escaped id goes between its rows, and each run of _NMF_RUN
+    nodes takes its values in one % call."""
     q = nms.query
-    mids = [f",{i},{_csv_field(row_id)}," for i, row_id in enumerate(q.row_ids)]
-    tails = {lv: [f",{_fmt(s2)}\r\n" for s2 in q.variances_for(lv)]
-             for lv in geo.NMF_LEVEL_ORDER}
+    mids = [f",{i},{_csv_field(row_id)},".replace("%", "%%")
+            for i, row_id in enumerate(q.row_ids)]
+    rows = {lv: [f"{m}%d,{_fmt(s2)}\r\n" for m, s2 in zip(mids, q.variances_for(lv))]
+            for lv in geo.NMF_LEVEL_ORDER}
+    order = sorted(range(len(nms.nodes)), key=nms.nodes.__getitem__)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(NMF_COLUMNS)
-        for node, i in sorted(zip(nms.nodes, range(len(nms.nodes)))):
-            head, tail = _csv_field(node), tails[geo.node_level(node)]
-            fh.write("".join([f"{head}{m}{v}{t}"
-                              for m, v, t in zip(mids, nms.values[i].tolist(), tail)]))
+        for lo in range(0, len(order), _NMF_RUN):
+            run = order[lo:lo + _NMF_RUN]
+            text = []
+            for node in (nms.nodes[i] for i in run):
+                head = _csv_field(node).replace("%", "%%")
+                text.append(head + head.join(rows[geo.node_level(node)]))
+            fh.write("".join(text) % tuple(nms.values[run].ravel().tolist()))
 
 
 def read_nmf_csv(
@@ -207,13 +215,17 @@ def read_nmf_csv(
 # households
 
 
+_HOUSEHOLD_SLICE = 1 << 16  # tokens joined per write: bounds the text held at once
+
+
 def write_households_csv(hhfile: HouseholdFile, path: PathLike) -> None:
     """One row per household: block, member cells joined by ``|``, and
     voting-age count.
 
     The rows are written from one token array whose entries all point
-    at shared strings (the geocodes and a table of numerals), so neither
-    a string per person nor one the size of the file is made.  Household
+    at shared strings (the geocodes and a table of numerals), so no
+    string per person is made, and are joined _HOUSEHOLD_SLICE tokens per
+    write, so no string the size of the file is made either.  Household
     h with k members takes 2k + 4 tokens: block, ",", then cell and "|"
     per member with the last "|" replaced by ",", then adults and the
     line end.
@@ -236,7 +248,8 @@ def write_households_csv(hhfile: HouseholdFile, path: PathLike) -> None:
     tokens[last + 3] = "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write("block,cells,adults\r\n")
-        fh.writelines(tokens)
+        for lo in range(0, len(tokens), _HOUSEHOLD_SLICE):
+            fh.write("".join(tokens[lo:lo + _HOUSEHOLD_SLICE].tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -133,12 +133,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     files = ["config.json", "schema.json", "geocodes.csv", "cef.csv"]
 
     for r in range(cfg.replicates):
-        rep = run_replicate(world, r)
         names = _rep_names(r)
-        write_nmf_csv(rep.nms_a, out_dir / names["nmf_a"])
-        write_nmf_csv(rep.nms_b, out_dir / names["nmf_b"])
-        write_histogram_csv(rep.post_a, out_dir / names["post_a"])
-        write_histogram_csv(rep.post_b, out_dir / names["post_b"])
+
+        def write_run(run, nms, post):
+            write_nmf_csv(nms, out_dir / names[f"nmf_{run}"])
+            write_histogram_csv(post, out_dir / names[f"post_{run}"])
+
+        rep = run_replicate(world, r, write_run)
         write_histogram_csv(rep.swapped, out_dir / names["swap"])
         write_households_csv(rep.households, out_dir / names["households"])
         files.extend(names.values())

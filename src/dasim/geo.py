@@ -374,7 +374,7 @@ class Spine:
             ids, unit_of, rows = _group_rows(keys)
             self._units[lv] = {unit: r for unit, r in zip(ids, rows) if unit}
             member_of[lv.value] = ids, unit_of
-        self._member_ids = {key: np.array(ids, dtype=object)[at].tolist()
+        self._member_ids = {key: tuple(np.array(ids, dtype=object)[at].tolist())
                             for key, (ids, at) in member_of.items()}
 
     def _block_set(self, rows: np.ndarray) -> frozenset[str]:
@@ -385,6 +385,12 @@ class Spine:
 
     def block_geoid(self, raw: str) -> str:
         return self._member_ids[GeoLevel.BLOCK.value][self.block_index[raw]]
+
+    def unit_ids(self, key: str) -> tuple[str, ...]:
+        """Per block row, the id of its enclosing unit under one
+        ``enclosing_units`` key, ``vtd`` or ``place``; empty for a block
+        outside every VTD or place."""
+        return self._member_ids[key]
 
     def membership(self, raw: str) -> dict[str, str]:
         """Every enclosing unit of a block on both spines."""

@@ -5,7 +5,8 @@ pipeline over one fixed world (seeds 2r and 2r+1 off the config seed)
 plus one swapped release.  Two passes per replicate is the minimum that
 identifies the post-processing run variance, which every downstream
 interval needs.  The two passes share only the world, so pass b runs in a
-forked worker while this process runs pass a and the swap.
+forked worker, which also writes pass b's files, while this process runs
+pass a and the swap.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -108,12 +110,21 @@ def swap_release(
     return swapped, stats, swapped.to_dataset(kind="swapped", run_seed=seed)
 
 
-def run_replicate(world: World, index: int) -> Replicate:
+# emit(run, nms, post): one run's measurements and release, run "a" or "b"
+Emit = Callable[[str, NoisyMeasurements, HistogramDataset], None]
+
+
+def run_replicate(world: World, index: int, emit: Emit) -> Replicate:
+    """Replicate ``index``.  Each run hands its measurements and release
+    to ``emit(run, nms, post)`` in the process that computed them: run
+    "a" here, run "b" in its worker, so of what ``emit`` does for run b
+    only its files outlive the worker."""
     cfg = world.config
     seed_a, seed_b = replicate_seeds(cfg.seed, index)
-    with _forked(f"run b of replicate {index}", _run_b, world, seed_b) as run_b:
+    with _forked(f"run b of replicate {index}", _run_b, world, seed_b, emit) as run_b:
         nms_a = make_noisy_measurements(world.cef, world.query, seed=seed_a)
         post_a = topdown_postprocess(nms_a, world.cef, cfg.postprocess, agg=world.agg)
+        emit("a", nms_a, post_a)
         swapped_file, stats, swapped = swap_release(world.cef, cfg.swap, seed_a)
         values_b, counts_b = run_b()
     return Replicate(
@@ -131,11 +142,13 @@ def run_replicate(world: World, index: int) -> Replicate:
     )
 
 
-def _run_b(world: World, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A replicate's run b, reduced to the arrays its worker sends back:
-    the measurements' values and the release's counts."""
+def _run_b(world: World, seed: int, emit: Emit) -> tuple[np.ndarray, np.ndarray]:
+    """A replicate's run b, handed to ``emit`` and reduced to the arrays
+    its worker sends back: the measurements' values and the release's
+    counts."""
     nms = make_noisy_measurements(world.cef, world.query, seed=seed)
     post = topdown_postprocess(nms, world.cef, world.config.postprocess, agg=world.agg)
+    emit("b", nms, post)
     return nms.values, post.counts
 
 

@@ -354,7 +354,7 @@ def test_report_recomputes_identically_from_artifacts(run_dir):
     # independent recomputation straight from in-memory objects
     cfg = RunConfig.from_dict(TINY_CONFIG)
     world = build_world(cfg)
-    reps = [run_replicate(world, r) for r in range(cfg.replicates)]
+    reps = [run_replicate(world, r, lambda *run: None) for r in range(cfg.replicates)]
     fresh, _ = error_report(
         world.spine, world.query, world.agg, reps,
         cfg.report.levels, cfg.report.statistics,
@@ -386,7 +386,7 @@ def test_report_pools_replicates_as_derived_by_hand(tmp_path):
 
     cfg = RunConfig.from_dict(config)
     world = build_world(cfg)
-    reps = [run_replicate(world, r) for r in range(cfg.replicates)]
+    reps = [run_replicate(world, r, lambda *run: None) for r in range(cfg.replicates)]
     R = len(reps)
     rows, quartiles = [], []
     for level in cfg.report.levels:
@@ -601,6 +601,65 @@ def test_nmf_reader_checks_rows_against_the_query(small_world, tmp_path, column,
         read_nmf_csv(tmp_path / "n.csv", small_world.query, seed=3)
 
 
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    """The bytes csv.writer gives a header and rows: the reference the
+    artifact writers, which format text themselves, must match."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+def test_writers_match_csv_writer_on_fields_that_need_escaping(tmp_path):
+    from dasim.artifacts import NMF_COLUMNS, write_households_csv
+    from dasim.histograms import CellSchema, HistogramDataset
+    from dasim.noise import NoisyMeasurements, QueryMatrix
+    from dasim.swapping import make_household_file
+
+    # the marginal row ids carry the axis name: csv quotes them, and their
+    # "%" must come through the NMF writer's %-formatting
+    schema = CellSchema((('50% "odd", axis', 3), ("voting_age", 2), ("housing", 2)))
+    q = QueryMatrix(schema)
+    spine = geo.make_synthetic_spine(geo.SpineSpec(tracts_per_county=4), seed=2)
+    rng = np.random.default_rng(0)
+    nodes = [n for lv in geo.NMF_LEVEL_ORDER for n in spine.nodes_at(lv)][::-1]
+    values = rng.integers(-10**15, 10**15, size=(len(nodes), q.n_rows))
+    values[0, :4] = [-10**15 + 1, 10**15 - 1, -1, 0]
+    nms = NoisyMeasurements(q, 7, tuple(nodes), values)
+    write_nmf_csv(nms, tmp_path / "n.csv")
+    want = _csv_writer_bytes(tmp_path / "ref.csv", NMF_COLUMNS, (
+        [node, j, row_id, v, s2]
+        for node, vals in sorted(zip(nodes, values.tolist()))
+        for j, (row_id, v, s2) in enumerate(
+            zip(q.row_ids, vals, q.variances_for(geo.node_level(node)).tolist()))))
+    assert b'"marginal_50% ""odd"", axis_0"' in want
+    assert (tmp_path / "n.csv").read_bytes() == want
+    back = read_nmf_csv(tmp_path / "n.csv", q, seed=7)
+    assert back.nodes == tuple(sorted(nodes))
+    np.testing.assert_array_equal(back.values[back.rows(nodes)], nms.values)
+
+    counts = rng.integers(0, 4, size=(len(spine.blocks), schema.size))
+    floats = counts / 3.0
+    floats[0, :3] = [0.1, 1e22, 5e-324]
+    header = ["geocode"] + [f"cell_{i:02d}" for i in range(schema.size)]
+    for ds in (HistogramDataset(spine, schema, counts), HistogramDataset(spine, schema, floats)):
+        write_histogram_csv(ds, tmp_path / "h.csv")
+        want = _csv_writer_bytes(tmp_path / "ref.csv", header,
+                                 ([raw, *h] for raw, h in zip(spine.blocks, ds.counts.tolist())))
+        assert (tmp_path / "h.csv").read_bytes() == want
+    assert b",1e+22," in want
+
+    hh = make_household_file(HistogramDataset(spine, schema, counts), seed=3)
+    write_households_csv(hh, tmp_path / "hh.csv")
+    starts = np.cumsum(hh.sizes) - hh.sizes
+    want = _csv_writer_bytes(tmp_path / "ref.csv", ["block", "cells", "adults"], (
+        [spine.blocks[b], "|".join(map(str, hh.cells[lo:lo + k].tolist())), a]
+        for b, lo, k, a in zip(hh.block_rows.tolist(), starts.tolist(), hh.sizes.tolist(),
+                               hh.adults.tolist())))
+    assert (tmp_path / "hh.csv").read_bytes() == want
+
+
 def test_json_readers_reject_deep_nesting(run_dir, tmp_path, capsys):
     deep = "[" * 100_000 + "]" * 100_000
     (tmp_path / "s.json").write_text(deep)
@@ -716,3 +775,22 @@ def test_default_run_bytes_are_pinned(tmp_path):
     assert main(["report", "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN}
     assert got == GOLDEN
+
+
+# the 1,200-block mid world with two replicates: every file simulate
+# writes there, each through the manifest's checksum of it
+MID_MANIFESTS = {
+    1: "068ab1c9722c50b9661a0e3e3360ebd8d2605b141bf2e1086f08fddd89f8f825",
+    3: "c2abd63094b3ff5103f8713acd59920cab58859c5b2975a46fcf9b3aa048e810",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MID_MANIFESTS))
+def test_mid_run_bytes_are_pinned(tmp_path, seed):
+    spine = {"counties_per_state": 4, "tracts_per_county": 10,
+             "blockgroups_per_tract": 3, "blocks_per_blockgroup": 10}
+    p, out = tmp_path / "cfg.json", tmp_path / "out"
+    p.write_text(json.dumps({"config_version": 1, "seed": seed, "replicates": 2,
+                             "spine": spine}))
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == MID_MANIFESTS[seed]

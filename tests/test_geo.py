@@ -330,6 +330,9 @@ def _assert_same_spine(spine, loop):
     for raw in spine.blocks:
         assert list(spine.membership(raw).items()) == list(loop.membership(raw).items())
         assert spine.block_geoid(raw) == loop.block_geoid(raw)
+    for key in (*geo.enclosing_units(spine.blocks[0]), "vtd", "place"):
+        assert spine.unit_ids(key) == tuple(loop.membership(raw).get(key, "")
+                                            for raw in spine.blocks)
 
 
 @pytest.mark.parametrize("spec", [

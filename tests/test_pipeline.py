@@ -1,6 +1,8 @@
 """A replicate's run b in its forked worker: the same bytes as inline,
-the worker's errors, deaths and log records reach the caller, no worker
-outlives ``run_replicate``, and the BLAS thread count comes back."""
+each run's files written by the process that computed it, the worker's
+errors, deaths and log records reach the caller, a failed run or write
+leaves no manifest, no worker outlives ``run_replicate``, and the BLAS
+thread count comes back."""
 
 import logging
 import os
@@ -10,12 +12,17 @@ import time
 import pytest
 
 from dasim import pipeline, topdown
+from dasim.artifacts import write_histogram_csv, write_nmf_csv
 from dasim.cli import main
 from dasim.config import RunConfig
 from dasim.errors import InfeasibleConstraints, ParameterError
 
 needs_fork = pytest.mark.skipif(not pipeline._can_fork(),
                                 reason="run b runs inline without fork or a second CPU")
+
+
+def _discard(run, nms, post):
+    """An emit that writes nothing."""
 
 
 def _replicate_arrays(rep):
@@ -28,22 +35,47 @@ def test_forked_run_b_matches_inline(monkeypatch, tmp_path):
     world = pipeline.build_world(RunConfig(replicates=2))
     real, pids = pipeline._run_b, tmp_path / "pids"
 
-    def run_b(world, seed):
+    def log_pid(what):
         with open(pids, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(world, seed)
+            fh.write(f"{what} {os.getpid()}\n")
+
+    def run_b(world, seed, emit):
+        log_pid("run_b")
+        return real(world, seed, emit)
+
+    def writer(out):
+        out.mkdir()
+
+        def emit(run, nms, post):
+            log_pid(f"emit_{run}")
+            write_nmf_csv(nms, out / f"nmf_{nms.seed}.csv")
+            write_histogram_csv(post, out / f"post_{nms.seed}.csv")
+
+        return out, emit
+
+    def pids_by_step():
+        lines = [line.split() for line in pids.read_text().splitlines()]
+        pids.unlink()
+        return {step: [int(pid) for s, pid in lines if s == step]
+                for step in ("run_b", "emit_a", "emit_b")}
 
     monkeypatch.setattr(pipeline, "_run_b", run_b)
     forks = pipeline._can_fork()
-    forked = [pipeline.run_replicate(world, r) for r in range(2)]
-    workers = {int(p) for p in pids.read_text().split()}
-    pids.unlink()
+    forked_dir, emit = writer(tmp_path / "forked")
+    forked = [pipeline.run_replicate(world, r, emit) for r in range(2)]
+    forked_pids = pids_by_step()
     monkeypatch.delattr(os, "fork")
-    inline = [pipeline.run_replicate(world, r) for r in range(2)]
+    inline_dir, emit = writer(tmp_path / "inline")
+    inline = [pipeline.run_replicate(world, r, emit) for r in range(2)]
 
-    assert workers == {os.getpid()} if not forks else (
-        len(workers) == 2 and os.getpid() not in workers)
-    assert pids.read_text().split() == [str(os.getpid())] * 2
+    parent = os.getpid()
+    workers = forked_pids["run_b"]
+    assert set(workers) == {parent} if not forks else (
+        len(set(workers)) == 2 and parent not in workers)
+    # each run's files are written by the process that computed the run
+    assert forked_pids["emit_b"] == workers
+    assert forked_pids["emit_a"] == [parent] * 2
+    assert pids_by_step() == {step: [parent] * 2 for step in ("run_b", "emit_a", "emit_b")}
     for got, want in zip(forked, inline):
         assert (got.seed_a, got.seed_b, got.swap_stats) == (want.seed_a, want.seed_b,
                                                           want.swap_stats)
@@ -52,6 +84,11 @@ def test_forked_run_b_matches_inline(monkeypatch, tmp_path):
         for a, b in zip(_replicate_arrays(got), _replicate_arrays(want)):
             assert a.dtype == b.dtype and not a.flags.writeable
             assert a.tobytes() == b.tobytes()
+    names = sorted(p.name for p in forked_dir.iterdir())
+    assert names == sorted(p.name for p in inline_dir.iterdir())
+    assert names == sorted(f"{kind}_{seed}.csv" for kind in ("nmf", "post") for seed in range(4))
+    for name in names:
+        assert (forked_dir / name).read_bytes() == (inline_dir / name).read_bytes()
 
 
 def _fail_at_seed(monkeypatch, seed, exc):
@@ -77,19 +114,48 @@ def test_a_worker_error_keeps_its_type_and_message(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == "error: no fit for seed 1 in the worker\n"
 
 
+def _assert_no_manifest(out, capsys):
+    """``simulate`` left no manifest in ``out``, so ``report`` refuses it."""
+    assert not (out / "manifest.json").exists()
+    assert main(["report", "--out", str(out)]) == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
+# run b's files are written in the worker, run a's here
+@pytest.mark.parametrize("name", ["nmf_r000_b.csv", "nmf_r000_a.csv"])
+def test_a_failed_write_in_either_process_is_exit_two(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["simulate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / name) in err
+    _assert_no_manifest(out, capsys)
+
+
+@pytest.mark.parametrize("seed, where", [(1, "worker"), (0, "parent")])
+def test_a_failed_topdown_in_either_run_is_exit_three(tmp_path, monkeypatch, capsys, seed,
+                                                      where):
+    _fail_at_seed(monkeypatch, seed, InfeasibleConstraints)
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out)]) == 3
+    where = where if pipeline._can_fork() else "parent"
+    assert capsys.readouterr().err == f"error: no fit for seed {seed} in the {where}\n"
+    _assert_no_manifest(out, capsys)
+
+
 @needs_fork
 def test_a_failure_in_run_a_kills_the_worker(monkeypatch):
     real = pipeline._run_b
 
-    def slow_run_b(world, seed):
+    def slow_run_b(world, seed, emit):
         time.sleep(60)
-        return real(world, seed)
+        return real(world, seed, emit)
 
     monkeypatch.setattr(pipeline, "_run_b", slow_run_b)
     _fail_at_seed(monkeypatch, 0, InfeasibleConstraints)
     start = time.monotonic()
     with pytest.raises(InfeasibleConstraints, match="seed 0 in the parent"):
-        pipeline.run_replicate(pipeline.build_world(RunConfig()), 0)
+        pipeline.run_replicate(pipeline.build_world(RunConfig()), 0, _discard)
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -99,7 +165,7 @@ def test_a_failure_in_run_a_kills_the_worker(monkeypatch):
 def test_a_worker_killed_by_a_signal_is_exit_two(tmp_path, monkeypatch, capsys):
     parent = os.getpid()
 
-    def run_b(world, seed):
+    def run_b(world, seed, emit):
         assert os.getpid() != parent, "run b ran outside its worker"
         os.kill(os.getpid(), signal.SIGKILL)
 
@@ -124,7 +190,7 @@ def test_run_replicate_restores_the_blas_thread_count(monkeypatch):
     original = get()
     put(2)
     try:
-        pipeline.run_replicate(pipeline.build_world(RunConfig()), 0)
+        pipeline.run_replicate(pipeline.build_world(RunConfig()), 0, _discard)
         assert get() == 2
     finally:
         put(original)
@@ -153,12 +219,12 @@ def topdown_records():
 def test_forked_run_b_logs_like_inline(monkeypatch, topdown_records):
     monkeypatch.setattr(topdown, "_CAP", 1)  # every solve hits the cap and warns
     world = pipeline.build_world(RunConfig())
-    pipeline.run_replicate(world, 0)
+    pipeline.run_replicate(world, 0, _discard)
     forked = [(r.name, r.levelno, r.getMessage()) for r in topdown_records]
     pids = {r.process for r in topdown_records}
     topdown_records.clear()
     monkeypatch.delattr(os, "fork")
-    pipeline.run_replicate(world, 0)
+    pipeline.run_replicate(world, 0, _discard)
     inline = [(r.name, r.levelno, r.getMessage()) for r in topdown_records]
 
     assert forked and forked == inline
@@ -177,12 +243,12 @@ def test_a_worker_warning_with_unpicklable_args_arrives_formatted(monkeypatch, t
 
     real = pipeline._run_b
 
-    def run_b(world, seed):
+    def run_b(world, seed, emit):
         logging.getLogger("dasim.topdown").warning("run b saw %s", Unpicklable())
-        return real(world, seed)
+        return real(world, seed, emit)
 
     monkeypatch.setattr(pipeline, "_run_b", run_b)
-    pipeline.run_replicate(pipeline.build_world(RunConfig()), 0)
+    pipeline.run_replicate(pipeline.build_world(RunConfig()), 0, _discard)
     assert [r.getMessage() for r in topdown_records] == ["run b saw an unpicklable value"]
 
 
@@ -191,9 +257,9 @@ def test_a_worker_warning_before_its_error_arrives(tmp_path, monkeypatch, capsys
                                                    topdown_records):
     real = pipeline._run_b
 
-    def run_b(world, seed):
+    def run_b(world, seed, emit):
         logging.getLogger("dasim.topdown").warning("run b for seed %d starts", seed)
-        return real(world, seed)
+        return real(world, seed, emit)
 
     monkeypatch.setattr(pipeline, "_run_b", run_b)
     _fail_at_seed(monkeypatch, 1, InfeasibleConstraints)
