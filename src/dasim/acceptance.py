@@ -328,7 +328,7 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
     bgroup = None
     for code in sorted(spine.units_at(geo.GeoLevel.BLOCKGROUP)):
         gid = geo.GeoId(geo.GeoLevel.BLOCKGROUP, code)
-        if len(geo.compose_target(spine, gid).parts) >= 2:
+        if len(geo.compose_target(spine, gid)) >= 2:
             bgroup = gid
             break
     checks.expect(
@@ -340,7 +340,7 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
         (bgroup, _single_stat(agg, "voting_age")),
     ]
     truths = [float(a.matrix[0] @ cef.target_histogram(t)) for t, a in pairs]
-    parts = [geo.compose_target(spine, target).parts for target, _ in pairs]
+    parts = [geo.compose_target(spine, target) for target, _ in pairs]
     needed = set().union(*parts)
 
     paths = [{a1.labels[0]: q.paths_for_row(a1.matrix[0])} for _, a1 in pairs]
@@ -488,7 +488,7 @@ def check_swap_variance_conservative() -> tuple[bool, str]:
     sel = selection_for_level(spine, geo.GeoLevel.TRACT, ("hispanic",))
     needed = set()
     for target in sel.targets:
-        needed.update(geo.compose_target(spine, target).parts)
+        needed.update(geo.compose_target(spine, target))
     cfg = SwapConfig(base_rate=0.35, risk_multiplier=4.0)
 
     reps = 800
@@ -844,15 +844,15 @@ def check_geocode_crosswalk() -> tuple[bool, str]:
         targets.extend(geo.GeoId(lv, c) for c in sorted(spine.units_at(lv)))
     multi_part = 0
     for target in targets:
-        comp = geo.compose_target(spine, target)
+        parts = geo.compose_target(spine, target)
         covered: set[str] = set()
         overlap = False
-        for part in comp.parts:
+        for part in parts:
             part_blocks = spine.nmf_blocks(part)
             if covered & part_blocks:
                 overlap = True
             covered |= part_blocks
-        multi_part += len(comp.parts) > 1
+        multi_part += len(parts) > 1
         checks.expect(not overlap, f"composition parts overlap for {target}")
         checks.expect(
             covered == spine.blocks_of_target(target),
@@ -928,7 +928,7 @@ def check_error_ordering() -> tuple[bool, str]:
     pure, biggest = None, None
     for code in vtds:
         target = geo.GeoId(geo.GeoLevel.VTD, code)
-        parts = geo.compose_target(spine, target).parts
+        parts = geo.compose_target(spine, target)
         _, (variance,) = nm_statistics(nms0, q, agg_total, spine, target, total_paths)
         predicted = sum(level_var[geo.node_level(p)] for p in parts)
         checks.expect(

@@ -139,13 +139,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             write_nmf_csv(nms, out_dir / names[f"nmf_{run}"])
             write_histogram_csv(post, out_dir / names[f"post_{run}"])
 
-        rep = run_replicate(world, r, write_run)
-        write_histogram_csv(rep.swapped, out_dir / names["swap"])
-        write_households_csv(rep.households, out_dir / names["households"])
+        households, stats, swapped = run_replicate(world, r, write_run)
+        write_histogram_csv(swapped, out_dir / names["swap"])
+        write_households_csv(households, out_dir / names["households"])
         files.extend(names.values())
-        stats = rep.swap_stats
         print(
-            f"replicate {r}: seeds ({rep.seed_a}, {rep.seed_b}), "
+            f"replicate {r}: seeds {replicate_seeds(cfg.seed, r)}, "
             f"swapped {stats.n_swapped}/{stats.n_households} households "
             f"({stats.n_unpaired} unpaired)"
         )
@@ -171,9 +170,7 @@ def _load_replicates(out_dir: Path, cfg: RunConfig, spine, schema, q) -> list[Re
 
         reps.append(
             Replicate(
-                index=r, seed_a=seed_a, seed_b=seed_b,
                 nms_a=read_nmf_csv(out_dir / names["nmf_a"], q, seed_a),
-                nms_b=None,
                 post_a=release("post_a", "postprocessed", seed_a),
                 post_b=release("post_b", "postprocessed", seed_b),
                 swapped=release("swap", "swapped", seed_a, np.int64),

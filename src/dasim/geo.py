@@ -200,14 +200,6 @@ def node_level(node_id: str) -> GeoLevel:
     raise ParameterError(f"not an optimized-spine node id: {node_id!r}")
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Disjoint optimized-spine parts whose union is a target geography."""
-
-    target: GeoId
-    parts: tuple[str, ...]
-
-
 def enclosing_units(raw: str) -> dict[str, str]:
     """Every enclosing unit of a block on both spines, keyed like the
     crosswalk columns.  Raises like parse_geocode."""
@@ -447,8 +439,8 @@ class Spine:
         return self._block_set(self.target_rows(target))
 
 
-def compose_target(spine: Spine, target: GeoId) -> Composition:
-    """Cover a target geography with disjoint optimized-spine units.
+def compose_target(spine: Spine, target: GeoId) -> tuple[str, ...]:
+    """Disjoint optimized-spine units whose union is a target geography.
 
     Greedy hierarchical fill: descend the optimized spine root-down and
     take every node whose blocks all lie in the target and are not yet
@@ -471,7 +463,7 @@ def compose_target(spine: Spine, target: GeoId) -> Composition:
                 straddling.extend(spine.children(node))
         parts.extend(sorted(taken))
         frontier = straddling
-    return Composition(target=target, parts=tuple(parts))
+    return tuple(parts)
 
 
 # ----------------------------------------------------------------------

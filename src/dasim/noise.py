@@ -470,7 +470,7 @@ def nm_statistics(
     measurements' own query.  ``paths`` maps labels to their
     ``q.paths_for_row``, so that a caller measuring many targets finds
     them once; only those statistics are returned then, in its order.
-    ``parts`` is the target's ``geo.compose_target(spine, target).parts``,
+    ``parts`` is the target's ``geo.compose_target(spine, target)``,
     so that a caller measuring one target many times composes it once.
     """
     if q is not nms.query and (q.row_ids != nms.query.row_ids
@@ -480,7 +480,7 @@ def nm_statistics(
     if paths is None:
         paths = {label: q.paths_for_row(row) for label, row in zip(agg.labels, agg.matrix)}
     if parts is None:
-        parts = geo.compose_target(spine, target).parts
+        parts = geo.compose_target(spine, target)
     part_values = nms.values[nms.rows(parts)].astype(float)
     at_level: dict[geo.GeoLevel, list[int]] = {}
     for i, part in enumerate(parts):

@@ -5,8 +5,8 @@ pipeline over one fixed world (seeds 2r and 2r+1 off the config seed)
 plus one swapped release.  Two passes per replicate is the minimum that
 identifies the post-processing run variance, which every downstream
 interval needs.  The two passes share only the world, so pass b runs in a
-forked worker, which also writes pass b's files, while this process runs
-pass a and the swap.
+forked worker, which writes pass b's files and sends back only its error,
+if any, and its log records, while this process runs pass a and the swap.
 """
 
 from __future__ import annotations
@@ -86,19 +86,12 @@ def replicate_seeds(base_seed: int, index: int) -> tuple[int, int]:
 
 @dataclass
 class Replicate:
-    """Everything one replicate produced, in memory or off disk."""
+    """What the error report reads of one replicate, in memory or off disk."""
 
-    index: int
-    seed_a: int
-    seed_b: int
     nms_a: NoisyMeasurements
-    # None off disk: no report reads it
-    nms_b: NoisyMeasurements | None
     post_a: HistogramDataset
     post_b: HistogramDataset
     swapped: HistogramDataset
-    households: HouseholdFile | None = None
-    swap_stats: SwapStats | None = None
 
 
 def swap_release(
@@ -114,42 +107,25 @@ def swap_release(
 Emit = Callable[[str, NoisyMeasurements, HistogramDataset], None]
 
 
-def run_replicate(world: World, index: int, emit: Emit) -> Replicate:
-    """Replicate ``index``.  Each run hands its measurements and release
-    to ``emit(run, nms, post)`` in the process that computed them: run
-    "a" here, run "b" in its worker, so of what ``emit`` does for run b
-    only its files outlive the worker."""
-    cfg = world.config
-    seed_a, seed_b = replicate_seeds(cfg.seed, index)
-    with _forked(f"run b of replicate {index}", _run_b, world, seed_b, emit) as run_b:
-        nms_a = make_noisy_measurements(world.cef, world.query, seed=seed_a)
-        post_a = topdown_postprocess(nms_a, world.cef, cfg.postprocess, agg=world.agg)
-        emit("a", nms_a, post_a)
-        swapped_file, stats, swapped = swap_release(world.cef, cfg.swap, seed_a)
-        values_b, counts_b = run_b()
-    return Replicate(
-        index=index,
-        seed_a=seed_a,
-        seed_b=seed_b,
-        nms_a=nms_a,
-        nms_b=NoisyMeasurements(world.query, seed_b, nms_a.nodes, values_b),
-        post_a=post_a,
-        post_b=HistogramDataset(world.cef.spine, world.cef.schema, counts_b,
-                                kind="postprocessed", run_seed=seed_b),
-        swapped=swapped,
-        households=swapped_file,
-        swap_stats=stats,
-    )
+def run_replicate(
+    world: World, index: int, emit: Emit
+) -> tuple[HouseholdFile, SwapStats, HistogramDataset]:
+    """Replicate ``index``: each run's measurements and release go to
+    ``emit(run, nms, post)`` in the process that computed them, run "a"
+    here and run "b" in its worker, and run a's swap is returned as
+    ``swap_release`` returns it."""
+    seed_a, seed_b = replicate_seeds(world.config.seed, index)
+    with _forked(f"run b of replicate {index}", _run, world, "b", seed_b, emit) as wait:
+        _run(world, "a", seed_a, emit)
+        swap = swap_release(world.cef, world.config.swap, seed_a)
+        wait()
+    return swap
 
 
-def _run_b(world: World, seed: int, emit: Emit) -> tuple[np.ndarray, np.ndarray]:
-    """A replicate's run b, handed to ``emit`` and reduced to the arrays
-    its worker sends back: the measurements' values and the release's
-    counts."""
+def _run(world: World, run: str, seed: int, emit: Emit) -> None:
+    """One run of a replicate: measure, post-process, hand both to ``emit``."""
     nms = make_noisy_measurements(world.cef, world.query, seed=seed)
-    post = topdown_postprocess(nms, world.cef, world.config.postprocess, agg=world.agg)
-    emit("b", nms, post)
-    return nms.values, post.counts
+    emit(run, nms, topdown_postprocess(nms, world.cef, world.config.postprocess, agg=world.agg))
 
 
 # ----------------------------------------------------------------------
@@ -169,13 +145,13 @@ def _can_fork() -> bool:
 @contextlib.contextmanager
 def _forked(what: str, fn, *args):
     """Run ``fn(*args)`` in a forked worker while the body runs here, and
-    yield a function that waits for its result.  The result, or the
-    exception ``fn`` raised, comes back pickled over a pipe together with
-    the worker's log records, which are handled here when the result is
-    collected; a worker that dies without one is a ChildProcessError.
+    yield a function that waits for it.  Only the worker's outcome comes
+    back, pickled over a pipe: the exception ``fn`` raised, if any, and the
+    worker's log records, which are handled here before the exception is
+    raised; a worker that dies without an outcome is a ChildProcessError.
     Leaving the body early kills the worker, and the worker is always
     reaped.  Without fork, or with one usable CPU, ``fn`` runs inline
-    when its result is asked for.
+    when it is waited for.
     """
     if not _can_fork():
         yield lambda: fn(*args)
@@ -200,11 +176,12 @@ def _forked(what: str, fn, *args):
                 records, prepare = [], QueueHandler(None).prepare
                 logging.Logger.callHandlers = lambda _, record: records.append(prepare(record))
                 try:
-                    outcome = (fn(*args), None, records)
+                    fn(*args)
+                    error = None
                 except Exception as exc:
-                    outcome = (None, exc, records)
+                    error = exc
                 with open(write_fd, "wb") as pipe:
-                    pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump((error, records), pipe, pickle.HIGHEST_PROTOCOL)
                 code = 0
             finally:
                 os._exit(code)
@@ -212,7 +189,7 @@ def _forked(what: str, fn, *args):
         with open(read_fd, "rb") as pipe:
             status = None
 
-            def result():
+            def wait():
                 nonlocal status
                 try:
                     outcome = pickle.load(pipe)
@@ -225,15 +202,14 @@ def _forked(what: str, fn, *args):
                 if code != 0 or outcome is None:
                     raise ChildProcessError(
                         f"the worker for {what} exited with code {code} without a result")
-                value, exc, records = outcome
+                error, records = outcome
                 for record in records:
                     logging.getLogger(record.name).handle(record)
-                if exc is not None:
-                    raise exc
-                return value
+                if error is not None:
+                    raise error
 
             try:
-                yield result
+                yield wait
             finally:
                 if status is None:
                     os.kill(pid, signal.SIGKILL)

@@ -134,7 +134,7 @@ def nm_statistics_loop(nms, agg, spine, target) -> tuple[list[float], list[float
     query paths are combined by inverse-variance weights (a zero-variance
     path wins outright); parts then add one after another."""
     q = nms.query
-    parts = compose_target(spine, target).parts
+    parts = compose_target(spine, target)
     values, variances = [], []
     for stat_row in agg.matrix:
         value = variance = 0.0

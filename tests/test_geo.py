@@ -172,31 +172,31 @@ def test_aian_split_separates_nmf_tracts(split_spine):
 
 def test_compose_on_spine_tract_is_single_part(split_spine):
     spine, _ = split_spine
-    comp = compose_target(spine, GeoId(GeoLevel.TRACT, "53001000100"))
-    assert len(comp.parts) == 1
-    assert node_level(comp.parts[0]) is GeoLevel.TRACT
+    parts = compose_target(spine, GeoId(GeoLevel.TRACT, "53001000100"))
+    assert len(parts) == 1
+    assert node_level(parts[0]) is GeoLevel.TRACT
 
 
 def test_compose_split_tract_uses_both_sides(split_spine):
     spine, _ = split_spine
-    comp = compose_target(spine, GeoId(GeoLevel.TRACT, "53001000200"))
-    sides = {p[0] for p in comp.parts}
+    parts = compose_target(spine, GeoId(GeoLevel.TRACT, "53001000200"))
+    sides = {p[0] for p in parts}
     assert sides == {"0", "1"}
 
 
 def test_compose_block_target(split_spine):
     spine, raws = split_spine
-    comp = compose_target(spine, GeoId(GeoLevel.BLOCK, "530010001001001"))
-    assert comp.parts == (raws[0],)
+    parts = compose_target(spine, GeoId(GeoLevel.BLOCK, "530010001001001"))
+    assert parts == (raws[0],)
 
 
 def test_compose_partition_property(split_spine):
     spine, raws = split_spine
     for level in (GeoLevel.BLOCKGROUP, GeoLevel.VTD, GeoLevel.PLACE, GeoLevel.COUNTY):
         for code in spine.units_at(level):
-            comp = compose_target(spine, GeoId(level, code))
+            parts = compose_target(spine, GeoId(level, code))
             covered: set[str] = set()
-            for p in comp.parts:
+            for p in parts:
                 pb = spine.nmf_blocks(p)
                 assert not (covered & pb), "parts must be disjoint"
                 covered |= pb
@@ -207,8 +207,8 @@ def test_compose_never_worse_than_blocks(split_spine):
     spine, _ = split_spine
     for code in spine.units_at(GeoLevel.VTD):
         target = GeoId(GeoLevel.VTD, code)
-        comp = compose_target(spine, target)
-        assert len(comp.parts) <= len(spine.blocks_of_target(target))
+        parts = compose_target(spine, target)
+        assert len(parts) <= len(spine.blocks_of_target(target))
 
 
 def test_compose_unknown_target_raises(split_spine):
@@ -224,8 +224,8 @@ def test_obg_spans_standard_blockgroups(split_spine):
     bgs = {spine.membership(b)["blockgroup"] for b in spine.nmf_blocks(obg)}
     assert len(bgs) == 2
     # so composing a standard BG cannot use that OBG whole
-    comp = compose_target(spine, GeoId(GeoLevel.BLOCKGROUP, "530010001001"))
-    assert all(node_level(p) is GeoLevel.BLOCK for p in comp.parts)
+    parts = compose_target(spine, GeoId(GeoLevel.BLOCKGROUP, "530010001001"))
+    assert all(node_level(p) is GeoLevel.BLOCK for p in parts)
 
 
 def test_synthetic_spine_deterministic():

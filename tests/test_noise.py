@@ -399,17 +399,17 @@ def test_nm_statistics_variance_adds_across_parts(tiny_world):
     vtds = sorted(spine.units_at(GeoLevel.VTD))
     from dasim.geo import compose_target
     target = GeoId(GeoLevel.VTD, vtds[0])
-    comp = compose_target(spine, target)
+    parts = compose_target(spine, target)
     _, variances = nm_statistics(nms, q, agg, spine, target)
     per_part = []
-    for part in comp.parts:
+    for part in parts:
         level = GeoLevel.BLOCK if len(part) == 31 else None
         sub = nm_statistics(nms, q, agg, spine,
                             GeoId(GeoLevel.BLOCK, spine.block_geoid(part))
                             ) if level else None
         if sub is not None:
             per_part.append(sub[1][0])
-    if len(per_part) == len(comp.parts):
+    if len(per_part) == len(parts):
         assert variances[0] == pytest.approx(sum(per_part))
 
 

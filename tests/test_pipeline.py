@@ -1,8 +1,9 @@
 """A replicate's run b in its forked worker: the same bytes as inline,
-each run's files written by the process that computed it, the worker's
-errors, deaths and log records reach the caller, a failed run or write
-leaves no manifest, no worker outlives ``run_replicate``, and the BLAS
-thread count comes back."""
+each run's files written by the process that computed it, the worker
+sends back only its error, if any, and its log records, which reach the
+caller as its deaths do, a failed run or write leaves no manifest, no
+worker outlives ``run_replicate``, and the BLAS thread count comes
+back."""
 
 import logging
 import os
@@ -25,23 +26,23 @@ def _discard(run, nms, post):
     """An emit that writes nothing."""
 
 
-def _replicate_arrays(rep):
-    hh = rep.households
-    return [rep.nms_a.values, rep.nms_b.values, rep.post_a.counts, rep.post_b.counts,
-            rep.swapped.counts, hh.block_rows, hh.sizes, hh.adults, hh.cells, hh.gq_counts]
+def _swap_arrays(swap):
+    hh, _, swapped = swap
+    return [swapped.counts, hh.block_rows, hh.sizes, hh.adults, hh.cells, hh.gq_counts]
 
 
 def test_forked_run_b_matches_inline(monkeypatch, tmp_path):
     world = pipeline.build_world(RunConfig(replicates=2))
-    real, pids = pipeline._run_b, tmp_path / "pids"
+    real, pids = pipeline._run, tmp_path / "pids"
 
     def log_pid(what):
         with open(pids, "a") as fh:
             fh.write(f"{what} {os.getpid()}\n")
 
-    def run_b(world, seed, emit):
-        log_pid("run_b")
-        return real(world, seed, emit)
+    def hooked(world, run, seed, emit):
+        if run == "b":
+            log_pid("run_b")
+        return real(world, run, seed, emit)
 
     def writer(out):
         out.mkdir()
@@ -59,7 +60,7 @@ def test_forked_run_b_matches_inline(monkeypatch, tmp_path):
         return {step: [int(pid) for s, pid in lines if s == step]
                 for step in ("run_b", "emit_a", "emit_b")}
 
-    monkeypatch.setattr(pipeline, "_run_b", run_b)
+    monkeypatch.setattr(pipeline, "_run", hooked)
     forks = pipeline._can_fork()
     forked_dir, emit = writer(tmp_path / "forked")
     forked = [pipeline.run_replicate(world, r, emit) for r in range(2)]
@@ -77,11 +78,9 @@ def test_forked_run_b_matches_inline(monkeypatch, tmp_path):
     assert forked_pids["emit_a"] == [parent] * 2
     assert pids_by_step() == {step: [parent] * 2 for step in ("run_b", "emit_a", "emit_b")}
     for got, want in zip(forked, inline):
-        assert (got.seed_a, got.seed_b, got.swap_stats) == (want.seed_a, want.seed_b,
-                                                          want.swap_stats)
-        assert (got.nms_b.nodes, got.nms_b.seed) == (want.nms_b.nodes, want.nms_b.seed)
-        assert (got.post_b.kind, got.post_b.run_seed) == (want.post_b.kind, want.post_b.run_seed)
-        for a, b in zip(_replicate_arrays(got), _replicate_arrays(want)):
+        assert got[1] == want[1]  # the swap's statistics
+        assert (got[2].kind, got[2].run_seed) == (want[2].kind, want[2].run_seed)
+        for a, b in zip(_swap_arrays(got), _swap_arrays(want)):
             assert a.dtype == b.dtype and not a.flags.writeable
             assert a.tobytes() == b.tobytes()
     names = sorted(p.name for p in forked_dir.iterdir())
@@ -89,6 +88,29 @@ def test_forked_run_b_matches_inline(monkeypatch, tmp_path):
     assert names == sorted(f"{kind}_{seed}.csv" for kind in ("nmf", "post") for seed in range(4))
     for name in names:
         assert (forked_dir / name).read_bytes() == (inline_dir / name).read_bytes()
+
+
+@needs_fork
+def test_the_worker_sends_back_only_its_outcome(monkeypatch):
+    loaded, real = [], pipeline.pickle.load
+
+    def load(pipe):
+        loaded.append(real(pipe))
+        return loaded[-1]
+
+    monkeypatch.setattr(pipeline.pickle, "load", load)
+    pipeline.run_replicate(pipeline.build_world(RunConfig()), 0, _discard)
+    # no error and no log record; nothing of run b's measurements or release
+    assert loaded == [(None, [])]
+
+
+def test_simulate_prints_each_replicate_s_seeds_and_swap(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "world: 24 blocks, 1206 persons, seed 0, 1 replicate(s)\n"
+        "replicate 0: seeds (0, 1), swapped 2/463 households (11 unpaired)\n"
+        f"wrote 11 files to {out}\n")
 
 
 def _fail_at_seed(monkeypatch, seed, exc):
@@ -145,13 +167,14 @@ def test_a_failed_topdown_in_either_run_is_exit_three(tmp_path, monkeypatch, cap
 
 @needs_fork
 def test_a_failure_in_run_a_kills_the_worker(monkeypatch):
-    real = pipeline._run_b
+    real = pipeline._run
 
-    def slow_run_b(world, seed, emit):
-        time.sleep(60)
-        return real(world, seed, emit)
+    def slow_run(world, run, seed, emit):
+        if run == "b":
+            time.sleep(60)
+        return real(world, run, seed, emit)
 
-    monkeypatch.setattr(pipeline, "_run_b", slow_run_b)
+    monkeypatch.setattr(pipeline, "_run", slow_run)
     _fail_at_seed(monkeypatch, 0, InfeasibleConstraints)
     start = time.monotonic()
     with pytest.raises(InfeasibleConstraints, match="seed 0 in the parent"):
@@ -163,13 +186,15 @@ def test_a_failure_in_run_a_kills_the_worker(monkeypatch):
 
 @needs_fork
 def test_a_worker_killed_by_a_signal_is_exit_two(tmp_path, monkeypatch, capsys):
-    parent = os.getpid()
+    parent, real = os.getpid(), pipeline._run
 
-    def run_b(world, seed, emit):
-        assert os.getpid() != parent, "run b ran outside its worker"
-        os.kill(os.getpid(), signal.SIGKILL)
+    def hooked(world, run, seed, emit):
+        if run == "b":
+            assert os.getpid() != parent, "run b ran outside its worker"
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(world, run, seed, emit)
 
-    monkeypatch.setattr(pipeline, "_run_b", run_b)
+    monkeypatch.setattr(pipeline, "_run", hooked)
     assert main(["simulate", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         f"error: the worker for run b of replicate 0 was killed by signal {int(signal.SIGKILL)}\n")
@@ -241,13 +266,14 @@ def test_a_worker_warning_with_unpicklable_args_arrives_formatted(monkeypatch, t
         def __str__(self):
             return "an unpicklable value"
 
-    real = pipeline._run_b
+    real = pipeline._run
 
-    def run_b(world, seed, emit):
-        logging.getLogger("dasim.topdown").warning("run b saw %s", Unpicklable())
-        return real(world, seed, emit)
+    def hooked(world, run, seed, emit):
+        if run == "b":
+            logging.getLogger("dasim.topdown").warning("run b saw %s", Unpicklable())
+        return real(world, run, seed, emit)
 
-    monkeypatch.setattr(pipeline, "_run_b", run_b)
+    monkeypatch.setattr(pipeline, "_run", hooked)
     pipeline.run_replicate(pipeline.build_world(RunConfig()), 0, _discard)
     assert [r.getMessage() for r in topdown_records] == ["run b saw an unpicklable value"]
 
@@ -255,13 +281,14 @@ def test_a_worker_warning_with_unpicklable_args_arrives_formatted(monkeypatch, t
 @needs_fork
 def test_a_worker_warning_before_its_error_arrives(tmp_path, monkeypatch, capsys,
                                                    topdown_records):
-    real = pipeline._run_b
+    real = pipeline._run
 
-    def run_b(world, seed, emit):
-        logging.getLogger("dasim.topdown").warning("run b for seed %d starts", seed)
-        return real(world, seed, emit)
+    def hooked(world, run, seed, emit):
+        if run == "b":
+            logging.getLogger("dasim.topdown").warning("run b for seed %d starts", seed)
+        return real(world, run, seed, emit)
 
-    monkeypatch.setattr(pipeline, "_run_b", run_b)
+    monkeypatch.setattr(pipeline, "_run", hooked)
     _fail_at_seed(monkeypatch, 1, InfeasibleConstraints)
     assert main(["simulate", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.endswith("error: no fit for seed 1 in the worker\n")
