@@ -17,10 +17,15 @@ weight, a leaked invariant, a broken composition) fail by a wide
 margin: means are tested at four standard errors and variance ratios
 at ten percent, with Monte Carlo sample sizes chosen to make those
 bands several times tighter than any plausible bug.
+
+A check's time budget, if it has one, lives in its row of
+``_CRITERIA``; ``run_all`` times every check and fails one that
+reaches its budget.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -55,8 +60,6 @@ from .histograms import (
     CellSchema,
     DESK_SCHEMA,
     HistogramDataset,
-    default_statistics,
-    generate_synthetic_cef,
 )
 from .noise import (
     BudgetSchedule,
@@ -66,7 +69,7 @@ from .noise import (
     nm_statistics,
     sample_discrete_gaussian_array,
 )
-from .pipeline import build_world, swap_release
+from .pipeline import World, build_world, swap_release
 from .swapping import SwapConfig
 from .topdown import PostProcessConfig, topdown_postprocess
 
@@ -99,6 +102,10 @@ class _Checks:
     def expect(self, ok: bool, message: str) -> None:
         if not ok:
             self.failures.append(message)
+
+    def expect_rows(self, ok: np.ndarray, message: Callable[[int], str]) -> None:
+        """One failure, ``message(i)``, per false entry ``ok[i]``, in order."""
+        self.failures.extend(message(i) for i in np.flatnonzero(~ok))
 
     def note(self, message: str) -> None:
         self.notes.append(message)
@@ -143,6 +150,13 @@ _WIDE_SPEC = geo.SpineSpec(
 )
 
 
+@functools.cache
+def _desk_world() -> World:
+    """The default 24-block world at seed 7, built once and shared by
+    every check that uses it, so no check may change it."""
+    return build_world(RunConfig(seed=7))
+
+
 def _pair_world():
     spine = geo.make_synthetic_spine(
         geo.SpineSpec(
@@ -158,8 +172,8 @@ def _pair_world():
         ),
         seed=11,
     )
-    cef = HistogramDataset(spine, _PAIR_SCHEMA, np.array([[2, 4], [3, 5]]), "enumeration")
-    return spine, cef, list(spine.blocks)
+    return spine, HistogramDataset(spine, _PAIR_SCHEMA, np.array([[2, 4], [3, 5]]),
+                                   "enumeration")
 
 
 def _pair_query(block_variance: float) -> QueryMatrix:
@@ -233,7 +247,6 @@ def check_sampler_distribution() -> tuple[bool, str]:
     fails this at these sample sizes.
     """
     checks = _Checks()
-    start = time.perf_counter()
     draws_per = 1_000_000
     rng = np.random.default_rng(20260819)
     pvalues = []
@@ -261,8 +274,6 @@ def check_sampler_distribution() -> tuple[bool, str]:
             pval > 0.01,
             f"variance {sigma2}: chi-square GOF rejected (p={pval:.4f})",
         )
-    elapsed = time.perf_counter() - start
-    checks.expect(elapsed < 30.0, f"took {elapsed:.1f}s, budget is 30s")
     checks.note(
         f"GOF p-values {min(pvalues):.3f}..{max(pvalues):.3f} "
         f"at 4 noise scales, 1e6 draws each"
@@ -290,9 +301,8 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
     the delivered noise.
     """
     checks = _Checks()
-    spine = geo.make_synthetic_spine(_WIDE_SPEC, seed=42)
-    cef = generate_synthetic_cef(spine, seed=42)
-    agg = default_statistics(DESK_SCHEMA)
+    world = build_world(RunConfig(seed=42, spine=_WIDE_SPEC))
+    spine, cef, q, agg = world.spine, world.cef, world.query, world.agg
 
     # exactness: zero budget must reproduce the enumeration verbatim
     q0 = QueryMatrix(DESK_SCHEMA, BudgetSchedule.constant(0.0))
@@ -322,7 +332,6 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
             )
 
     # unbiasedness: fixed targets, fresh noise each replicate
-    q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
     block = geo.GeoId(geo.GeoLevel.BLOCK, sorted(spine.units_at(geo.GeoLevel.BLOCK))[0])
     tract = geo.GeoId(geo.GeoLevel.TRACT, sorted(spine.units_at(geo.GeoLevel.TRACT))[0])
     bgroup = None
@@ -403,8 +412,7 @@ def check_estimator_calibration() -> tuple[bool, str]:
     empirical mean squared error.
     """
     checks = _Checks()
-    start = time.perf_counter()
-    world = build_world(RunConfig(seed=7))
+    world = _desk_world()
     spine, cef, q, agg = world.spine, world.cef, world.query, world.agg
 
     codes = sorted(spine.units_at(geo.GeoLevel.BLOCK))
@@ -455,8 +463,6 @@ def check_estimator_calibration() -> tuple[bool, str]:
         f"raw MSE estimate ratio {mratio:.3f} outside [0.9, 1.1]",
     )
 
-    elapsed = time.perf_counter() - start
-    checks.expect(elapsed < 600.0, f"took {elapsed:.0f}s, budget is 600s")
     checks.note(
         f"{reps} replicate pairs: bias gap {gap:.4f} (4 SE = {4 * se:.4f}), "
         f"variance ratio {vratio:.3f}, MSE ratio {mratio:.3f}"
@@ -483,12 +489,10 @@ def check_swap_variance_conservative() -> tuple[bool, str]:
     that observed variance.
     """
     checks = _Checks()
-    world = build_world(RunConfig(seed=7))
+    world = _desk_world()
     spine, cef, q, agg = world.spine, world.cef, world.query, world.agg
     sel = selection_for_level(spine, geo.GeoLevel.TRACT, ("hispanic",))
-    needed = set()
-    for target in sel.targets:
-        needed.update(geo.compose_target(spine, target))
+    needed = set().union(*(geo.compose_target(spine, t) for t in sel.targets))
     cfg = SwapConfig(base_rate=0.35, risk_multiplier=4.0)
 
     reps = 800
@@ -553,7 +557,7 @@ def check_swap_invariants() -> tuple[bool, str]:
     households, so the invariance is not satisfied vacuously.
     """
     checks = _Checks()
-    world = build_world(RunConfig(seed=7))
+    world = _desk_world()
     spine, cef = world.spine, world.cef
     va_mask = DESK_SCHEMA.categories("voting_age") == 1
     gq_mask = DESK_SCHEMA.categories("housing") != 0
@@ -571,27 +575,21 @@ def check_swap_invariants() -> tuple[bool, str]:
             _, stats, sw = swap_release(cef, cfg, seed=seed)
             if cfg.base_rate == 0.5:
                 aggressive_swaps += stats.n_swapped
-            for raw in spine.blocks:
-                before = cef.block_histogram(raw)
-                after = sw.block_histogram(raw)
-                if not np.array_equal(before, after):
-                    moved_any = True
-                checks.expect(
-                    int(before.sum()) == int(after.sum()),
-                    f"block total changed at {raw} (rate {cfg.base_rate}, seed {seed})",
-                )
-                checks.expect(
-                    int(before[va_mask].sum()) == int(after[va_mask].sum()),
-                    f"voting-age count changed at {raw} "
-                    f"(rate {cfg.base_rate}, seed {seed})",
-                )
-                checks.expect(
-                    np.array_equal(before[gq_mask], after[gq_mask]),
-                    f"group-quarters cells changed at {raw} "
-                    f"(rate {cfg.base_rate}, seed {seed})",
-                )
-                if checks.failures:
-                    return checks.outcome()
+            before, after = cef.counts, sw.counts
+            moved_any = moved_any or not np.array_equal(before, after)
+            # per block: total, voting-age count, group-quarters cells
+            changed = np.stack([
+                before.sum(axis=1) != after.sum(axis=1),
+                before[:, va_mask].sum(axis=1) != after[:, va_mask].sum(axis=1),
+                (before[:, gq_mask] != after[:, gq_mask]).any(axis=1),
+            ], axis=1)
+            bad = np.flatnonzero(changed.any(axis=1))
+            if bad.size:  # report the first changed block, as a walk would
+                what = ("block total", "voting-age count", "group-quarters cells")
+                for name, hit in zip(what, changed[bad[0]]):
+                    checks.expect(not hit, f"{name} changed at {spine.blocks[bad[0]]} "
+                                           f"(rate {cfg.base_rate}, seed {seed})")
+                return checks.outcome()
     checks.expect(aggressive_swaps > 0, "aggressive policy never swapped anything")
     checks.expect(moved_any, "no histogram ever changed; invariance is vacuous")
     checks.note(
@@ -623,33 +621,28 @@ def check_postprocessing_constraints() -> tuple[bool, str]:
     checks = _Checks()
 
     # exhaustive-search oracle on the two-block fixture
-    spine, cef, blocks = _pair_world()
+    spine, cef = _pair_world()
+    b0, b1 = spine.blocks
     q = _pair_query(1.0)
     free_cfg = PostProcessConfig(invariants=(), nonneg=True, integerize=True)
     cases = {
-        "interior optimum": {blocks[0]: [1, 2], blocks[1]: [2, 5]},
-        "clamped optimum": {blocks[0]: [0, 1], blocks[1]: [3, 12]},
+        "interior optimum": {b0: [1, 2], b1: [2, 5]},
+        "clamped optimum": {b0: [0, 1], b1: [3, 12]},
     }
     parent = cef.node_histogram(spine.nodes_at(geo.GeoLevel.OPT_BLOCKGROUP)[0])
     for name, m in cases.items():
-        nms = _pair_measurements(cef, q, m)
-        out = topdown_postprocess(nms, cef, free_cfg, agg=_PAIR_AGG)
-        oracle = _brute_force_split(
-            parent, np.array(m[blocks[0]]), np.array(m[blocks[1]])
+        got = topdown_postprocess(_pair_measurements(cef, q, m), cef, free_cfg,
+                                  agg=_PAIR_AGG).counts
+        want = np.array(_brute_force_split(parent, np.array(m[b0]), np.array(m[b1])))
+        checks.expect_rows(
+            (got == want).all(axis=1),
+            lambda i: f"{name}: solver found {got[i].tolist()} at {spine.blocks[i]}, "
+                      f"exhaustive search found {want[i].tolist()}",
         )
-        for raw, want in zip(blocks, oracle):
-            got = out.block_histogram(raw)
-            checks.expect(
-                got.tolist() == want.tolist(),
-                f"{name}: solver found {got.tolist()} at {raw}, "
-                f"exhaustive search found {want.tolist()}",
-            )
 
     # constraint contract on a noisy 16-block world, several replicates
-    spine2 = geo.make_synthetic_spine(_TWO_STATE_SPEC, seed=3)
-    cef2 = generate_synthetic_cef(spine2, seed=3)
-    q2 = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
-    agg = default_statistics(DESK_SCHEMA)
+    world = build_world(RunConfig(seed=3, spine=_TWO_STATE_SPEC))
+    spine2, cef2, q2, agg = world.spine, world.cef, world.query, world.agg
     va_mask = DESK_SCHEMA.categories("voting_age") == 1
     extra = PostProcessConfig(
         invariants=(
@@ -659,66 +652,55 @@ def check_postprocessing_constraints() -> tuple[bool, str]:
         nonneg=True,
         integerize=True,
     )
+    states = spine2.nodes_at(geo.GeoLevel.STATE)
+    counties = spine2.nodes_at(geo.GeoLevel.COUNTY)
+    state_totals = cef2.level_histograms(geo.GeoLevel.STATE).sum(axis=1)
+    county_cells = cef2.level_histograms(geo.GeoLevel.COUNTY)
     county_moved = False
     for seed in (9, 10, 11):
         nms2 = make_noisy_measurements(cef2, q2, seed=seed)
         out2 = topdown_postprocess(nms2, cef2)
 
-        nonneg_int = all(
-            out2.block_histogram(b).dtype == np.int64
-            and (out2.block_histogram(b) >= 0).all()
-            for b in spine2.blocks
-        )
         checks.expect(
-            nonneg_int,
+            out2.counts.dtype == np.int64 and (out2.counts >= 0).all(),
             f"release is not non-negative integer everywhere (seed {seed})",
         )
 
-        for lv in geo.NMF_LEVEL_ORDER[:-1]:
-            for node in spine2.nodes_at(lv):
-                kids = sum(out2.node_histogram(c) for c in spine2.children(node))
-                checks.expect(
-                    np.array_equal(out2.node_histogram(node), kids),
-                    f"node {node} does not equal the sum of its children "
-                    f"(seed {seed})",
-                )
-
-        for node in spine2.nodes_at(geo.GeoLevel.STATE):
-            checks.expect(
-                int(out2.node_histogram(node).sum())
-                == int(cef2.node_histogram(node).sum()),
-                f"state total invariant broken at {node} (seed {seed})",
+        for nodes in map(spine2.nodes_at, geo.NMF_LEVEL_ORDER[:-1]):
+            kids = [out2.node_histograms(spine2.children(n)).sum(axis=0) for n in nodes]
+            checks.expect_rows(
+                (out2.node_histograms(nodes) == kids).all(axis=1),
+                lambda i: f"node {nodes[i]} does not equal the sum of its children (seed {seed})",
             )
+
+        checks.expect_rows(
+            out2.level_histograms(geo.GeoLevel.STATE).sum(axis=1) == state_totals,
+            lambda i: f"state total invariant broken at {states[i]} (seed {seed})",
+        )
         checks.expect(
-            int(out2.node_histogram("US").sum())
-            == int(cef2.node_histogram("US").sum()),
+            out2.total_population == cef2.total_population,
             f"national total invariant broken (seed {seed})",
         )
-        county_moved = county_moved or any(
-            int(out2.node_histogram(n).sum()) != int(cef2.node_histogram(n).sum())
-            for n in spine2.nodes_at(geo.GeoLevel.COUNTY)
-        )
+        county_moved = county_moved or not np.array_equal(
+            out2.level_histograms(geo.GeoLevel.COUNTY).sum(axis=1), county_cells.sum(axis=1))
 
         out3 = topdown_postprocess(nms2, cef2, extra, agg=agg)
-        for node in spine2.nodes_at(geo.GeoLevel.COUNTY):
-            got = int(out3.node_histogram(node)[va_mask].sum())
-            want = int(cef2.node_histogram(node)[va_mask].sum())
-            checks.expect(
-                got == want,
-                f"opt-in county voting-age invariant broken at {node} "
-                f"(seed {seed})",
-            )
+        checks.expect_rows(
+            out3.level_histograms(geo.GeoLevel.COUNTY)[:, va_mask].sum(axis=1)
+            == county_cells[:, va_mask].sum(axis=1),
+            lambda i: f"opt-in county voting-age invariant broken at {counties[i]} "
+                      f"(seed {seed})",
+        )
     checks.expect(
         county_moved, "every county total matched the enumeration; noise suspect"
     )
 
     q0 = QueryMatrix(DESK_SCHEMA, BudgetSchedule.constant(0.0))
     out0 = topdown_postprocess(make_noisy_measurements(cef2, q0, seed=1), cef2)
-    identity = all(
-        np.array_equal(out0.block_histogram(b), cef2.block_histogram(b))
-        for b in spine2.blocks
+    checks.expect(
+        np.array_equal(out0.counts, cef2.counts),
+        "zero-noise run did not reproduce the enumeration",
     )
-    checks.expect(identity, "zero-noise run did not reproduce the enumeration")
 
     checks.note(
         "matches exhaustive search on both fixtures; non-negative integer "
@@ -799,7 +781,7 @@ def check_geocode_crosswalk() -> tuple[bool, str]:
         except InconsistentGeocode:
             pass
 
-    spine = geo.make_synthetic_spine(geo.SpineSpec(), seed=7)
+    spine = _desk_world().spine
     all_blocks = set(spine.blocks)
     partition_levels = (
         geo.GeoLevel.STATE,
@@ -844,16 +826,11 @@ def check_geocode_crosswalk() -> tuple[bool, str]:
         targets.extend(geo.GeoId(lv, c) for c in sorted(spine.units_at(lv)))
     multi_part = 0
     for target in targets:
-        parts = geo.compose_target(spine, target)
-        covered: set[str] = set()
-        overlap = False
-        for part in parts:
-            part_blocks = spine.nmf_blocks(part)
-            if covered & part_blocks:
-                overlap = True
-            covered |= part_blocks
+        parts = [spine.nmf_blocks(p) for p in geo.compose_target(spine, target)]
+        covered = set().union(*parts)
         multi_part += len(parts) > 1
-        checks.expect(not overlap, f"composition parts overlap for {target}")
+        checks.expect(sum(map(len, parts)) == len(covered),
+                      f"composition parts overlap for {target}")
         checks.expect(
             covered == spine.blocks_of_target(target),
             f"composition does not cover {target} exactly",
@@ -886,8 +863,7 @@ def check_error_ordering() -> tuple[bool, str]:
     value, confirming the parts really are independent.
     """
     checks = _Checks()
-    start = time.perf_counter()
-    world = build_world(RunConfig(seed=7))
+    world = _desk_world()
     spine, cef, q, agg = world.spine, world.cef, world.query, world.agg
     agg_total = _single_stat(agg, "total")
     sel_blocks = selection_for_level(spine, geo.GeoLevel.BLOCK, ("total",))
@@ -896,18 +872,12 @@ def check_error_ordering() -> tuple[bool, str]:
     nms0 = make_noisy_measurements(cef, q, seed=0)
     rmse_nmf = nmf_rmse_exact(noisy_stat_table(nms0, q, agg, spine, sel_blocks))
 
-    truth_blocks = np.array(
-        [int(cef.block_histogram(b).sum()) for b in sorted(spine.blocks)], dtype=float
-    )
+    truth_blocks = cef.counts.sum(axis=1)
     reps_td = 300
     sq = 0.0
     for r in range(reps_td):
         nms = make_noisy_measurements(cef, q, seed=5000 + r)
-        out = topdown_postprocess(nms, cef)
-        released = np.array(
-            [int(out.block_histogram(b).sum()) for b in sorted(spine.blocks)],
-            dtype=float,
-        )
+        released = topdown_postprocess(nms, cef).counts.sum(axis=1)
         sq += float(((released - truth_blocks) ** 2).sum())
     rmse_td = math.sqrt(sq / (reps_td * truth_blocks.size))
     checks.expect(
@@ -925,7 +895,7 @@ def check_error_ordering() -> tuple[bool, str]:
     }
     block_var = level_var[geo.GeoLevel.BLOCK]
     vtds = sorted(spine.units_at(geo.GeoLevel.VTD))
-    pure, biggest = None, None
+    pure = None
     for code in vtds:
         target = geo.GeoId(geo.GeoLevel.VTD, code)
         parts = geo.compose_target(spine, target)
@@ -940,8 +910,6 @@ def check_error_ordering() -> tuple[bool, str]:
         if all_blocks and len(parts) >= 2:
             if pure is None or len(parts) > len(pure[1]):
                 pure = (target, parts, variance)
-        if biggest is None or len(parts) > len(biggest[1]):
-            biggest = (target, parts, variance)
     checks.expect(
         pure is not None,
         "no voting district decomposes into two or more whole blocks; "
@@ -974,8 +942,6 @@ def check_error_ordering() -> tuple[bool, str]:
             f"{k}-block district pays exactly {k}x block variance, "
             f"empirical/reported RMSE ratio {ratio:.3f}"
         )
-    elapsed = time.perf_counter() - start
-    checks.expect(elapsed < 300.0, f"took {elapsed:.0f}s, budget is 300s")
     return checks.outcome()
 
 
@@ -994,7 +960,7 @@ def check_degenerate_inputs() -> tuple[bool, str]:
     clamping (the clamped RMSE is zero, the raw value keeps its sign).
     """
     checks = _Checks()
-    spine, cef, blocks = _pair_world()
+    spine, cef = _pair_world()
 
     q0 = _pair_query(0.0)
     nms0 = make_noisy_measurements(cef, q0, seed=4)
@@ -1003,18 +969,14 @@ def check_degenerate_inputs() -> tuple[bool, str]:
         agg=_PAIR_AGG,
     )
     checks.expect(
-        all(np.array_equal(out.block_histogram(b), cef.block_histogram(b))
-            for b in blocks),
+        np.array_equal(out.counts, cef.counts),
         "zero-budget pipeline did not reproduce the enumeration",
     )
 
-    world = build_world(RunConfig(seed=7))
-    spine2, cef2 = world.spine, world.cef
+    cef2 = _desk_world().cef
     _, stats, sw = swap_release(cef2, SwapConfig(base_rate=0.0), seed=13)
     checks.expect(
-        stats.n_swapped == 0
-        and all(np.array_equal(sw.block_histogram(b), cef2.block_histogram(b))
-                for b in spine2.blocks),
+        stats.n_swapped == 0 and np.array_equal(sw.counts, cef2.counts),
         "zero-rate swap is not the identity",
     )
 
@@ -1038,8 +1000,7 @@ def check_degenerate_inputs() -> tuple[bool, str]:
         "tied values did not collapse into the lowest quantile bin",
     )
 
-    cells = tuple((geo.GeoId(geo.GeoLevel.BLOCK, spine.block_geoid(b)), "total")
-                  for b in blocks)
+    cells = tuple((geo.GeoId(geo.GeoLevel.BLOCK, g), "total") for g in spine.unit_ids("block"))
     values = np.array([5.0, 5.0])
     noisy = StatTable("noisy", cells, values, variances=np.full(2, 4.0), run_seed=3)
     release = StatTable("postprocessed", cells, values, run_seed=8)
@@ -1055,16 +1016,17 @@ def check_degenerate_inputs() -> tuple[bool, str]:
 # ----------------------------------------------------------------------
 # runner
 
-_CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
-    (1, "noise sampler distribution", check_sampler_distribution),
-    (2, "measurement unbiasedness", check_measurement_unbiasedness),
-    (3, "estimator calibration", check_estimator_calibration),
-    (4, "swap variance conservativeness", check_swap_variance_conservative),
-    (5, "swap invariants", check_swap_invariants),
-    (6, "post-processing constraints", check_postprocessing_constraints),
-    (7, "geocode crosswalk", check_geocode_crosswalk),
-    (8, "error ordering and composition cost", check_error_ordering),
-    (9, "degenerate inputs", check_degenerate_inputs),
+# number, name, check, and time budget in seconds (None: unbudgeted)
+_CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]], Optional[float]], ...] = (
+    (1, "noise sampler distribution", check_sampler_distribution, 30.0),
+    (2, "measurement unbiasedness", check_measurement_unbiasedness, None),
+    (3, "estimator calibration", check_estimator_calibration, 600.0),
+    (4, "swap variance conservativeness", check_swap_variance_conservative, None),
+    (5, "swap invariants", check_swap_invariants, None),
+    (6, "post-processing constraints", check_postprocessing_constraints, None),
+    (7, "geocode crosswalk", check_geocode_crosswalk, None),
+    (8, "error ordering and composition cost", check_error_ordering, 300.0),
+    (9, "degenerate inputs", check_degenerate_inputs, None),
 )
 
 
@@ -1072,10 +1034,11 @@ def run_all(wanted: Optional[set] = None) -> list[CriterionResult]:
     """Run the numbered checks (all of them, or just ``wanted``).
 
     A check that raises is reported as failed rather than aborting the
-    rest of the suite.
+    rest of the suite, and one that reaches its time budget fails with
+    that overrun after any failure of its own.
     """
     if wanted is not None:
-        known = {number for number, _, _ in _CRITERIA}
+        known = {row[0] for row in _CRITERIA}
         bad = set(wanted) - known
         if bad:
             raise ParameterError(
@@ -1083,7 +1046,7 @@ def run_all(wanted: Optional[set] = None) -> list[CriterionResult]:
                 f"{sorted(known)}"
             )
     results = []
-    for number, name, fn in _CRITERIA:
+    for number, name, fn, budget in _CRITERIA:
         if wanted is not None and number not in wanted:
             continue
         start = time.perf_counter()
@@ -1091,7 +1054,9 @@ def run_all(wanted: Optional[set] = None) -> list[CriterionResult]:
             passed, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(
-            CriterionResult(number, name, passed, detail, time.perf_counter() - start)
-        )
+        seconds = time.perf_counter() - start
+        if budget is not None and seconds >= budget:
+            over = f"took {seconds:.1f}s, budget is {budget:.0f}s"
+            passed, detail = False, f"{detail}; {over}" if not passed else over
+        results.append(CriterionResult(number, name, passed, detail, seconds))
     return results

@@ -201,6 +201,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise ParameterError(
                 f"unknown statistic {s!r}; available: {', '.join(agg.labels)}"
             )
+    q.check_coverage(agg, spec.statistics)
 
     reps = _load_replicates(out_dir, cfg, spine, schema, q)
     rows, quartiles = error_report(spine, q, agg, reps, spec.levels, spec.statistics)

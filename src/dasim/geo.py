@@ -384,11 +384,6 @@ class Spine:
         outside every VTD or place."""
         return self._member_ids[key]
 
-    def membership(self, raw: str) -> dict[str, str]:
-        """Every enclosing unit of a block on both spines."""
-        i = self.block_index[raw]
-        return {key: ids[i] for key, ids in self._member_ids.items() if ids[i]}
-
     # ------------------------------------------------------------------
     # optimized-spine accessors
 

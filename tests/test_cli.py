@@ -247,8 +247,8 @@ def test_geocode_csv_round_trip(tmp_path, small_world):
     write_geocodes_csv(small_world.spine, tmp_path / "g.csv")
     back = read_geocodes_csv(tmp_path / "g.csv")
     assert back.blocks == small_world.spine.blocks
-    for raw in back.blocks:
-        assert back.membership(raw) == small_world.spine.membership(raw)
+    for key in (*geo.enclosing_units(back.blocks[0]), "vtd", "place"):
+        assert back.unit_ids(key) == small_world.spine.unit_ids(key)
 
 
 def test_histogram_csv_round_trip(tmp_path, small_world):
@@ -486,6 +486,26 @@ def test_report_rejects_unknown_statistic(run_dir):
     assert main([
         "report", "--out", str(run_dir), "--statistic", "wizardry",
     ]) == 1
+
+
+def test_report_rejects_a_statistic_the_queries_cannot_measure_before_reading(
+        tmp_path, capsys, monkeypatch):
+    from dasim import cli
+
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**TINY_CONFIG, "query_groups": ["total"],
+                             "report": {"levels": ["tract"], "statistics": ["total"]}}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+    capsys.readouterr()
+    read = []
+    monkeypatch.setattr(cli, "read_nmf_csv", lambda path, *args: read.append(path))
+    assert main(["report", "--out", str(out), "--statistic", "hispanic"]) == 1
+    assert capsys.readouterr().err == (
+        "error: statistic 'hispanic' is not derivable from query groups ('total',)\n")
+    assert read == []
+    assert not any((out / name).exists()
+                   for name in ("error_report.csv", "error_report.json", "quartiles.csv"))
 
 
 def test_report_on_missing_directory_is_an_io_error(tmp_path):

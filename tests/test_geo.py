@@ -136,15 +136,15 @@ def split_spine():
 
 def test_spine_membership(split_spine):
     spine, raws = split_spine
-    m = spine.membership(raws[0])
-    assert m["state"] == "53"
-    assert m["county"] == "53001"
-    assert m["tract"] == "53001000100"
-    assert m["blockgroup"] == "530010001001"
-    assert m["block"] == "530010001001001"
-    assert m["vtd"] == "53001000001"
-    assert m["opt_blockgroup"] == raws[0][:15]
-    assert node_level(m["opt_blockgroup"]) is GeoLevel.OPT_BLOCKGROUP
+    i = spine.block_index[raws[0]]
+    assert spine.unit_ids("state")[i] == "53"
+    assert spine.unit_ids("county")[i] == "53001"
+    assert spine.unit_ids("tract")[i] == "53001000100"
+    assert spine.unit_ids("blockgroup")[i] == "530010001001"
+    assert spine.unit_ids("block")[i] == "530010001001001"
+    assert spine.unit_ids("vtd")[i] == "53001000001"
+    assert spine.unit_ids("opt_blockgroup")[i] == raws[0][:15]
+    assert node_level(spine.unit_ids("opt_blockgroup")[i]) is GeoLevel.OPT_BLOCKGROUP
 
 
 def test_spine_units_partition(split_spine):
@@ -221,7 +221,7 @@ def test_obg_spans_standard_blockgroups(split_spine):
     spine, raws = split_spine
     # the fixture's first OBG contains blocks from two standard BGs
     obg = raws[0][:15]
-    bgs = {spine.membership(b)["blockgroup"] for b in spine.nmf_blocks(obg)}
+    bgs = {spine.unit_ids("blockgroup")[spine.block_index[b]] for b in spine.nmf_blocks(obg)}
     assert len(bgs) == 2
     # so composing a standard BG cannot use that OBG whole
     parts = compose_target(spine, GeoId(GeoLevel.BLOCKGROUP, "530010001001"))
@@ -279,7 +279,7 @@ def test_synthetic_spine_obgs_differ_from_blockgroups():
     spine = make_synthetic_spine(SpineSpec(blocks_per_blockgroup=4, obg_size=3), seed=3)
     mismatch = False
     for obg in spine.nodes_at(GeoLevel.OPT_BLOCKGROUP):
-        bgs = {spine.membership(b)["blockgroup"] for b in spine.nmf_blocks(obg)}
+        bgs = {spine.unit_ids("blockgroup")[spine.block_index[b]] for b in spine.nmf_blocks(obg)}
         if len(bgs) > 1:
             mismatch = True
     assert mismatch, "optimized block groups should regroup blocks across standard BGs"
@@ -309,8 +309,8 @@ def test_spine_spec_keeps_every_code_within_its_digits():
 
 
 def _records(spine):
-    return [(b, spine.membership(b).get("vtd"), spine.membership(b).get("place"))
-            for b in spine.blocks]
+    return [(b, vtd or None, place or None)
+            for b, vtd, place in zip(spine.blocks, spine.unit_ids("vtd"), spine.unit_ids("place"))]
 
 
 def _assert_same_spine(spine, loop):
@@ -328,7 +328,6 @@ def _assert_same_spine(spine, loop):
             got, want = spine.units_at(level), loop.units_at(level)
             assert list(got) == list(want) and got == want
     for raw in spine.blocks:
-        assert list(spine.membership(raw).items()) == list(loop.membership(raw).items())
         assert spine.block_geoid(raw) == loop.block_geoid(raw)
     for key in (*geo.enclosing_units(spine.blocks[0]), "vtd", "place"):
         assert spine.unit_ids(key) == tuple(loop.membership(raw).get(key, "")
@@ -355,8 +354,9 @@ def test_sweep_world_spines_match_the_record_loop(sweep_world):
 
 def test_spine_matches_the_record_loop_with_blocks_outside_every_vtd(split_spine):
     spine, raws = split_spine
-    records = [(raw, spine.membership(raw).get("vtd") if i % 2 else None,
-                spine.membership(raw).get("place")) for i, raw in enumerate(raws)]
+    vtd, place = (spine.unit_ids(key) for key in ("vtd", "place"))
+    records = [(raw, vtd[spine.block_index[raw]] or None if i % 2 else None,
+                place[spine.block_index[raw]] or None) for i, raw in enumerate(raws)]
     _assert_same_spine(Spine(records), SpineLoop(records))
 
 
