@@ -349,18 +349,14 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
         (bgroup, _single_stat(agg, "voting_age")),
     ]
     truths = [float(a.matrix[0] @ cef.target_histogram(t)) for t, a in pairs]
-    parts = [geo.compose_target(spine, target) for target, _ in pairs]
-    needed = set().union(*parts)
-
-    paths = [{a1.labels[0]: q.paths_for_row(a1.matrix[0])} for _, a1 in pairs]
+    needed = set().union(*(geo.compose_target(spine, target) for target, _ in pairs))
 
     reps = 10_000
     z = np.empty((reps, len(pairs)))
     for r in range(reps):
         nms = make_noisy_measurements(cef, q, seed=r, nodes=needed)
         for j, ((target, a1), truth) in enumerate(zip(pairs, truths)):
-            (value,), (variance,) = nm_statistics(nms, q, a1, spine, target, paths[j],
-                                                  parts[j])
+            (value,), (variance,) = nm_statistics(nms, q, a1, spine, target)
             z[r, j] = (value - truth) / math.sqrt(variance)
 
     mean_limit = 4.0 / math.sqrt(reps)
@@ -612,11 +608,10 @@ def check_postprocessing_constraints() -> tuple[bool, str]:
     must land on the same (unique) optimum, including one case whose
     unconstrained optimum is negative so the bound must clamp.  In
     three independent runs on a 16-block noisy world the release must
-    be non-negative integer everywhere, every node must equal the sum
-    of its children, declared invariants (state totals by default,
-    plus an opt-in county voting-age invariant) must hold bit-exactly
-    while undeclared aggregates move, and a zero-noise run must
-    reproduce the enumeration verbatim.
+    be non-negative integer everywhere, declared invariants (state
+    totals by default, plus an opt-in county voting-age invariant) must
+    hold bit-exactly while undeclared aggregates move, and a zero-noise
+    run must reproduce the enumeration verbatim.
     """
     checks = _Checks()
 
@@ -665,13 +660,6 @@ def check_postprocessing_constraints() -> tuple[bool, str]:
             out2.counts.dtype == np.int64 and (out2.counts >= 0).all(),
             f"release is not non-negative integer everywhere (seed {seed})",
         )
-
-        for nodes in map(spine2.nodes_at, geo.NMF_LEVEL_ORDER[:-1]):
-            kids = [out2.node_histograms(spine2.children(n)).sum(axis=0) for n in nodes]
-            checks.expect_rows(
-                (out2.node_histograms(nodes) == kids).all(axis=1),
-                lambda i: f"node {nodes[i]} does not equal the sum of its children (seed {seed})",
-            )
 
         checks.expect_rows(
             out2.level_histograms(geo.GeoLevel.STATE).sum(axis=1) == state_totals,
@@ -722,9 +710,10 @@ def check_geocode_crosswalk() -> tuple[bool, str]:
     through parse and reassembly; malformed and inconsistent inputs
     must raise their dedicated errors; on a synthetic spine every
     standard level must partition (or, for places, disjointly cover)
-    the blocks, both block-group systems must genuinely disagree, and
-    every composable target must be covered by disjoint spine parts
-    exactly.
+    the blocks, every optimized-spine node's blocks must be the disjoint
+    union of its children's, both block-group systems must genuinely
+    disagree, and every composable target must be covered by disjoint
+    spine parts exactly.
     """
     checks = _Checks()
 
@@ -814,6 +803,13 @@ def check_geocode_crosswalk() -> tuple[bool, str]:
             sizes == len(union) == len(all_blocks),
             f"optimized-spine {lv.value} nodes do not partition the blocks",
         )
+    for n in (n for lv in geo.NMF_LEVEL_ORDER[:-1] for n in spine.nodes_at(lv)):
+        kids = [spine.nmf_blocks(k) for k in spine.children(n)]
+        checks.expect(
+            sum(map(len, kids)) == len(spine.nmf_blocks(n))
+            and set().union(*kids) == spine.nmf_blocks(n),
+            f"optimized-spine node {n} is not the disjoint union of its children",
+        )
     obg_sets = {spine.nmf_blocks(n) for n in spine.nodes_at(geo.GeoLevel.OPT_BLOCKGROUP)}
     bg_sets = {frozenset(b) for b in spine.units_at(geo.GeoLevel.BLOCKGROUP).values()}
     checks.expect(
@@ -888,18 +884,14 @@ def check_error_ordering() -> tuple[bool, str]:
 
     # off-spine variance additivity, checked against an independent
     # re-derivation of the path-combination rule
-    total_row = agg_total.matrix[0]
-    total_paths = {agg_total.labels[0]: q.paths_for_row(total_row)}
-    level_var = {
-        lv: _combined_variance(q, lv, total_row) for lv in geo.NMF_LEVEL_ORDER
-    }
+    level_var = {lv: _combined_variance(q, lv, agg_total.matrix[0]) for lv in geo.NMF_LEVEL_ORDER}
     block_var = level_var[geo.GeoLevel.BLOCK]
     vtds = sorted(spine.units_at(geo.GeoLevel.VTD))
     pure = None
     for code in vtds:
         target = geo.GeoId(geo.GeoLevel.VTD, code)
         parts = geo.compose_target(spine, target)
-        _, (variance,) = nm_statistics(nms0, q, agg_total, spine, target, total_paths)
+        _, (variance,) = nm_statistics(nms0, q, agg_total, spine, target)
         predicted = sum(level_var[geo.node_level(p)] for p in parts)
         checks.expect(
             math.isclose(variance, predicted, rel_tol=1e-9),
@@ -929,7 +921,7 @@ def check_error_ordering() -> tuple[bool, str]:
         errs = np.empty(reps_nm)
         for r in range(reps_nm):
             nms = make_noisy_measurements(cef, q, seed=9000 + r, nodes=parts)
-            (value,), _ = nm_statistics(nms, q, agg_total, spine, target, total_paths, parts)
+            (value,), _ = nm_statistics(nms, q, agg_total, spine, target)
             errs[r] = value - truth
         emp = math.sqrt(float((errs ** 2).mean()))
         ratio = emp / math.sqrt(reported)

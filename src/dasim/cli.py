@@ -55,7 +55,11 @@ from . import __version__
 
 
 def _crosswalk_row(raw: str, vtd: str = "", place: str = "") -> dict[str, str]:
-    return {**geo.enclosing_units(raw), "geocode": raw, "vtd": vtd, "place": place}
+    units = geo.enclosing_units(raw)
+    for level, code in ((geo.GeoLevel.VTD, vtd), (geo.GeoLevel.PLACE, place)):
+        if code:
+            geo.GeoId(level, code)  # raises on a malformed id, as Spine does
+    return {**units, "geocode": raw, "vtd": vtd, "place": place}
 
 
 def _read_geocode_input(path: Path) -> list[tuple[int, str, str, str]]:

@@ -116,8 +116,9 @@ def noisy_stat_table(
     for s in selection.statistics:
         if s not in agg.labels:
             raise ParameterError(f"statistic {s!r} not in the aggregation matrix")
-    paths = {s: nms.query.paths_for_row(agg.row(s)) for s in selection.statistics}
-    values, variances = zip(*(nm_statistics(nms, q, agg, spine, target, paths)
+    chosen = AggregationMatrix(selection.statistics,
+                               agg.matrix[[agg.labels.index(s) for s in selection.statistics]])
+    values, variances = zip(*(nm_statistics(nms, q, chosen, spine, target)
                               for target in selection.targets))
     return StatTable(
         kind="noisy",

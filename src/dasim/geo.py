@@ -368,15 +368,13 @@ class Spine:
             member_of[lv.value] = ids, unit_of
         self._member_ids = {key: tuple(np.array(ids, dtype=object)[at].tolist())
                             for key, (ids, at) in member_of.items()}
+        self._compositions: dict[GeoId, tuple[str, ...]] = {}  # filled by compose_target
 
     def _block_set(self, rows: np.ndarray) -> frozenset[str]:
         return frozenset(self.blocks[i] for i in rows)
 
     # ------------------------------------------------------------------
     # block accessors
-
-    def block_geoid(self, raw: str) -> str:
-        return self._member_ids[GeoLevel.BLOCK.value][self.block_index[raw]]
 
     def unit_ids(self, key: str) -> tuple[str, ...]:
         """Per block row, the id of its enclosing unit under one
@@ -443,7 +441,11 @@ def compose_target(spine: Spine, target: GeoId) -> tuple[str, ...]:
     target's edge are opened further, down to single blocks.
     Summation-only by construction — no unit is ever subtracted — so the
     parts stay disjoint and their noisy measurements stay independent.
+    A spine never changes, so it keeps each target's parts.
     """
+    known = spine._compositions.get(target)
+    if known is not None:
+        return known
     inside = np.zeros(len(spine.blocks), dtype=bool)
     inside[spine.target_rows(target)] = True
     parts: list[str] = []
@@ -458,7 +460,8 @@ def compose_target(spine: Spine, target: GeoId) -> tuple[str, ...]:
                 straddling.extend(spine.children(node))
         parts.extend(sorted(taken))
         frontier = straddling
-    return tuple(parts)
+    spine._compositions[target] = tuple(parts)
+    return spine._compositions[target]
 
 
 # ----------------------------------------------------------------------

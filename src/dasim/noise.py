@@ -1,14 +1,13 @@
 """Discrete Gaussian noise, per-geography query measurements, and
 inverse-variance combination into statistics for arbitrary targets.
 
-Every optimized-spine geography is measured by the same query set: one
-counting query per histogram cell ("detail"), a total-population query,
-and one marginal query per category of every schema axis.  Each query
+Every optimized-spine geography is measured by the same query set: each
+query group partitions the cells, with one counting query per part.  An
 answer is the exact count plus integer discrete Gaussian noise whose
 variance comes from a per-level budget schedule.  A statistic for any
-composable target is then assembled by summing measurements over the
-target's composition parts, combining alternative query paths within
-each part by an inverse-variance-weighted mean.
+composable target is the sum over the target's composition parts of
+each part's estimate: the inverse-variance-weighted mean of one path per
+partition on whose parts the statistic is constant.
 """
 
 from __future__ import annotations
@@ -178,9 +177,11 @@ class BudgetSchedule:
 class QueryMatrix:
     """The per-geography query workload over a cell schema.
 
-    Rows are 0/1 vectors over cells.  ``groups`` selects which of the
-    three query families are asked; detail queries make every statistic
-    derivable and are part of the default workload.
+    Each query group is partitions of the cells, one 0/1 query row per
+    part: detail is the partition into single cells, total the one with
+    one part, and marginal one partition per schema axis, by category.
+    ``groups`` selects the groups asked; detail queries make every
+    statistic derivable and are part of the default workload.
     """
 
     def __init__(
@@ -199,35 +200,29 @@ class QueryMatrix:
         self.groups = tuple(groups)
 
         size = schema.size
-        ids: list[str] = []
-        row_groups: list[str] = []
-        rows: list[np.ndarray] = []
-        if "detail" in self.groups:
-            for i in range(size):
-                e = np.zeros(size, dtype=np.int8)
-                e[i] = 1
-                ids.append(f"cell_{i}")
-                row_groups.append("detail")
-                rows.append(e)
-        if "total" in self.groups:
-            ids.append("total")
-            row_groups.append("total")
-            rows.append(np.ones(size, dtype=np.int8))
-        if "marginal" in self.groups:
-            for name, card in schema.axes:
-                grid = schema.categories(name)
-                for v in range(card):
-                    ids.append(f"marginal_{name}_{v}")
-                    row_groups.append("marginal")
-                    rows.append((grid == v).astype(np.int8))
-        self.row_ids = tuple(ids)
-        self.row_groups = tuple(row_groups)
-        self.matrix = np.array(rows, dtype=np.int8)
+        # per group, each partition as every cell's part and its parts' row ids
+        partitions = {
+            "detail": [(np.arange(size), [f"cell_{i}" for i in range(size)])],
+            "total": [(np.zeros(size, dtype=np.intp), ["total"])],
+            "marginal": [(schema.categories(name), [f"marginal_{name}_{v}" for v in range(card)])
+                         for name, card in schema.axes],
+        }
+        ids, row_groups, cell_rows = [], [], []
+        # per partition: its first row, its cells in part order, where each part
+        # starts in that order, and whether its rows may weigh other than 0 or 1
+        self._partitions: list[tuple[int, np.ndarray, np.ndarray, bool]] = []
+        for g in (g for g in QUERY_GROUPS if g in self.groups):
+            for part_of, names in partitions[g]:
+                order = np.argsort(part_of, kind="stable")
+                starts = np.searchsorted(part_of[order], np.arange(len(names)))
+                self._partitions.append((len(ids), order, starts, g == "detail"))
+                cell_rows.append(len(ids) + part_of)
+                ids.extend(names)
+                row_groups.extend([g] * len(names))
+        self.row_ids, self.row_groups = tuple(ids), tuple(row_groups)
+        self.matrix = np.zeros((len(ids), size), dtype=np.int8)
+        self.matrix[np.concatenate(cell_rows), np.tile(np.arange(size), len(cell_rows))] = 1
         self.matrix.flags.writeable = False
-        self._row_of = {rid: i for i, rid in enumerate(ids)}
-        self._detail_rows = np.array(
-            [self._row_of.get(f"cell_{i}", -1) for i in range(size)], dtype=np.int64
-        )
         # the one source of every measurement's variance: a (spine level
         # x query row) table in NMF_LEVEL_ORDER, fixed by the budget
         by_group = np.array([[self.budget.variance(lv, g) for g in self.groups]
@@ -238,6 +233,7 @@ class QueryMatrix:
             lv: [(float(v), np.flatnonzero(row == v)) for v in np.unique(row) if v > 0]
             for lv, row in zip(geo.NMF_LEVEL_ORDER, self.variances)
         }
+        self._statistics: dict[bytes, tuple[np.ndarray, dict]] = {}  # by int64 row bytes
 
     @property
     def n_rows(self) -> int:
@@ -253,38 +249,42 @@ class QueryMatrix:
         return self._noise_groups[level]
 
     def paths_for_row(self, stat_row: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Every way to assemble one statistic from query rows.
-
-        Returns (row_indices, coefficients) pairs; the statistic equals
+        """Every way to assemble one statistic from query rows: one path
+        per partition on whose parts the statistic is constant, with each
+        part's constant as its row's coefficient and zero parts dropped.
+        Only detail takes a statistic that is not 0/1.  Returns
+        (row_indices, coefficients) pairs; the statistic equals
         coefficients . measurements[row_indices] in expectation.  Raises
         CoverageError when no path exists under the configured groups.
         """
         stat_row = np.asarray(stat_row)
         if stat_row.shape != (self.schema.size,):
             raise SchemaError("statistic row does not match the schema")
-        paths: list[tuple[np.ndarray, np.ndarray]] = []
-        if "detail" in self.groups:
-            support = np.nonzero(stat_row)[0]
-            paths.append((self._detail_rows[support], stat_row[support].astype(float)))
         is_indicator = bool(((stat_row == 0) | (stat_row == 1)).all())
-        if "total" in self.groups and is_indicator and bool((stat_row == 1).all()):
-            paths.append((np.array([self._row_of["total"]]), np.array([1.0])))
-        if "marginal" in self.groups and is_indicator:
-            shaped = stat_row.reshape(self.schema.shape)
-            axes = tuple(range(len(self.schema.shape)))
-            for ai, (name, card) in enumerate(self.schema.axes):
-                others = tuple(a for a in axes if a != ai)
-                lo = shaped.min(axis=others)
-                hi = shaped.max(axis=others)
-                if (lo == hi).all():
-                    values = np.nonzero(lo)[0]
-                    idx = np.array(
-                        [self._row_of[f"marginal_{name}_{v}"] for v in values]
-                    )
-                    paths.append((idx, np.ones(len(values))))
+        paths: list[tuple[np.ndarray, np.ndarray]] = []
+        for first, order, starts, weighted in self._partitions:
+            by_part = stat_row[order]
+            lo = np.minimum.reduceat(by_part, starts)
+            if (weighted or is_indicator) and (lo == np.maximum.reduceat(by_part, starts)).all():
+                parts = np.flatnonzero(lo)
+                paths.append((first + parts, lo[parts].astype(float)))
         if not paths:
             raise CoverageError("statistic is not derivable from the configured queries")
         return paths
+
+    def _statistic(self, stat_row: np.ndarray) -> tuple[np.ndarray, dict]:
+        """One statistic's paths as a (query row x path) coefficient matrix
+        and each path's variance at every level, found once per row."""
+        key = stat_row.tobytes()
+        if key not in self._statistics:
+            paths = self.paths_for_row(stat_row)
+            coefs = np.zeros((self.n_rows, len(paths)))
+            for k, (idx, coef) in enumerate(paths):
+                coefs[idx, k] = coef
+            self._statistics[key] = coefs, {
+                lv: [float((coef ** 2) @ variances[idx]) for idx, coef in paths]
+                for lv, variances in zip(geo.NMF_LEVEL_ORDER, self.variances)}
+        return self._statistics[key]
 
     def check_coverage(self, agg: AggregationMatrix,
                        labels: Optional[Sequence[str]] = None) -> None:
@@ -456,8 +456,6 @@ def nm_statistics(
     agg: AggregationMatrix,
     spine: geo.Spine,
     target: geo.GeoId,
-    paths: Optional[Mapping[str, list]] = None,
-    parts: Optional[Sequence[str]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased noisy statistics for any composable target, and their
     variances, in label order.
@@ -467,38 +465,30 @@ def nm_statistics(
     short-circuits the combination); part estimates then add, in
     composition order, and so do their variances, because parts are
     disjoint geographies with independent noise.  ``q`` must be the
-    measurements' own query.  ``paths`` maps labels to their
-    ``q.paths_for_row``, so that a caller measuring many targets finds
-    them once; only those statistics are returned then, in its order.
-    ``parts`` is the target's ``geo.compose_target(spine, target)``,
-    so that a caller measuring one target many times composes it once.
+    measurements' own query.  The query finds each statistic's paths
+    once and the spine composes each target once, so a call repeats
+    only the work on the measurements.
     """
     if q is not nms.query and (q.row_ids != nms.query.row_ids
                                or not np.array_equal(q.variances, nms.query.variances)):
         raise ParameterError("q is not the query the measurements were taken with")
     q = nms.query
-    if paths is None:
-        paths = {label: q.paths_for_row(row) for label, row in zip(agg.labels, agg.matrix)}
-    if parts is None:
-        parts = geo.compose_target(spine, target)
+    parts = geo.compose_target(spine, target)
     part_values = nms.values[nms.rows(parts)].astype(float)
     at_level: dict[geo.GeoLevel, list[int]] = {}
     for i, part in enumerate(parts):
         at_level.setdefault(geo.node_level(part), []).append(i)
-    out = np.empty((len(parts), 2, len(paths)))  # per part: estimates, variances
-    for j, label_paths in enumerate(paths.values()):
-        coefs = np.zeros((q.n_rows, len(label_paths)))  # one column per path
-        for k, (idx, coef) in enumerate(label_paths):
-            coefs[idx, k] = coef
+    out = np.empty((len(parts), 2, len(agg.labels)))  # per part: estimates, variances
+    for j, stat_row in enumerate(agg.matrix):
+        coefs, path_var = q._statistic(stat_row)  # one column per path
         cands = part_values @ coefs
         for level, rows in at_level.items():
-            level_var = q.variances_for(level)
-            cand_var = [float((coef ** 2) @ level_var[idx]) for idx, coef in label_paths]
+            cand_var = path_var[level]
             if 0.0 in cand_var:
                 out[rows, 0, j], out[rows, 1, j] = cands[rows, cand_var.index(0.0)], 0.0
             else:
                 out[rows, 0, j], out[rows, 1, j] = combine_estimates(cands[rows], cand_var)
-    total = np.zeros((2, len(paths)))
+    total = np.zeros((2, len(agg.labels)))
     for part in out:  # in composition order, one part after another
         total += part
     return total[0], total[1]

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from dasim import geo
-from dasim.errors import EmptyTarget, InconsistentGeocode
+from dasim.errors import CoverageError, EmptyTarget, InconsistentGeocode
 from dasim.geo import GeoLevel, compose_target, node_level
 from dasim.histograms import HistogramDataset, _race_base_shares
 
@@ -126,6 +126,39 @@ def kkt_active_set_oracle(H, G, E, e, parent):
             continue
         return x.reshape(k, C)
     raise ValueError("no KKT point: the group is infeasible")
+
+
+def paths_for_row_loop(q, stat_row) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The query paths of one statistic by one rule per query group, with
+    rows looked up by id: a detail path over the statistic's support, the
+    total query for an all-ones row, and one marginal path per axis along
+    which a 0/1 row does not vary.  ``QueryMatrix.paths_for_row`` must
+    return the same rows, coefficients, dtypes and order."""
+    row_of = {rid: i for i, rid in enumerate(q.row_ids)}
+    detail_rows = np.array([row_of.get(f"cell_{i}", -1) for i in range(q.schema.size)],
+                           dtype=np.int64)
+    stat_row = np.asarray(stat_row)
+    paths = []
+    if "detail" in q.groups:
+        support = np.nonzero(stat_row)[0]
+        paths.append((detail_rows[support], stat_row[support].astype(float)))
+    is_indicator = bool(((stat_row == 0) | (stat_row == 1)).all())
+    if "total" in q.groups and is_indicator and bool((stat_row == 1).all()):
+        paths.append((np.array([row_of["total"]]), np.array([1.0])))
+    if "marginal" in q.groups and is_indicator:
+        shaped = stat_row.reshape(q.schema.shape)
+        axes = tuple(range(len(q.schema.shape)))
+        for ai, (name, card) in enumerate(q.schema.axes):
+            others = tuple(a for a in axes if a != ai)
+            lo = shaped.min(axis=others)
+            hi = shaped.max(axis=others)
+            if (lo == hi).all():
+                values = np.nonzero(lo)[0]
+                idx = np.array([row_of[f"marginal_{name}_{v}"] for v in values])
+                paths.append((idx, np.ones(len(values))))
+    if not paths:
+        raise CoverageError("statistic is not derivable from the configured queries")
+    return paths
 
 
 def nm_statistics_loop(nms, agg, spine, target) -> tuple[list[float], list[float]]:

@@ -6,11 +6,12 @@ outcome, so a red test carries the failing sub-check in its message.
 The same checks back the ``dasim verify`` subcommand.
 """
 
+import functools
 import sys
 
 import pytest
 
-from dasim import acceptance
+from dasim import acceptance, geo
 
 
 def _run(number: int) -> acceptance.CriterionResult:
@@ -64,6 +65,17 @@ def test_criterion_7_geocode_crosswalk():
     assert result.passed, result.detail
     assert result.detail == ("worked example, 100000 round trips, "
                              "and exact disjoint covers for 45 targets")
+
+
+def test_criterion_7_rejects_a_node_that_loses_a_child(monkeypatch):
+    children = geo.Spine.children
+    monkeypatch.setattr(geo.Spine, "children", lambda self, node: children(self, node)[1:])
+    # a world of its own, so no other check sees the patched spine's compositions
+    monkeypatch.setattr(acceptance, "_desk_world",
+                        functools.cache(acceptance._desk_world.__wrapped__))
+    passed, detail = acceptance.check_geocode_crosswalk()
+    assert not passed
+    assert "optimized-spine node US is not the disjoint union of its children" in detail
 
 
 @pytest.mark.slow

@@ -306,6 +306,22 @@ def test_crosswalk_rejects_bad_rows_with_exit_one(tmp_path):
         assert len(list(csv.DictReader(fh))) == 1
 
 
+def test_crosswalk_rejects_malformed_vtd_and_place_ids(tmp_path):
+    src = tmp_path / "codes.csv"
+    src.write_text(f"geocode,vtd,place\n{EXAMPLE_RAW},12,abc\n{EXAMPLE_RAW},53001000001,abc\n"
+                   f"{EXAMPLE_RAW},53001000001,5360000\n")
+    assert main(["crosswalk", str(src), "--out", str(tmp_path)]) == 1
+    with open(tmp_path / "rejects.csv", newline="") as fh:
+        rejects = list(csv.DictReader(fh))
+    assert [(r["line"], r["reason"]) for r in rejects] == [
+        ("2", "vtd GeoId must be 11 digits, got '12'"),
+        ("3", "place GeoId must be 7 digits, got 'abc'"),
+    ]
+    with open(tmp_path / "crosswalk.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["vtd"], r["place"]) for r in rows] == [("53001000001", "5360000")]
+
+
 def test_crosswalk_missing_input_is_an_io_error(tmp_path):
     assert main(["crosswalk", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 2
 

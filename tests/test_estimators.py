@@ -119,6 +119,20 @@ def test_noisy_table_rejects_another_query(world, tract_selection):
     np.testing.assert_array_equal(got.values, want.values)
 
 
+def test_noisy_tables_find_each_statistics_paths_once(world, monkeypatch):
+    spine, cef, _ = world
+    q = QueryMatrix(DESK_SCHEMA)
+    nms = make_noisy_measurements(cef, q, seed=4)
+    sel = selection_for_level(spine, geo.GeoLevel.TRACT, ("total", "voting_age", "hispanic"))
+    found = []
+    paths_for_row = QueryMatrix.paths_for_row
+    monkeypatch.setattr(QueryMatrix, "paths_for_row",
+                        lambda self, row: found.append(row) or paths_for_row(self, row))
+    tables = [noisy_stat_table(nms, q, AGG, spine, sel) for _ in range(3)]
+    assert len(found) == len(sel.statistics)
+    assert all(np.array_equal(t.values, tables[0].values) for t in tables)
+
+
 def test_misaligned_tables_are_rejected(world, tract_selection):
     spine, cef, _ = world
     other = selection_for_level(spine, geo.GeoLevel.TRACT, ("total",))

@@ -42,7 +42,7 @@ def test_parse_worked_example():
 def test_block_geoid_worked_example():
     assert parse_geocode(EXAMPLE_RAW).geoid == EXAMPLE_GEOID
     spine = Spine([(EXAMPLE_RAW, None, None)])
-    assert spine.block_geoid(EXAMPLE_RAW) == EXAMPLE_GEOID
+    assert spine.unit_ids("block")[spine.block_index[EXAMPLE_RAW]] == EXAMPLE_GEOID
     assert set(spine.units_at(GeoLevel.BLOCK)) == {EXAMPLE_GEOID}
 
 
@@ -328,7 +328,7 @@ def _assert_same_spine(spine, loop):
             got, want = spine.units_at(level), loop.units_at(level)
             assert list(got) == list(want) and got == want
     for raw in spine.blocks:
-        assert spine.block_geoid(raw) == loop.block_geoid(raw)
+        assert spine.unit_ids("block")[spine.block_index[raw]] == loop.block_geoid(raw)
     for key in (*geo.enclosing_units(spine.blocks[0]), "vtd", "place"):
         assert spine.unit_ids(key) == tuple(loop.membership(raw).get(key, "")
                                             for raw in spine.blocks)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -39,6 +40,7 @@ from oracles import (
     measurements_loop,
     nm_statistics_loop,
     node_seed,
+    paths_for_row_loop,
 )
 
 
@@ -201,6 +203,37 @@ def test_paths_raise_when_underivable():
     assert len(q.paths_for_row(agg.row("total"))) == 1
 
 
+def _path_signature(paths):
+    return [(idx.tolist(), idx.dtype, coef.tolist(), coef.dtype) for idx, coef in paths]
+
+
+@pytest.mark.parametrize("schema", [DESK_SCHEMA, FULL_SCHEMA], ids=["desk", "full"])
+def test_paths_for_row_matches_the_per_group_rule(schema):
+    agg = default_statistics(schema)
+    doubled = [2 * agg.row("total"), 2 * agg.row("hispanic")]
+    uncovered = 0
+    for k in (1, 2, 3):
+        for groups in itertools.combinations(noise.QUERY_GROUPS, k):
+            q = QueryMatrix(schema, groups=groups)
+            for row in [*agg.matrix, *doubled]:
+                try:
+                    want = _path_signature(paths_for_row_loop(q, row))
+                except CoverageError:
+                    uncovered += 1
+                    with pytest.raises(CoverageError):
+                        q.paths_for_row(row)
+                    continue
+                assert _path_signature(q.paths_for_row(row)) == want
+    assert uncovered > 0
+    # a statistic that is not 0/1 keeps only its detail path
+    q = QueryMatrix(schema)
+    for row in doubled:
+        (idx, coef), = q.paths_for_row(row)
+        assert {q.row_groups[i] for i in idx} == {"detail"} and set(coef) == {2.0}
+
+
+# ----------------------------------------------------------------------
+# noisy measurements
 # ----------------------------------------------------------------------
 # noisy measurements
 
@@ -356,7 +389,7 @@ def test_nm_statistics_unbiased_and_calibrated(tiny_world):
     spine, cef, q = tiny_world
     agg = default_statistics(DESK_SCHEMA)
     block = spine.blocks[0]
-    target = GeoId(GeoLevel.BLOCK, spine.block_geoid(block))
+    target = GeoId(GeoLevel.BLOCK, spine.unit_ids("block")[spine.block_index[block]])
     truth = float(aggregate(cef.target_histogram(target), agg)[0])
     reps = 400
     vals = np.empty(reps)
@@ -405,7 +438,7 @@ def test_nm_statistics_variance_adds_across_parts(tiny_world):
     for part in parts:
         level = GeoLevel.BLOCK if len(part) == 31 else None
         sub = nm_statistics(nms, q, agg, spine,
-                            GeoId(GeoLevel.BLOCK, spine.block_geoid(part))
+                            GeoId(GeoLevel.BLOCK, spine.unit_ids("block")[spine.block_index[part]])
                             ) if level else None
         if sub is not None:
             per_part.append(sub[1][0])
