@@ -48,9 +48,12 @@ class ReportSpec:
             if level not in geo.GEOID_WIDTH:  # the levels Spine.units_at serves
                 raise ParameterError(f"levels: {level.value} has no GEOID units "
                                      "(optimized block groups are spine nodes)")
-        # a repeated entry would repeat its report rows
+        # an empty list would leave the report without rows, and a repeated
+        # entry would repeat its report rows
         for key, names in (("levels", [lv.value for lv in self.levels]),
                            ("statistics", list(self.statistics))):
+            if not names:
+                raise ParameterError(f"{key}: empty, so the report would have no rows")
             repeated = sorted({n for n in names if names.count(n) > 1})
             if repeated:
                 raise ParameterError(f"{key}: repeated {', '.join(repeated)}")

@@ -21,7 +21,10 @@ widest group.  A primal-dual active set steps every group of a batch at
 once and refactors only re-pinned children; a group that cycles, meets
 an inconsistent pin set or reaches its cap is re-solved alone by a
 Goldfarb-Idnani dual active set, which terminates and reports
-infeasibility only when no non-negative solution exists.
+infeasibility only when no non-negative solution exists.  Only levels
+with equality rows (invariants, exact queries: by default the root
+alone) border their children's KKT matrices; below them each is a
+definite Hessian block, whose inverse ``_invert`` need not check.
 
 A controlled largest-remainder rounding then integerizes each
 generation, all of its groups at once, while preserving parent sums, and
@@ -86,23 +89,27 @@ class _Batch:
     """Equality-constrained solves of node groups stacked to one width, with
     their G and e per child, parent sums (None at the root), tolerances and
     names.  Group b's children share the inverse of one KKT matrix, H[b] of
-    its kept cells bordered by its rows E[b]; a child whose pins change is
-    refactored alone, each pinned (or pad) cell held at zero by identity.
-    The per-child copies of H, E, pad and tol, and each group's E'E, are
-    gathered once, for every active-set step."""
+    its kept cells bordered by its rows E[b], if any; a child whose pins
+    change is refactored alone, each pinned (or pad) cell held at zero by
+    identity.  The per-child copies of H, E, pad and tol, and each group's
+    E'E, are gathered once, for every active-set step."""
 
     def __init__(self, H, E, pad, seg, G, e, parent, tol, where):
         self.H, self.E, self.pad, self.seg, self.G, self.e = H, E, pad, seg, G, e
         self.parent, self.tol, self.where = parent, tol, where
-        self.start = np.searchsorted(seg, np.arange(len(where)))
-        self.kid_H, self.kid_E = H[seg], E[seg]
-        self.kid_pad, self.kid_tol = pad[seg], tol[seg, None]
-        self.EtE = E.transpose(0, 2, 1) @ E
-        m = E.shape[1]
-        self.kkt = np.block([[H + pad[:, :, None] * np.eye(pad.shape[1]), E.transpose(0, 2, 1)],
-                             [E, np.zeros((len(where), m, m))]])
+        self.start, self.sizes = np.searchsorted(seg, np.arange(len(where))), np.bincount(seg)
+        reach = np.arange(self.sizes.max(initial=0))  # each group's children as slots
+        self.slots = np.minimum(self.start[:, None] + reach, (self.start + self.sizes - 1)[:, None])
+        self.full = (reach < self.sizes[:, None])[:, :, None, None]
+        self.kid_H, self.kid_kept, self.kid_tol = H[seg], ~pad[seg], tol[seg, None]
+        self.kkt = H + pad[:, :, None] * np.eye(pad.shape[1])
+        self.bordered = E.shape[1] > 0  # else the KKT matrix is a definite Hessian block
+        if self.bordered:
+            self.kid_E, self.EtE, m = E[seg], E.transpose(0, 2, 1) @ E, E.shape[1]
+            self.kkt = np.block([[self.kkt, E.transpose(0, 2, 1)],
+                                 [E, np.zeros((len(where), m, m))]])
         self.pins = np.zeros(G.shape, dtype=bool)
-        self.inv = _invert(self.kkt)[seg]
+        self.inv = _invert(self.kkt, self.bordered)[seg]
 
     def group(self, b: int) -> "_Batch":
         """Group b alone and unpinned, as a batch of its own."""
@@ -119,8 +126,8 @@ class _Batch:
             keep[:, :n] = ~pins[changed]
             K = self.kkt[self.seg[changed]]
             K *= keep[:, :, None] & keep[:, None, :]
-            K[:, range(n), range(n)] += ~keep[:, :n]
-            self.inv[changed] = _invert(K)
+            np.einsum("kii->ki", K)[:, :n] += ~keep[:, :n]
+            self.inv[changed] = _invert(K, self.bordered)
 
     def solve(self, G: np.ndarray, e: np.ndarray,
               parent: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -128,43 +135,50 @@ class _Batch:
         subject to E x_i = e_i, its parent sums (unless None) and the pins.
         Returns x and the multiplier of every pin (zero on free cells)."""
         n, seg = self.H.shape[1], self.seg
-        free = ~(self.pins | self.kid_pad)
-        sol = np.einsum("kij,kj->ki", self.inv, np.concatenate([G * free, e], axis=1))
-        mu = np.zeros((self.start.size, n))
+        free, mu = ~self.pins & self.kid_kept, 0.0
+        sol = np.einsum("kij,kj->ki", self.inv,
+                        np.concatenate([G * free, e], axis=1) if self.bordered else G * free)
         if parent is not None:
             # the parent-sum multipliers mu solve the Schur complement S.  A
             # shift of mu along a row of E is absorbed by the children's own
             # multipliers, so adding E'E makes S definite without changing
             # x.  Pins that empty a cell in every child leave S singular,
             # and the least-squares answer shows up as an inconsistent x.
-            S = np.add.reduceat(self.inv[:, :n, :n] * free[:, None, :], self.start, axis=0)
-            top = np.maximum(S.diagonal(axis1=1, axis2=2).max(axis=1, initial=0.0), 1.0)
-            S += top[:, None, None] * self.EtE
-            S[:, range(n), range(n)] += self.pad
-            mu = _solve(S, np.add.reduceat(sol[:, :n], self.start, axis=0) - parent)
-            sol -= np.einsum("kij,kj->ki", self.inv[:, :, :n], mu[seg] * free)
-        x, lam = sol[:, :n], sol[:, n:]
-        grad = np.einsum("kj,kij->ki", x, self.kid_H) - G + np.einsum(
-            "ki,kij->kj", lam, self.kid_E) + mu[seg]
-        return x, np.where(self.pins, grad, 0.0)
+            S = np.add.reduce((self.inv[:, :n, :n] * free[:, None])[self.slots], 1, where=self.full)
+            if self.bordered:
+                top = np.maximum(S.diagonal(axis1=1, axis2=2).max(axis=1, initial=0.0), 1.0)
+                S += top[:, None, None] * self.EtE
+            np.einsum("kii->ki", S)[...] += self.pad
+            mu = _solve(S, np.add.reduceat(sol[:, :n], self.start, axis=0) - parent)[seg]
+            sol -= np.einsum("kij,kj->ki", self.inv[:, :, :n], mu * free)
+        x = sol[:, :n]
+        grad = np.einsum("kj,kij->ki", x, self.kid_H) - G
+        if self.bordered:
+            grad += np.einsum("ki,kij->kj", sol[:, n:], self.kid_E)
+        return x, np.where(self.pins, grad + mu, 0.0)
 
     def violation(self, x: np.ndarray, e: np.ndarray,
                   parent: Optional[np.ndarray]) -> np.ndarray:
         """Largest equality residual of each group's solution."""
-        return _residual(np.einsum("kj,kij->ki", x, self.kid_E), e, x, parent, self.start)
+        Ex = np.einsum("kj,kij->ki", x, self.kid_E) if self.bordered else None
+        return _residual(Ex, e, x, parent, self.start)
 
 
-def _invert(K: np.ndarray) -> np.ndarray:
-    """Stacked inverses; a singular or inaccurate one, from redundant rows
-    (exact queries that repeat an invariant), becomes the pseudo-inverse."""
+def _invert(K: np.ndarray, check: bool) -> np.ndarray:
+    """Stacked inverses; a singular one, or with ``check`` an inaccurate one
+    (redundant rows of a KKT border), becomes the pseudo-inverse.  Unbordered
+    matrices go unchecked: principal blocks of a definite level Hessian with
+    identity at held cells are definite, so ``pinv`` could not improve them."""
     try:
         inv = np.linalg.inv(K)
     except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
-        return np.concatenate([_invert(k[None]) for k in K]) if len(K) > 1 else np.linalg.pinv(K)
-    err = K @ inv
-    err[:, range(K.shape[1]), range(K.shape[1])] -= 1.0
-    for b in np.nonzero(~(np.abs(err, out=err).max(axis=(1, 2), initial=0.0) <= 1e-8))[0]:
-        inv[b] = np.linalg.pinv(K[b])
+        return (np.concatenate([_invert(k[None], check) for k in K]) if len(K) > 1
+                else np.linalg.pinv(K))
+    if check:
+        err = K @ inv
+        np.einsum("kii->ki", err)[...] -= 1.0
+        for b in np.nonzero(~(np.abs(err, out=err).max(axis=(1, 2), initial=0.0) <= 1e-8))[0]:
+            inv[b] = np.linalg.pinv(K[b])
     return inv
 
 
@@ -178,10 +192,11 @@ def _solve(A: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(A[0], r[0], rcond=None)[0][None]
 
 
-def _residual(Ex: np.ndarray, e: np.ndarray, x: np.ndarray,
+def _residual(Ex: Optional[np.ndarray], e: np.ndarray, x: np.ndarray,
               parent: Optional[np.ndarray], start: np.ndarray) -> np.ndarray:
-    """Largest equality residual per group, from the children's E x."""
-    worst = np.maximum.reduceat(np.abs(Ex - e).max(axis=1, initial=0.0), start)
+    """Largest equality residual per group, from the children's E x (if any)."""
+    worst = (np.zeros(len(start)) if Ex is None else
+             np.maximum.reduceat(np.abs(Ex - e).max(axis=1, initial=0.0), start))
     if parent is not None:
         worst = np.maximum(worst, np.abs(np.add.reduceat(x, start, axis=0) - parent).max(axis=1))
     return worst
@@ -192,15 +207,15 @@ def _active_set(batch: _Batch) -> np.ndarray:
     pins every negative free cell and releases every pin whose multiplier
     is negative.  A group whose steps cycle, meet an inconsistent pin set
     or reach the cap is re-solved alone by the dual active set."""
-    seen = [{p.tobytes()} for p in np.split(batch.pins, batch.start[1:])]
+    ends = batch.start + batch.sizes
+    seen = [{batch.pins[lo:hi].tobytes()} for lo, hi in zip(batch.start, ends)]
     live, failed = np.ones(len(batch.where), dtype=bool), np.zeros(len(batch.where), dtype=bool)
-    ends = np.append(batch.start[1:], len(batch.pins))
+    low, most = -batch.kid_tol, _EQ_TOL * batch.tol
     for step in range(1, _CAP + 1):
         x, nu = batch.solve(batch.G, batch.e, batch.parent)
-        tol = batch.kid_tol
-        pins = (batch.pins & (nu >= -tol)) | (x < -tol)
+        pins = (batch.pins & (nu >= low)) | (x < low)
         moved = np.logical_or.reduceat((pins != batch.pins).any(axis=1), batch.start) & live
-        stop = live & (batch.violation(x, batch.e, batch.parent) > _EQ_TOL * batch.tol)
+        stop = live & (batch.violation(x, batch.e, batch.parent) > most)
         for b in np.nonzero(moved & ~stop)[0]:
             key = pins[batch.start[b]:ends[b]].tobytes()
             stop[b] = key in seen[b]
@@ -503,7 +518,7 @@ def topdown_postprocess(
     def fit(level, rows, parents, seg, where) -> np.ndarray:
         lvdat = per_level[level]
         vals = measured[level][rows].astype(float)
-        e = np.hstack([vals[:, ~lvdat["wmask"]], lvdat["targets"][rows]])
+        e = np.concatenate([vals[:, ~lvdat["wmask"]], lvdat["targets"][rows]], axis=1)
         G = vals[:, lvdat["wmask"]] @ lvdat["QtW2"].T
         return _solve_level(lvdat["H"], lvdat["E"], G, e, parents, seg, cfg.nonneg, where)
 

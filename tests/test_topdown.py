@@ -375,12 +375,18 @@ NEEDS_RELEASE = (np.array([[0.2, 0.0, 0.0], [0.0, 2.2, 0.2], [0.0, 0.2, 0.4]]),
 NEEDS_DROP = (np.diag([2.0, 20.2]),
               np.array([[-8.0, 81.8], [24.0, -101.6], [2.0, -180.0]]),
               np.array([[1.0, 1.0]]), np.array([[2.0], [2.0], [4.0]]), np.array([8.0, 0.0]))
+# two children with parent sums and no rows (the form below the invariant
+# levels): one cell negative in each, and a zero-parent cell to drop
+NEEDS_PINS_NO_ROWS = (np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 2.0]]),
+                      np.array([[16.0, -6.0, 3.0], [-4.0, 8.0, 1.0]]), np.zeros((0, 3)),
+                      np.zeros((2, 0)), np.array([4.0, 1.0, 0.0]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(node_groups())
 @example(NEEDS_RELEASE)
 @example(NEEDS_DROP)
+@example(NEEDS_PINS_NO_ROWS)
 def test_group_solver_matches_exhaustive_kkt_search(group):
     H, G, E, e, parent = group
     want = kkt_active_set_oracle(H, G, E, e, parent)
@@ -410,6 +416,8 @@ def _solve_together(H, E, groups):
 @example(_as_level(NEEDS_RELEASE, NEEDS_RELEASE))
 @example(_as_level(NEEDS_DROP, (NEEDS_DROP[0], NEEDS_DROP[1][::-1], NEEDS_DROP[2],
                                 NEEDS_DROP[3][::-1], NEEDS_DROP[4])))
+@example(_as_level(NEEDS_PINS_NO_ROWS, (NEEDS_PINS_NO_ROWS[0], NEEDS_PINS_NO_ROWS[1][::-1],
+                                        *NEEDS_PINS_NO_ROWS[2:])))
 def test_level_solver_matches_exhaustive_kkt_search_per_group(level):
     H, E, groups = level
     x, seg = _solve_together(H, E, groups)
@@ -466,6 +474,7 @@ def test_a_group_sent_to_the_safeguard_leaves_its_batch_mates_alone(dual_calls, 
 @given(node_groups())
 @example(NEEDS_RELEASE)
 @example(NEEDS_DROP)
+@example(NEEDS_PINS_NO_ROWS)
 def test_dual_active_set_alone_matches_exhaustive_kkt_search(group):
     # the safeguard on its own, zero-parent cells left in: they can only
     # be met by pins that are dependent on the parent sums
@@ -507,6 +516,37 @@ def test_the_dual_safeguard_stays_idle_on_the_default_and_check_3_worlds(dual_ca
     for seed in range(200):
         topdown_postprocess(make_noisy_measurements(cef, q, seed=seed), cef)
     assert dual_calls == []
+
+
+def test_only_bordered_batches_check_their_inverses(monkeypatch):
+    # on the default world only the root has rows (the state-total
+    # invariant); every generation below it inverts blocks of a definite
+    # Hessian, which pinv cannot improve, so no K @ inv product runs there
+    world = build_world(RunConfig())
+    level, inverted, products = [None], [], []
+    invert, solve_level = topdown._invert, topdown._solve_level
+
+    class Watched(np.ndarray):
+        def __matmul__(self, other):
+            products.append(level[0])
+            return np.asarray(self) @ np.asarray(other)
+
+    def tagged(H, E, G, e, parents, seg, nonneg, where):
+        level[0] = "root" if parents is None else where[0].split("(")[1].split()[0]
+        return solve_level(H, E, G, e, parents, seg, nonneg, where)
+
+    def watched(K, *check):
+        inverted.append(level[0])
+        return np.asarray(invert(K.view(Watched), *check))
+
+    monkeypatch.setattr(topdown, "_solve_level", tagged)
+    monkeypatch.setattr(topdown, "_invert", watched)
+    for seed in replicate_seeds(world.config.seed, 0):
+        nms = make_noisy_measurements(world.cef, world.query, seed=seed)
+        topdown_postprocess(nms, world.cef, world.config.postprocess, agg=world.agg)
+    # every root inversion is checked, and no generation's is
+    assert set(inverted) == {"root"} | {lv.value for lv in geo.NMF_LEVEL_ORDER[2:]}
+    assert products == [lv for lv in inverted if lv == "root"]
 
 
 def test_infeasible_group_is_reported():
