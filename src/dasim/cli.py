@@ -45,7 +45,8 @@ from .config import ReportSpec, RunConfig
 from .errors import DasimError, InfeasibleConstraints, ParameterError
 from .histograms import default_statistics
 from .noise import QueryMatrix
-from .pipeline import Replicate, build_world, error_report, replicate_seeds, run_replicate
+from .pipeline import (Replicate, build_world, check_report_levels, error_report,
+                       replicate_seeds, run_replicate)
 
 from . import __version__
 
@@ -206,6 +207,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"unknown statistic {s!r}; available: {', '.join(agg.labels)}"
             )
     q.check_coverage(agg, spec.statistics)
+    check_report_levels(spine, spec.levels)
 
     reps = _load_replicates(out_dir, cfg, spine, schema, q)
     rows, quartiles = error_report(spine, q, agg, reps, spec.levels, spec.statistics)

@@ -92,12 +92,20 @@ class StatTable:
         return len(self.cells)
 
 
+def _stat_rows(agg: AggregationMatrix, statistics: Sequence[str]) -> list[int]:
+    """Each statistic's row of the aggregation matrix."""
+    for s in statistics:
+        if s not in agg.labels:
+            raise ParameterError(f"statistic {s!r} not in the aggregation matrix")
+    return [agg.labels.index(s) for s in statistics]
+
+
 def dataset_stat_table(
     ds: HistogramDataset, agg: AggregationMatrix, selection: GeoSelection
 ) -> StatTable:
     """Exact statistic values of a dataset over a selection, tagged with
     the dataset's own kind and run seed."""
-    rows = [agg.labels.index(s) for s in selection.statistics]
+    rows = _stat_rows(agg, selection.statistics)
     values = np.concatenate(
         [aggregate(ds.target_histogram(t), agg)[rows] for t in selection.targets]
     )
@@ -113,11 +121,8 @@ def noisy_stat_table(
 ) -> StatTable:
     """Unbiased noisy statistic values with their exact variances; ``q``
     must be the measurements' own query."""
-    for s in selection.statistics:
-        if s not in agg.labels:
-            raise ParameterError(f"statistic {s!r} not in the aggregation matrix")
     chosen = AggregationMatrix(selection.statistics,
-                               agg.matrix[[agg.labels.index(s) for s in selection.statistics]])
+                               agg.matrix[_stat_rows(agg, selection.statistics)])
     values, variances = zip(*(nm_statistics(nms, q, chosen, spine, target)
                               for target in selection.targets))
     return StatTable(

@@ -58,6 +58,13 @@ DEFAULT_BUDGET = {
 # most draws are even, and past sd = 1e18 they overflow int64.
 MAX_VARIANCE = 1e28
 
+# Smallest positive variance.  TopDown weighs a query row by 1/variance,
+# and a Hessian or G entry sums at most one term per row, each at most
+# 2 * 2**53 (the population bound) times that weight.  With fewer than
+# 2**12 rows (FULL_SCHEMA's query has 2,092) no such entry overflows
+# float64 above this floor, about 4.1e-289.
+MIN_VARIANCE = 2.0 ** (1 + 53 + 12) / np.finfo(float).max
+
 
 def _proposal(sigma2: float) -> tuple[int, float]:
     """Integer scale t and success probability of the geometric proposal."""
@@ -115,9 +122,10 @@ def _dgauss_streams(sigma2: float, size: int, rngs: Sequence[np.random.Generator
     return out
 
 
-def _check_variance(variance: float) -> None:
-    if not 0 <= variance <= MAX_VARIANCE:
-        raise ParameterError(f"variance must be in [0, {MAX_VARIANCE:g}], got {variance}")
+def _check_variance(variance: float, of: str = "") -> None:
+    if not (variance == 0 or MIN_VARIANCE <= variance <= MAX_VARIANCE):
+        raise ParameterError(f"variance {variance}{of} is not 0 or in "
+                             f"[{MIN_VARIANCE:.3g}, {MAX_VARIANCE:g}]")
 
 
 def sample_discrete_gaussian_array(
@@ -161,9 +169,7 @@ class BudgetSchedule:
             for g, v in groups.items():
                 if g not in QUERY_GROUPS:
                     raise ParameterError(f"unknown query group {g!r}")
-                if not 0 <= v <= MAX_VARIANCE:
-                    raise ParameterError(f"variance {v} for {lv.value}/{g} is not "
-                                         f"in [0, {MAX_VARIANCE:g}]")
+                _check_variance(v, f" for {lv.value}/{g}")
 
     def variance(self, level: geo.GeoLevel, group: str) -> float:
         try:

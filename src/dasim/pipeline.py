@@ -20,12 +20,13 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geo
 from .config import RunConfig
+from .errors import ParameterError
 from .estimators import (
     BiasEstimate,
     MseEstimate,
@@ -69,15 +70,24 @@ class World:
 
 def build_world(cfg: RunConfig) -> World:
     """The world of a config; CoverageError unless the configured query
-    groups can measure every report statistic, and the post-processing's
+    groups can measure every report statistic, ParameterError unless the
+    spine has units at every report level, and the post-processing's
     errors if its invariants cannot be resolved."""
     q = QueryMatrix(DESK_SCHEMA, cfg.budget, cfg.query_groups)
     agg = default_statistics(DESK_SCHEMA)
     q.check_coverage(agg, cfg.report.statistics)
     resolve_invariants(cfg.postprocess, agg)
     spine = geo.make_synthetic_spine(cfg.spine, cfg.seed)
+    check_report_levels(spine, cfg.report.levels)
     cef = generate_synthetic_cef(spine, cfg.seed, cfg.population)
     return World(cfg, spine, cef, q, agg)
+
+
+def check_report_levels(spine: geo.Spine, levels: Sequence[geo.GeoLevel]) -> None:
+    """ParameterError naming the first report level without units on the spine."""
+    for level in levels:
+        if not spine.units_at(level):
+            raise ParameterError(f"report level {level.value} has no units on this spine")
 
 
 def replicate_seeds(base_seed: int, index: int) -> tuple[int, int]:

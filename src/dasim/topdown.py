@@ -23,8 +23,8 @@ an inconsistent pin set or reaches its cap is re-solved alone by a
 Goldfarb-Idnani dual active set, which terminates and reports
 infeasibility only when no non-negative solution exists.  Only levels
 with equality rows (invariants, exact queries: by default the root
-alone) border their children's KKT matrices; below them each is a
-definite Hessian block, whose inverse ``_invert`` need not check.
+alone) border their children's KKT matrices, and ``_invert`` reaches a
+border through its rows' small Schur matrix, so it inverts only definite ones.
 
 A controlled largest-remainder rounding then integerizes each
 generation, all of its groups at once, while preserving parent sums, and
@@ -88,11 +88,11 @@ class PostProcessConfig:
 class _Batch:
     """Equality-constrained solves of node groups stacked to one width, with
     their G and e per child, parent sums (None at the root), tolerances and
-    names.  Group b's children share the inverse of one KKT matrix, H[b] of
-    its kept cells bordered by its rows E[b], if any; a child whose pins
-    change is refactored alone, each pinned (or pad) cell held at zero by
-    identity.  The per-child copies of H, E, pad and tol, and each group's
-    E'E, are gathered once, for every active-set step."""
+    names.  Group b's children share the inverse of one KKT matrix, A[b]
+    (H[b] of its kept cells) bordered by its rows E[b], if any; a child whose
+    pins change is refactored alone, each pinned (or pad) cell held at zero
+    by identity in A and out of E.  The per-child copies of H, E, pad and
+    tol, and each group's E'E, are gathered once, for every active-set step."""
 
     def __init__(self, H, E, pad, seg, G, e, parent, tol, where):
         self.H, self.E, self.pad, self.seg, self.G, self.e = H, E, pad, seg, G, e
@@ -102,14 +102,12 @@ class _Batch:
         self.slots = np.minimum(self.start[:, None] + reach, (self.start + self.sizes - 1)[:, None])
         self.full = (reach < self.sizes[:, None])[:, :, None, None]
         self.kid_H, self.kid_kept, self.kid_tol = H[seg], ~pad[seg], tol[seg, None]
-        self.kkt = H + pad[:, :, None] * np.eye(pad.shape[1])
-        self.bordered = E.shape[1] > 0  # else the KKT matrix is a definite Hessian block
+        self.A = H + pad[:, :, None] * np.eye(pad.shape[1])
+        self.bordered = E.shape[1] > 0  # else the KKT matrix is A alone
         if self.bordered:
-            self.kid_E, self.EtE, m = E[seg], E.transpose(0, 2, 1) @ E, E.shape[1]
-            self.kkt = np.block([[self.kkt, E.transpose(0, 2, 1)],
-                                 [E, np.zeros((len(where), m, m))]])
+            self.kid_E, self.EtE = E[seg], E.transpose(0, 2, 1) @ E
         self.pins = np.zeros(G.shape, dtype=bool)
-        self.inv = _invert(self.kkt, self.bordered)[seg]
+        self.inv = _invert(self.A, E)[seg]
 
     def group(self, b: int) -> "_Batch":
         """Group b alone and unpinned, as a batch of its own."""
@@ -120,14 +118,14 @@ class _Batch:
 
     def repin(self, pins: np.ndarray) -> None:
         changed = np.nonzero((pins != self.pins).any(axis=1))[0]
-        self.pins, n = pins, self.H.shape[1]
+        self.pins = pins
         if changed.size:
-            keep = np.ones((changed.size, self.kkt.shape[1]), dtype=bool)
-            keep[:, :n] = ~pins[changed]
-            K = self.kkt[self.seg[changed]]
-            K *= keep[:, :, None] & keep[:, None, :]
-            np.einsum("kii->ki", K)[:, :n] += ~keep[:, :n]
-            self.inv[changed] = _invert(K, self.bordered)
+            free, groups = ~pins[changed], self.seg[changed]
+            A = self.A[groups]
+            A *= free[:, :, None] & free[:, None, :]
+            np.einsum("kii->ki", A)[...] += ~free
+            E = self.E[groups] * free[:, None, :] if self.bordered else self.E
+            self.inv[changed] = _invert(A, E)
 
     def solve(self, G: np.ndarray, e: np.ndarray,
               parent: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -164,22 +162,23 @@ class _Batch:
         return _residual(Ex, e, x, parent, self.start)
 
 
-def _invert(K: np.ndarray, check: bool) -> np.ndarray:
-    """Stacked inverses; a singular one, or with ``check`` an inaccurate one
-    (redundant rows of a KKT border), becomes the pseudo-inverse.  Unbordered
-    matrices go unchecked: principal blocks of a definite level Hessian with
-    identity at held cells are definite, so ``pinv`` could not improve them."""
-    try:
-        inv = np.linalg.inv(K)
-    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
-        return (np.concatenate([_invert(k[None], check) for k in K]) if len(K) > 1
-                else np.linalg.pinv(K))
-    if check:
-        err = K @ inv
-        np.einsum("kii->ki", err)[...] -= 1.0
-        for b in np.nonzero(~(np.abs(err, out=err).max(axis=(1, 2), initial=0.0) <= 1e-8))[0]:
-            inv[b] = np.linalg.pinv(K[b])
-    return inv
+def _invert(A: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Stacked inverses of the definite matrices A, bordered by their rows E
+    into KKT matrices [[A, E'], [E, 0]] if E has rows, through the m x m
+    Schur matrix T = E A^-1 E': [[A^-1 - Q E A^-1, Q], [Q', -T+]] with
+    Q = A^-1 E' T+ (Benzi, Golub and Liesen, Acta Numerica 2005).  With T's
+    pseudo-inverse T+ that is the KKT matrix's pseudo-inverse when rows are
+    redundant: repeated, or with every cell pinned.  Redundant rows leave T
+    singular values of about eps times its largest by SVD (by eigh, as
+    ``hermitian=True`` takes them, up to 1e-11), so a 1e-10 cutoff drops them."""
+    inv = np.linalg.inv(A)
+    if E.shape[1] == 0:
+        return inv
+    AEt = inv @ E.transpose(0, 2, 1)
+    Tp = np.linalg.pinv(E @ AEt, rcond=1e-10)
+    Q = AEt @ Tp
+    return np.concatenate([np.concatenate([inv - Q @ AEt.transpose(0, 2, 1), Q], axis=2),
+                           np.concatenate([Q.transpose(0, 2, 1), -Tp], axis=2)], axis=1)
 
 
 def _solve(A: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from dasim.estimators import (
     selection_for_level,
 )
 from dasim.histograms import DESK_SCHEMA
-from dasim.noise import make_noisy_measurements
+from dasim.noise import MIN_VARIANCE, make_noisy_measurements
 from dasim.pipeline import Replicate, build_world, error_report, swap_release
 from dasim.topdown import topdown_postprocess
 
@@ -185,6 +185,11 @@ _MISREAD = {
     "empty report levels": (_config(report={"levels": []}), [], "config.report: levels: empty"),
     "empty report statistics": (_config(report={"statistics": []}), [],
                                 "config.report: statistics: empty"),
+    # weights of 1/variance past float64's range: an eigvalsh traceback, or
+    # an overflow warning and a wrong release
+    **{f"block variance {v}": (_config(budget={"block": float(v)}), [],
+                               f"config.budget: variance {v} for block/detail")
+       for v in ("1e-306", "1e-308", "1e-320")},
     "block-group codes past 999": (
         _config(spine={"blockgroups_per_tract": 9, "blocks_per_blockgroup": 100, "obg_size": 1,
                        "tracts_per_county": 1, "counties_per_state": 1}), [], "config.spine"),
@@ -529,6 +534,42 @@ def test_report_rejects_a_statistic_the_queries_cannot_measure_before_reading(
 
 def test_report_on_missing_directory_is_an_io_error(tmp_path):
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
+
+
+def test_simulate_runs_at_the_variance_floor(tmp_path):
+    # at noise.MIN_VARIANCE no weight, Hessian or G entry overflows, and the
+    # release is the one at a variance of 1e-12
+    levels = [lv.value for lv in geo.NMF_LEVEL_ORDER]
+    releases = []
+    for variance in (MIN_VARIANCE, 1e-12):
+        p, out = tmp_path / "cfg.json", tmp_path / str(variance)
+        p.write_text(json.dumps({**TINY_CONFIG, "budget": dict.fromkeys(levels, variance)}))
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        releases.append((out / "topdown_r000_a.csv").read_bytes())
+    assert releases[0] == releases[1]
+
+
+def test_a_report_level_without_units_is_rejected_before_reading(tmp_path, capsys,
+                                                                  monkeypatch):
+    from dasim import cli
+
+    spine = {**TINY_CONFIG["spine"], "places_per_state": 0}
+    p, out = tmp_path / "cfg.json", tmp_path / "o"
+    p.write_text(json.dumps({**TINY_CONFIG, "spine": spine, "report": {"levels": ["place"]}}))
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: report level place has no units on this spine\n"
+    assert not out.exists() or not any(out.iterdir())
+    # a --level override is checked before any replicate file is read
+    p.write_text(json.dumps({**TINY_CONFIG, "spine": spine}))
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+    capsys.readouterr()
+    read = []
+    monkeypatch.setattr(cli, "read_nmf_csv", lambda path, *args: read.append(path))
+    assert main(["report", "--out", str(out), "--level", "place"]) == 1
+    assert capsys.readouterr().err == "error: report level place has no units on this spine\n"
+    assert read == []
+    assert not any((out / name).exists()
+                   for name in ("error_report.csv", "error_report.json", "quartiles.csv"))
 
 
 def test_simulate_rejects_bad_config(tmp_path):

@@ -90,6 +90,17 @@ def test_dataset_table_matches_direct_aggregation(world, tract_selection):
             i += 1
 
 
+def test_both_stat_tables_reject_a_statistic_missing_from_the_aggregation(world):
+    spine, cef, q = world
+    sel = selection_for_level(spine, geo.GeoLevel.TRACT, ("total", "nope"))
+    nms = make_noisy_measurements(cef, q, seed=3)
+    for build in (lambda: dataset_stat_table(cef, AGG, sel),
+                  lambda: noisy_stat_table(nms, q, AGG, spine, sel)):
+        with pytest.raises(ParameterError) as err:
+            build()
+        assert str(err.value) == "statistic 'nope' not in the aggregation matrix"
+
+
 def test_noiseless_table_equals_enumeration(world, tract_selection):
     spine, cef, _ = world
     q0 = QueryMatrix(DESK_SCHEMA, BudgetSchedule.constant(0.0))

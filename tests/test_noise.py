@@ -24,6 +24,7 @@ from dasim.histograms import (
 )
 from dasim.noise import (
     MAX_VARIANCE,
+    MIN_VARIANCE,
     BudgetSchedule,
     QueryMatrix,
     combine_estimates,
@@ -72,6 +73,17 @@ def test_sampler_delivers_up_to_its_bound():
     with pytest.raises(ParameterError):
         BudgetSchedule.constant(above)
     BudgetSchedule.constant(MAX_VARIANCE)
+
+
+def test_budget_variances_stop_at_the_floor():
+    below = float(np.nextafter(MIN_VARIANCE, 0.0))
+    for variance in (below, 5e-324):
+        with pytest.raises(ParameterError, match=r"is not 0 or in \[4.1e-289, 1e\+28\]"):
+            BudgetSchedule.constant(variance)
+        with pytest.raises(ParameterError):
+            sample_discrete_gaussian_array(variance, 3, np.random.default_rng(0))
+    BudgetSchedule.constant(MIN_VARIANCE)
+    BudgetSchedule.constant(0.0)
 
 
 def test_sampler_returns_integers():

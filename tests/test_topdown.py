@@ -30,6 +30,7 @@ from dasim.topdown import (
     PostProcessConfig,
     _Batch,
     _dual_active_set,
+    _invert,
     _largest_remainder,
     _repair_invariants,
     _round_root,
@@ -380,6 +381,12 @@ NEEDS_DROP = (np.diag([2.0, 20.2]),
 NEEDS_PINS_NO_ROWS = (np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 2.0]]),
                       np.array([[16.0, -6.0, 3.0], [-4.0, 8.0, 1.0]]), np.zeros((0, 3)),
                       np.zeros((2, 0)), np.array([4.0, 1.0, 0.0]))
+# two children whose exact rows repeat one another (rows 0 and 2), so the
+# rows' Schur matrix is singular from the start; a cell goes negative
+REDUNDANT_ROWS = (np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]]),
+                  np.array([[4.0, 12.0, 3.0], [8.0, -10.0, 14.0]]),
+                  np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
+                  np.array([[3.0, 2.0, 3.0], [1.0, 1.0, 1.0]]), np.array([3.0, 1.0, 4.0]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -387,6 +394,7 @@ NEEDS_PINS_NO_ROWS = (np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 2.0
 @example(NEEDS_RELEASE)
 @example(NEEDS_DROP)
 @example(NEEDS_PINS_NO_ROWS)
+@example(REDUNDANT_ROWS)
 def test_group_solver_matches_exhaustive_kkt_search(group):
     H, G, E, e, parent = group
     want = kkt_active_set_oracle(H, G, E, e, parent)
@@ -418,6 +426,8 @@ def _solve_together(H, E, groups):
                                 NEEDS_DROP[3][::-1], NEEDS_DROP[4])))
 @example(_as_level(NEEDS_PINS_NO_ROWS, (NEEDS_PINS_NO_ROWS[0], NEEDS_PINS_NO_ROWS[1][::-1],
                                         *NEEDS_PINS_NO_ROWS[2:])))
+@example(_as_level(REDUNDANT_ROWS, (*REDUNDANT_ROWS[:2], REDUNDANT_ROWS[2],
+                                    REDUNDANT_ROWS[3][::-1], REDUNDANT_ROWS[4])))
 def test_level_solver_matches_exhaustive_kkt_search_per_group(level):
     H, E, groups = level
     x, seg = _solve_together(H, E, groups)
@@ -518,35 +528,71 @@ def test_the_dual_safeguard_stays_idle_on_the_default_and_check_3_worlds(dual_ca
     assert dual_calls == []
 
 
-def test_only_bordered_batches_check_their_inverses(monkeypatch):
-    # on the default world only the root has rows (the state-total
-    # invariant); every generation below it inverts blocks of a definite
-    # Hessian, which pinv cannot improve, so no K @ inv product runs there
-    world = build_world(RunConfig())
-    level, inverted, products = [None], [], []
+@pytest.mark.parametrize("budget", [{}, {"nation": 0.0, "state": 0.0}],
+                         ids=["default", "exact-top"])
+def test_only_definite_blocks_are_inverted(monkeypatch, budget):
+    # whatever rows border a child's KKT matrix, _invert inverts only its
+    # block A of the level Hessian, identity at pins and pads, which a
+    # Cholesky factor shows definite.  Only the root has rows: the
+    # state-total invariant, and with exact nation queries 61 more, of
+    # which all but the 48 detail rows are redundant
+    world = build_world(RunConfig.from_dict({"config_version": 1, "budget": budget}))
+    level, inverted = [None], []
     invert, solve_level = topdown._invert, topdown._solve_level
-
-    class Watched(np.ndarray):
-        def __matmul__(self, other):
-            products.append(level[0])
-            return np.asarray(self) @ np.asarray(other)
 
     def tagged(H, E, G, e, parents, seg, nonneg, where):
         level[0] = "root" if parents is None else where[0].split("(")[1].split()[0]
         return solve_level(H, E, G, e, parents, seg, nonneg, where)
 
-    def watched(K, *check):
-        inverted.append(level[0])
-        return np.asarray(invert(K.view(Watched), *check))
+    def watched(A, E):
+        np.testing.assert_array_equal(A, A.transpose(0, 2, 1))
+        np.linalg.cholesky(A)
+        inverted.append((level[0], E.shape[1] > 0))
+        return invert(A, E)
 
     monkeypatch.setattr(topdown, "_solve_level", tagged)
     monkeypatch.setattr(topdown, "_invert", watched)
     for seed in replicate_seeds(world.config.seed, 0):
         nms = make_noisy_measurements(world.cef, world.query, seed=seed)
         topdown_postprocess(nms, world.cef, world.config.postprocess, agg=world.agg)
-    # every root inversion is checked, and no generation's is
-    assert set(inverted) == {"root"} | {lv.value for lv in geo.NMF_LEVEL_ORDER[2:]}
-    assert products == [lv for lv in inverted if lv == "root"]
+    assert {lv for lv, _ in inverted} == {"root"} | {lv.value for lv in geo.NMF_LEVEL_ORDER[2:]}
+    assert {lv for lv, bordered in inverted if bordered} == {"root"}
+
+
+def _bordered(A, E):
+    """The KKT matrix [[A, E'], [E, 0]]."""
+    m = len(E)
+    return np.block([[A, E.T], [E, np.zeros((m, m))]])
+
+
+def test_invert_borders_through_the_schur_matrix_of_the_rows():
+    # against inv of the KKT matrix for independent rows, and against its
+    # pinv where rows are redundant (their least-squares multipliers)
+    rng = np.random.default_rng(5)
+    n = 5
+    Q = np.vstack([np.eye(n), np.ones((1, n)), rng.integers(0, 2, (3, n))])
+    A = 2.0 * (Q.T * rng.choice([1 / 4, 1 / 16, 1 / 100], len(Q))) @ Q
+    rows = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0]])
+    got = _invert(A[None], rows[None])[0]
+    want = np.linalg.inv(_bordered(A, rows))
+    for block in np.s_[:n, :n], np.s_[:n, n:], np.s_[n:, :n], np.s_[n:, n:]:
+        np.testing.assert_allclose(got[block], want[block], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(_invert(A[None], np.zeros((1, 0, n))), np.linalg.inv(A[None]))
+    # a nearly exact total query (weight 1000 against 0.001-0.25) on three
+    # cells: eigh, as pinv's hermitian=True takes it, leaves that level's
+    # detail-and-total Schur matrix a null eigenvalue above pinv's cutoff
+    Q3 = np.vstack([np.eye(3), np.ones((1, 3)), [[1, 0, 1], [1, 0, 0], [0, 0, 1]]])
+    A3 = 2.0 * (Q3.T * [0.01, 0.01, 0.25, 1000.0, 0.001, 0.001, 0.25]) @ Q3
+    for A, rows in (A, rows), (A3, rows[:, :3]):
+        n = len(A)
+        redundant = {"repeated row": np.vstack([rows, rows[:1]]),
+                     "zero row": np.vstack([rows, np.zeros((1, n))]),
+                     "detail and total rows": np.vstack([np.eye(n), np.ones((1, n))])}
+        for name, E in redundant.items():
+            want = np.linalg.pinv(_bordered(A, E))
+            got = _invert(A[None], E[None])[0]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max(),
+                                       err_msg=f"{n} cells, {name}")
 
 
 def test_infeasible_group_is_reported():
