@@ -255,20 +255,7 @@ def write_households_csv(hhfile: HouseholdFile, path: PathLike) -> None:
 # ----------------------------------------------------------------------
 # crosswalk
 
-CROSSWALK_COLUMNS = (
-    "geocode",
-    "state",
-    "county",
-    "tract",
-    "blockgroup",
-    "block",
-    "vtd",
-    "place",
-    "nmf_state",
-    "nmf_county",
-    "nmf_tract",
-    "opt_blockgroup",
-)
+CROSSWALK_COLUMNS = geo.CROSSWALK_COLUMNS
 REJECT_COLUMNS = ("line", "geocode", "reason")
 
 

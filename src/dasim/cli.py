@@ -234,7 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import acceptance
 
     wanted = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             wanted = {int(c) for c in args.criteria.split(",")}
         except ValueError:

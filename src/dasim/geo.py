@@ -9,39 +9,25 @@ by tract-equivalents, and block groups are replaced by optimized block
 groups that regroup blocks without regard to the standard block-group
 digit.
 
-A block geocode is a fixed-width 31-digit string.  One-based positions:
-
-    1      AI/AN flag (0 or 1)
-    2-3    state FIPS
-    4-5    spine optimization code ("10" = on spine, county or below)
-    6-8    county FIPS
-    9-12   tract FIPS-equivalent
-    13-15  optimized block-group FIPS-equivalent
-    16-17  state FIPS (GEOID part)
-    18-20  county FIPS (GEOID part)
-    21-26  tract FIPS (GEOID part)
-    27     block-group digit, repeats the first digit of the block FIPS
-    28-31  block FIPS
-
-The 15-digit census GEOID concatenates positions 16-26 with 28-31; the
-redundant position 27 is dropped.
+A block geocode is a fixed-width 31-digit string, and its layout is
+written once: ``GeoCode`` lists the fields in geocode order with their
+widths, and ``_UNITS`` cuts the id of every unit on both spines (the
+crosswalk's columns) from those fields.  Parsing, node levels, the
+crosswalk and every grouping of a ``Spine`` derive from these two tables.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyTarget, InconsistentGeocode, MalformedGeocode, ParameterError
 
-GEOCODE_LENGTH = 31
 NATION_ID = "US"
-
-# Prefix lengths that identify optimized-spine node ids.
-_NMF_PREFIX = {"county": 8, "tract": 12, "opt_blockgroup": 15}
 
 
 class GeoLevel(enum.Enum):
@@ -57,24 +43,11 @@ class GeoLevel(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "GeoLevel":
-        for lv in cls:
-            if lv.value == name:
-                return lv
-        raise ParameterError(f"unknown geographic level {name!r}")
+        try:
+            return cls(name)
+        except ValueError:
+            raise ParameterError(f"unknown geographic level {name!r}") from None
 
-
-# GEOID widths for standard census identifiers.  VTD is state+county+6,
-# place is state+5.  Nation uses the literal "US".
-GEOID_WIDTH = {
-    GeoLevel.BLOCK: 15,
-    GeoLevel.BLOCKGROUP: 12,
-    GeoLevel.TRACT: 11,
-    GeoLevel.COUNTY: 5,
-    GeoLevel.STATE: 2,
-    GeoLevel.VTD: 11,
-    GeoLevel.PLACE: 7,
-    GeoLevel.NATION: 2,
-}
 
 # Optimized-spine levels ordered root first; composition descends this.
 NMF_LEVEL_ORDER = (
@@ -87,43 +60,92 @@ NMF_LEVEL_ORDER = (
 )
 
 
+def _digits(n: int):
+    return field(metadata={"digits": n})
+
+
 @dataclass(frozen=True)
 class GeoCode:
-    """Parsed fields of a 31-digit block geocode, all kept as strings."""
+    """Parsed fields of a 31-digit block geocode, all kept as strings, in
+    geocode order; a field's ``digits`` metadata is its width."""
 
-    aian_flag: str
-    state_fips: str
-    spine_opt_code: str
-    county_fips: str
-    tract_equiv: str
-    opt_blockgroup_equiv: str
-    geoid_state: str
-    geoid_county: str
-    geoid_tract: str
-    bg_digit: str
-    block_fips: str
+    aian_flag: str = _digits(1)  # 0 or 1
+    state_fips: str = _digits(2)
+    spine_opt_code: str = _digits(2)  # "10" = on spine, county or below
+    county_fips: str = _digits(3)
+    tract_equiv: str = _digits(4)  # tract FIPS-equivalent
+    opt_blockgroup_equiv: str = _digits(3)  # optimized block-group FIPS-equivalent
+    geoid_state: str = _digits(2)  # GEOID parts from here on
+    geoid_county: str = _digits(3)
+    geoid_tract: str = _digits(6)
+    bg_digit: str = _digits(1)  # repeats the first digit of the block FIPS
+    block_fips: str = _digits(4)
 
     @property
     def raw(self) -> str:
         """Reassemble the original 31-digit string."""
-        return (
-            self.aian_flag
-            + self.state_fips
-            + self.spine_opt_code
-            + self.county_fips
-            + self.tract_equiv
-            + self.opt_blockgroup_equiv
-            + self.geoid_state
-            + self.geoid_county
-            + self.geoid_tract
-            + self.bg_digit
-            + self.block_fips
-        )
+        return "".join(getattr(self, name) for name in _FIELD)
 
     @property
     def geoid(self) -> str:
-        """15-digit census block GEOID (drops the redundant digit 27)."""
-        return self.geoid_state + self.geoid_county + self.geoid_tract + self.block_fips
+        """15-digit census block GEOID (drops the redundant bg_digit)."""
+        return _cut(self.raw, "block")
+
+
+_WIDTH = {f.name: f.metadata["digits"] for f in fields(GeoCode)}
+GEOCODE_LENGTH = sum(_WIDTH.values())
+# each GeoCode field's digits in the geocode
+_FIELD = {name: slice(end - _WIDTH[name], end)
+          for name, end in zip(_WIDTH, accumulate(_WIDTH.values()))}
+
+
+def _span(first: str, last: Optional[str] = None) -> slice:
+    """The digits of GeoCode fields first through last (or first alone)."""
+    return slice(_FIELD[first].start, _FIELD[last or first].stop)
+
+
+# Per crosswalk column, in column order: its level, whether it names an
+# optimized-spine node (else a census unit), and the geocode digits whose
+# concatenation is its id.  A node id is a geocode prefix, bar the
+# state's; the block GEOID skips the redundant bg_digit, which ends the
+# block group's.  The geocode holds no VTD or place: they come with it.
+_UNITS: dict[str, tuple[GeoLevel, bool, tuple[slice, ...]]] = {
+    "geocode": (GeoLevel.BLOCK, True, (_span("aian_flag", "block_fips"),)),
+    "state": (GeoLevel.STATE, False, (_span("geoid_state"),)),
+    "county": (GeoLevel.COUNTY, False, (_span("geoid_state", "geoid_county"),)),
+    "tract": (GeoLevel.TRACT, False, (_span("geoid_state", "geoid_tract"),)),
+    "blockgroup": (GeoLevel.BLOCKGROUP, False, (_span("geoid_state", "bg_digit"),)),
+    "block": (GeoLevel.BLOCK, False, (_span("geoid_state", "geoid_tract"), _span("block_fips"))),
+    "vtd": (GeoLevel.VTD, False, ()),
+    "place": (GeoLevel.PLACE, False, ()),
+    "nmf_state": (GeoLevel.STATE, True, (_span("state_fips"),)),
+    "nmf_county": (GeoLevel.COUNTY, True, (_span("aian_flag", "county_fips"),)),
+    "nmf_tract": (GeoLevel.TRACT, True, (_span("aian_flag", "tract_equiv"),)),
+    "opt_blockgroup": (GeoLevel.OPT_BLOCKGROUP, True,
+                       (_span("aian_flag", "opt_blockgroup_equiv"),)),
+}
+CROSSWALK_COLUMNS = tuple(_UNITS)
+
+
+def _width(key: str) -> int:
+    return sum(s.stop - s.start for s in _UNITS[key][2])
+
+
+def _cut(raw: str, key: str) -> str:
+    """The id of a block's unit under one crosswalk column."""
+    return "".join(raw[s] for s in _UNITS[key][2])
+
+
+# GEOID widths for standard census identifiers.  VTD is state+county+6,
+# place is state+5.  Nation uses the literal "US".
+GEOID_WIDTH = {
+    **{lv: _width(key) for key, (lv, nmf, cut) in _UNITS.items() if cut and not nmf},
+    GeoLevel.VTD: 11,
+    GeoLevel.PLACE: 7,
+    GeoLevel.NATION: len(NATION_ID),
+}
+# optimized-spine levels below the nation by the length of their node ids
+_NODE_LEVEL = {_width(key): lv for key, (lv, nmf, _) in _UNITS.items() if nmf}
 
 
 @dataclass(frozen=True)
@@ -159,19 +181,7 @@ def parse_geocode(raw: str) -> GeoCode:
         raise MalformedGeocode(
             f"geocode must be a {GEOCODE_LENGTH}-digit decimal string, got {raw!r}"
         )
-    code = GeoCode(
-        aian_flag=raw[0],
-        state_fips=raw[1:3],
-        spine_opt_code=raw[3:5],
-        county_fips=raw[5:8],
-        tract_equiv=raw[8:12],
-        opt_blockgroup_equiv=raw[12:15],
-        geoid_state=raw[15:17],
-        geoid_county=raw[17:20],
-        geoid_tract=raw[20:26],
-        bg_digit=raw[26],
-        block_fips=raw[27:31],
-    )
+    code = GeoCode(**{name: raw[at] for name, at in _FIELD.items()})
     if code.aian_flag not in ("0", "1"):
         raise InconsistentGeocode(f"AI/AN flag must be 0 or 1, got {code.aian_flag!r}")
     if code.bg_digit != code.block_fips[0]:
@@ -186,64 +196,17 @@ def node_level(node_id: str) -> GeoLevel:
     """Level of an optimized-spine node id (geocode prefix scheme)."""
     if node_id == NATION_ID:
         return GeoLevel.NATION
-    n = len(node_id)
-    if n == 2:
-        return GeoLevel.STATE
-    if n == _NMF_PREFIX["county"]:
-        return GeoLevel.COUNTY
-    if n == _NMF_PREFIX["tract"]:
-        return GeoLevel.TRACT
-    if n == _NMF_PREFIX["opt_blockgroup"]:
-        return GeoLevel.OPT_BLOCKGROUP
-    if n == GEOCODE_LENGTH:
-        return GeoLevel.BLOCK
-    raise ParameterError(f"not an optimized-spine node id: {node_id!r}")
+    if len(node_id) not in _NODE_LEVEL:
+        raise ParameterError(f"not an optimized-spine node id: {node_id!r}")
+    return _NODE_LEVEL[len(node_id)]
 
 
 def enclosing_units(raw: str) -> dict[str, str]:
     """Every enclosing unit of a block on both spines, keyed like the
     crosswalk columns.  Raises like parse_geocode."""
-    c = parse_geocode(raw)
-    geoid = c.geoid
-    return {
-        "nmf_state": c.state_fips,
-        "nmf_county": raw[: _NMF_PREFIX["county"]],
-        "nmf_tract": raw[: _NMF_PREFIX["tract"]],
-        "opt_blockgroup": raw[: _NMF_PREFIX["opt_blockgroup"]],
-        "state": c.geoid_state,
-        "county": geoid[:5],
-        "tract": geoid[:11],
-        "blockgroup": geoid[:11] + c.bg_digit,
-        "block": geoid,
-    }
-
-
-# enclosing_units key of each optimized-spine level below the nation
-# (blocks are keyed by their own geocode)
-_NMF_KEY = {
-    GeoLevel.STATE: "nmf_state",
-    GeoLevel.COUNTY: "nmf_county",
-    GeoLevel.TRACT: "nmf_tract",
-    GeoLevel.OPT_BLOCKGROUP: "opt_blockgroup",
-}
-
-# geocode digit positions of the ids of every optimized-spine level below
-# the nation (blocks are their whole geocode), and of every standard
-# unit (the block GEOID skips the redundant digit 27)
-_NMF_DIGITS = {
-    GeoLevel.STATE: np.r_[1:3],
-    GeoLevel.COUNTY: np.r_[: _NMF_PREFIX["county"]],
-    GeoLevel.TRACT: np.r_[: _NMF_PREFIX["tract"]],
-    GeoLevel.OPT_BLOCKGROUP: np.r_[: _NMF_PREFIX["opt_blockgroup"]],
-    GeoLevel.BLOCK: np.r_[:GEOCODE_LENGTH],
-}
-_UNIT_DIGITS = {
-    GeoLevel.STATE: np.r_[15:17],
-    GeoLevel.COUNTY: np.r_[15:20],
-    GeoLevel.TRACT: np.r_[15:26],
-    GeoLevel.BLOCKGROUP: np.r_[15:27],
-    GeoLevel.BLOCK: np.r_[15:26, 27:31],
-}
+    parse_geocode(raw)
+    return {key: _cut(raw, key) for key, (_, _, cut) in _UNITS.items()
+            if cut and key != "geocode"}
 
 
 def _digit_rows(codes: Sequence, width: int) -> Optional[np.ndarray]:
@@ -319,7 +282,8 @@ class Spine:
         if ok:
             keys = digits.view(f"S{GEOCODE_LENGTH}").ravel()
             order = np.argsort(keys, kind="stable")
-            ok = ((digits[:, 0] <= ord("1")).all() and (digits[:, 26] == digits[:, 27]).all()
+            flag, bg, fips = (_FIELD[f].start for f in ("aian_flag", "bg_digit", "block_fips"))
+            ok = ((digits[:, flag] <= ord("1")).all() and (digits[:, bg] == digits[:, fips]).all()
                   and not (keys[order[1:]] == keys[order[:-1]]).any())
         if not ok:
             _raise_first_error(records)
@@ -331,12 +295,31 @@ class Spine:
         self.block_index = {raw: i for i, raw in enumerate(self.blocks)}
         self._rows: dict[str, np.ndarray] = {NATION_ID: np.arange(n)}
         self._nodes_by_level: dict[GeoLevel, tuple[str, ...]] = {GeoLevel.NATION: (NATION_ID,)}
+        self._units: dict[GeoLevel, dict[str, np.ndarray]] = {
+            GeoLevel.NATION: {NATION_ID: self._rows[NATION_ID]}
+        }
         # per level: each row's node, as an index into the level's nodes
         node_of = {GeoLevel.NATION: np.zeros(n, dtype=np.intp)}
-        for lv, cols in _NMF_DIGITS.items():
-            ids, node_of[lv], rows = _group_rows(_byte_keys(digits, cols))
-            self._nodes_by_level[lv] = ids
-            self._rows.update(zip(ids, rows))
+        # optimized-spine nodes, standard units, and per crosswalk column
+        # every block's unit id; a block outside every VTD or place has the
+        # empty key and id
+        self._member_ids: dict[str, tuple[str, ...]] = {}
+        for key, (lv, nmf, cut) in _UNITS.items():
+            if cut:
+                keys = _byte_keys(digits, np.r_[cut])
+            else:
+                given, unit_digits = extra[lv]
+                keys = np.zeros(n, dtype=f"S{GEOID_WIDTH[lv]}")
+                keys[given] = unit_digits.view(keys.dtype).ravel()
+                keys = keys[order]
+            ids, unit_of, rows = _group_rows(keys)
+            if nmf:
+                self._nodes_by_level[lv], node_of[lv] = ids, unit_of
+                self._rows.update(zip(ids, rows))
+            else:
+                self._units[lv] = {unit: r for unit, r in zip(ids, rows) if unit}
+            if key != "geocode":  # a block's geocode is its own id
+                self._member_ids[key] = tuple(np.array(ids, dtype=object)[unit_of].tolist())
         self._node_of = node_of
         self._children: dict[str, tuple[str, ...]] = {}
         for parent_lv, child_lv in zip(NMF_LEVEL_ORDER, NMF_LEVEL_ORDER[1:]):
@@ -350,24 +333,6 @@ class Spine:
             self._children.update(zip(self._nodes_by_level[parent_lv], map(tuple, by_parent)))
         for block in self._nodes_by_level[GeoLevel.BLOCK]:
             self._children[block] = ()
-
-        # standard units, and per crosswalk column every block's unit id;
-        # a block outside every VTD or place has the empty key and id
-        unit_keys = {lv: _byte_keys(digits, cols) for lv, cols in _UNIT_DIGITS.items()}
-        for lv, (given, unit_digits) in extra.items():
-            unit_keys[lv] = np.zeros(n, dtype=f"S{GEOID_WIDTH[lv]}")
-            unit_keys[lv][given] = unit_digits.view(unit_keys[lv].dtype).ravel()
-            unit_keys[lv] = unit_keys[lv][order]
-        self._units: dict[GeoLevel, dict[str, np.ndarray]] = {
-            GeoLevel.NATION: {NATION_ID: self._rows[NATION_ID]}
-        }
-        member_of = {key: (self._nodes_by_level[lv], node_of[lv]) for lv, key in _NMF_KEY.items()}
-        for lv, keys in unit_keys.items():
-            ids, unit_of, rows = _group_rows(keys)
-            self._units[lv] = {unit: r for unit, r in zip(ids, rows) if unit}
-            member_of[lv.value] = ids, unit_of
-        self._member_ids = {key: tuple(np.array(ids, dtype=object)[at].tolist())
-                            for key, (ids, at) in member_of.items()}
         self._compositions: dict[GeoId, tuple[str, ...]] = {}  # filled by compose_target
 
     def _block_set(self, rows: np.ndarray) -> frozenset[str]:
@@ -378,8 +343,9 @@ class Spine:
 
     def unit_ids(self, key: str) -> tuple[str, ...]:
         """Per block row, the id of its enclosing unit under one
-        ``enclosing_units`` key, ``vtd`` or ``place``; empty for a block
-        outside every VTD or place."""
+        ``enclosing_units`` key, ``vtd`` or ``place`` (every crosswalk
+        column but the geocode); empty for a block outside every VTD or
+        place."""
         return self._member_ids[key]
 
     # ------------------------------------------------------------------

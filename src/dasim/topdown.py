@@ -25,6 +25,9 @@ infeasibility only when no non-negative solution exists.  Only levels
 with equality rows (invariants, exact queries: by default the root
 alone) border their children's KKT matrices, and ``_invert`` reaches a
 border through its rows' small Schur matrix, so it inverts only definite ones.
+Each level's objective is first scaled, exactly, by a power of two, so
+that tolerances in count units do not depend on the scale of the budget,
+and a solve whose equality residual is large is refined once.
 
 A controlled largest-remainder rounding then integerizes each
 generation, all of its groups at once, while preserving parent sums, and
@@ -38,6 +41,7 @@ measurements, which is all the estimators downstream require.
 from __future__ import annotations
 
 import logging
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -128,10 +132,26 @@ class _Batch:
             self.inv[changed] = _invert(A, E)
 
     def solve(self, G: np.ndarray, e: np.ndarray,
-              parent: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+              parent: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Minimize sum_i 1/2 x_i'H x_i - G_i'x_i over each group's children
         subject to E x_i = e_i, its parent sums (unless None) and the pins.
-        Returns x and the multiplier of every pin (zero on free cells)."""
+        Returns x, the multiplier of every pin (zero on free cells) and each
+        group's largest equality residual.  A group whose residual exceeds
+        1e-3 of its tolerance gets one step of iterative refinement: the
+        solve again with G = 0 on the residuals, its correction added."""
+        x, nu = self._step(G, e, parent)
+        r_e, r_p, worst = self._residuals(x, e, parent)
+        refine = worst > 1e-3 * self.tol
+        if refine.any():
+            dx, dnu = self._step(np.zeros_like(G), r_e * refine[self.seg, None],
+                                 None if r_p is None else r_p * refine[:, None])
+            x, nu = x + dx, nu + dnu
+            worst = self._residuals(x, e, parent)[2]
+        return x, nu, worst
+
+    def _step(self, G: np.ndarray, e: np.ndarray,
+              parent: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """One solve of ``solve``'s problem, without refinement."""
         n, seg = self.H.shape[1], self.seg
         free, mu = ~self.pins & self.kid_kept, 0.0
         sol = np.einsum("kij,kj->ki", self.inv,
@@ -155,11 +175,10 @@ class _Batch:
             grad += np.einsum("ki,kij->kj", sol[:, n:], self.kid_E)
         return x, np.where(self.pins, grad + mu, 0.0)
 
-    def violation(self, x: np.ndarray, e: np.ndarray,
-                  parent: Optional[np.ndarray]) -> np.ndarray:
-        """Largest equality residual of each group's solution."""
+    def _residuals(self, x: np.ndarray, e: np.ndarray, parent: Optional[np.ndarray]
+                   ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         Ex = np.einsum("kj,kij->ki", x, self.kid_E) if self.bordered else None
-        return _residual(Ex, e, x, parent, self.start)
+        return _residuals(Ex, e, x, parent, self.start)
 
 
 def _invert(A: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -191,14 +210,20 @@ def _solve(A: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(A[0], r[0], rcond=None)[0][None]
 
 
-def _residual(Ex: Optional[np.ndarray], e: np.ndarray, x: np.ndarray,
-              parent: Optional[np.ndarray], start: np.ndarray) -> np.ndarray:
-    """Largest equality residual per group, from the children's E x (if any)."""
-    worst = (np.zeros(len(start)) if Ex is None else
-             np.maximum.reduceat(np.abs(Ex - e).max(axis=1, initial=0.0), start))
+def _residuals(Ex: Optional[np.ndarray], e: np.ndarray, x: np.ndarray,
+               parent: Optional[np.ndarray], start: np.ndarray
+               ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """The residuals e - E x per child, from its E x (None without rows),
+    and parent - sum x per group (None at the root), and each group's
+    largest."""
+    r_e, r_p, worst = e, None, np.zeros(len(start))
+    if Ex is not None:
+        r_e = e - Ex
+        worst = np.maximum.reduceat(np.abs(r_e).max(axis=1, initial=0.0), start)
     if parent is not None:
-        worst = np.maximum(worst, np.abs(np.add.reduceat(x, start, axis=0) - parent).max(axis=1))
-    return worst
+        r_p = parent - np.add.reduceat(x, start, axis=0)
+        worst = np.maximum(worst, np.abs(r_p).max(axis=1))
+    return r_e, r_p, worst
 
 
 def _active_set(batch: _Batch) -> np.ndarray:
@@ -211,10 +236,10 @@ def _active_set(batch: _Batch) -> np.ndarray:
     live, failed = np.ones(len(batch.where), dtype=bool), np.zeros(len(batch.where), dtype=bool)
     low, most = -batch.kid_tol, _EQ_TOL * batch.tol
     for step in range(1, _CAP + 1):
-        x, nu = batch.solve(batch.G, batch.e, batch.parent)
+        x, nu, worst = batch.solve(batch.G, batch.e, batch.parent)
         pins = (batch.pins & (nu >= low)) | (x < low)
         moved = np.logical_or.reduceat((pins != batch.pins).any(axis=1), batch.start) & live
-        stop = live & (batch.violation(x, batch.e, batch.parent) > most)
+        stop = live & (worst > most)
         for b in np.nonzero(moved & ~stop)[0]:
             key = pins[batch.start[b]:ends[b]].tobytes()
             stop[b] = key in seen[b]
@@ -248,13 +273,14 @@ def _dual_active_set(kids: _Batch) -> np.ndarray:
     """
     G, e, parent, tol, where = kids.G, kids.e, kids.parent, kids.tol[0], kids.where[0]
     kids.repin(np.zeros_like(kids.pins))
-    x, nu = kids.solve(G, e, parent)
-    if kids.violation(x, e, parent)[0] > _EQ_TOL * tol:
+    # whether the rows are consistent does not depend on G, and without it
+    # x stays on the scale of the data
+    if kids.solve(np.zeros_like(G), e, parent)[2][0] > _EQ_TOL * tol:
         raise InfeasibleConstraints(
             f"equality constraints are mutually inconsistent at {where}"
         )
+    x, nu, _ = kids.solve(G, e, parent)
     zero_e, zero_p = np.zeros_like(e), None if parent is None else np.zeros_like(parent)
-    lift_tol = 1e-10 / max(float(kids.H[0].diagonal().max()), 1e-12)
     cap = _CAP + 2 * G.shape[0] * int((~kids.pad).sum())
     steps = 0
     while True:
@@ -270,8 +296,8 @@ def _dual_active_set(kids: _Batch) -> np.ndarray:
                 logger.warning("active-set iteration cap hit at %s after %d "
                                "dual iterations; keeping last iterate", where, cap)
                 return x
-            z, dnu = kids.solve(unit, zero_e, zero_p)
-            full = -x[j] / z[j] if z[j] > lift_tol else np.inf
+            z, dnu, _ = kids.solve(unit, zero_e, zero_p)
+            full = -x[j] / z[j] if z[j] > 1e-10 else np.inf
             falling = kids.pins & (dnu < -1e-12)
             ratio = np.where(falling, np.maximum(nu, 0.0) / np.where(falling, -dnu, 1.0), np.inf)
             drop = np.unravel_index(np.argmin(ratio), ratio.shape)
@@ -281,7 +307,7 @@ def _dual_active_set(kids: _Batch) -> np.ndarray:
             if full <= ratio[drop]:
                 pins[j] = True
                 kids.repin(pins)
-                x, nu = kids.solve(G, e, parent)
+                x, nu, _ = kids.solve(G, e, parent)
                 break
             x, nu = x + ratio[drop] * z, nu + ratio[drop] * dnu
             pins[drop], nu[drop] = False, 0.0
@@ -296,6 +322,11 @@ def _solve_level(H: np.ndarray, E: np.ndarray, G: np.ndarray, e: np.ndarray,
     subject to E x_i = e_i, sum_i x_i = parents[b] (no parents at the root)
     and optionally x >= 0.  Raises InfeasibleConstraints naming a group
     with no such x."""
+    # the minimizer does not depend on the scale of H and G, but the pin
+    # multipliers, which the active set holds to tolerances in count units,
+    # do: scaling by the power of two that brings H's diagonal near 1 is exact
+    scale = 2.0 ** -round(math.log2(H.diagonal().max()))
+    H, G = H * scale, G * scale
     B, start = len(where), np.searchsorted(seg, np.arange(len(where)))
     tol = 1e-8 * np.maximum.reduceat(np.abs(e).max(axis=1, initial=1.0), start)
     if parents is not None:
@@ -335,7 +366,7 @@ def _solve_level(H: np.ndarray, E: np.ndarray, G: np.ndarray, e: np.ndarray,
             [where[b] for b in gs])
         x[kids[:, None], cells[sub]] = (_active_set(batch) if nonneg else
                                         batch.solve(batch.G, batch.e, batch.parent)[0])
-    bad = np.nonzero(_residual(x @ E.T, e, x, parents, start) > _EQ_TOL * tol)[0]
+    bad = np.nonzero(_residuals(x @ E.T, e, x, parents, start)[2] > _EQ_TOL * tol)[0]
     if bad.size:
         raise InfeasibleConstraints(
             f"equality constraints are mutually inconsistent at {where[bad[0]]}"
@@ -413,20 +444,22 @@ def _repair_invariants(X: np.ndarray, labels: Sequence[str], supports: np.ndarra
         done |= support
 
 
-def _round_root(x: np.ndarray, labels: Sequence[str], supports: np.ndarray,
-                target: np.ndarray) -> np.ndarray:
-    """Integerize the root against its invariant partition.
+def _root_partition(labels: Sequence[str], supports: np.ndarray,
+                    target: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The root's invariant partition, which the measurements do not move.
 
     Supports come smallest first and are nested or disjoint.  Cells are
-    grouped by the smallest support containing them; each group is
-    rounded to its exclusive integer target, cells under no invariant
-    round to the rounded continuous total.
+    grouped by the smallest support containing them, and each group rounds
+    to its exclusive integer target.  Returns the cells under no
+    invariant, every cell in group order, each one's group, and the
+    targets of the groups but the last if that holds the cells under no
+    invariant: they round to their rounded continuous total.
     """
     k = len(labels)
     # the smallest support holding each cell, k for none; inner[j, i]: j inside i
-    owner = np.vstack([supports, np.ones((1, x.size), dtype=bool)]).argmax(axis=0)
+    owner = np.vstack([supports, np.ones((1, supports.shape[1]), dtype=bool)]).argmax(axis=0)
     inner = (supports.astype(np.int64) @ supports.T) == supports.sum(axis=1)[:, None]
-    exclusive = np.zeros(k + 1, dtype=np.int64)
+    exclusive = np.zeros(k, dtype=np.int64)
     for i, label in enumerate(labels):
         # exclusive targets of inner supports partition their mass, so
         # subtracting them never double-counts on deeper nesting chains
@@ -435,13 +468,21 @@ def _round_root(x: np.ndarray, labels: Sequence[str], supports: np.ndarray,
             raise InfeasibleConstraints(
                 f"invariant {label!r} leaves an unroundable exclusive target"
             )
-    rest = np.nonzero(owner == k)[0]
-    if rest.size:
-        exclusive[k] = int(round(float(x[rest].sum())))
     cells = np.argsort(owner, kind="stable")
     used, seg = np.unique(owner[cells], return_inverse=True)
+    return np.nonzero(owner == k)[0], cells, seg, exclusive[used[used < k]]
+
+
+def _round_root(x: np.ndarray, labels: Sequence[str], supports: np.ndarray,
+                target: np.ndarray, partition: Optional[tuple[np.ndarray, ...]] = None
+                ) -> np.ndarray:
+    """Integerize the root against its invariant partition, the
+    ``_root_partition`` of the other arguments unless given."""
+    rest, cells, seg, exclusive = partition or _root_partition(labels, supports, target)
+    if rest.size:
+        exclusive = np.append(exclusive, int(round(float(x[rest].sum()))))
     out = np.zeros(x.size, dtype=np.int64)
-    out[cells] = _largest_remainder(x[cells], exclusive[used], seg)
+    out[cells] = _largest_remainder(x[cells], exclusive, seg)
     return out
 
 
@@ -525,7 +566,8 @@ def topdown_postprocess(
                  [f"{geo.NATION_ID} (root)"])
     if cfg.integerize:
         labels, supports, targets = per_level[geo.GeoLevel.NATION]["ranked"]
-        solved = _round_root(solved[0], labels, supports, targets[0])[None, :].astype(float)
+        solved = _round_root(solved[0], labels, supports, targets[0],
+                             plan.root_partition)[None, :].astype(float)
 
     # descend one generation at a time, every node group of it at once
     for gen in plan.generations:
@@ -588,8 +630,9 @@ class _Plan:
     declaration order, and ranked smallest support first for rounding),
     and the query split into weighted rows vs exact rows, which with the
     invariant supports form every child's equality rows, and the level
-    Hessian of the weighted rows.  Per generation, a ``_Generation``.
-    Nothing here holds the enumeration, so the plan never keeps it alive.
+    Hessian of the weighted rows.  For integer output, the root's
+    ``_root_partition``.  Per generation, a ``_Generation``.  Nothing
+    here holds the enumeration, so the plan never keeps it alive.
     """
 
     def __init__(self, cef: HistogramDataset, q: QueryMatrix, cfg: PostProcessConfig,
@@ -624,6 +667,12 @@ class _Plan:
                 "H": H,
                 "QtW2": QtW2,
             }
+        self.root_partition = None
+        if cfg.integerize:
+            labels, supports, targets = self.levels[geo.GeoLevel.NATION]["ranked"]
+            self.root_partition = _root_partition(labels, supports, targets[0])
+            for a in self.root_partition:
+                a.flags.writeable = False
         position = {n: i for lv in levels for i, n in enumerate(spine.nodes_at(lv))}
         self.generations = []
         for parent_level, child_level in zip(levels, levels[1:]):

@@ -36,7 +36,7 @@ from dasim.estimators import (
     selection_for_level,
 )
 from dasim.histograms import DESK_SCHEMA
-from dasim.noise import MIN_VARIANCE, make_noisy_measurements
+from dasim.noise import MAX_VARIANCE, MIN_VARIANCE, make_noisy_measurements
 from dasim.pipeline import Replicate, build_world, error_report, swap_release
 from dasim.topdown import topdown_postprocess
 
@@ -299,6 +299,10 @@ def test_crosswalk_worked_example(tmp_path):
     assert row["blockgroup"] == "530019501001"
     assert row["nmf_tract"] == EXAMPLE_RAW[:12]
     assert row["opt_blockgroup"] == EXAMPLE_RAW[:15]
+    assert row["geocode"] == EXAMPLE_RAW
+    assert row["nmf_state"] == "53"
+    assert row["nmf_county"] == EXAMPLE_RAW[:8]
+    assert row["vtd"] == row["place"] == ""
     assert not (tmp_path / "rejects.csv").exists()
 
 
@@ -589,25 +593,35 @@ def test_simulate_rejects_non_finite_budgets(tmp_path, capsys, variance):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: TopDown depends on the scale of the budget; a block variance of 1e24 "
-    "exits 3 with 'equality constraints are mutually inconsistent at parent "
-    "001100010001101 (block children)' on a feasible problem"))
 def test_simulate_runs_with_a_huge_finite_block_budget(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"config_version": 1, "budget": {"block": 1e24}}))
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1 without detail queries: a block variance of 1e12 exits 3 with 'equality "
-    "constraints are mutually inconsistent at parent 001100030002102 (block children)' on a "
-    "feasible problem"))
 def test_simulate_runs_with_a_large_block_budget_and_no_detail_queries(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"config_version": 1, "seed": 1, "query_groups": ["total", "marginal"],
                              "budget": {"block": 1e12}}))
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("config", [
+    {"budget": {"block": 1e22}},
+    {"budget": {"block": 1e24}},
+    {"budget": {"block": 1e28}},
+    {"budget": {lv.value: MAX_VARIANCE for lv in geo.NMF_LEVEL_ORDER}},
+    *({"seed": seed, "query_groups": ["total", "marginal"], "budget": {"block": 1e12}}
+      for seed in (1, 2, 3)),
+], ids=["block-1e22", "block-1e24", "block-1e28", "every-level-max", "no-detail-seed-1",
+        "no-detail-seed-2", "no-detail-seed-3"])
+def test_simulate_holds_its_invariants_at_large_finite_budgets(tmp_path, config):
+    # a variance's scale must not decide whether TopDown finds its optimum
+    config = {"config_version": 1, **config}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    _assert_releases_hold(out, RunConfig.from_dict(config), np.int64)
 
 
 # exact measurements below a noisy level: the parent is fitted before its
@@ -644,14 +658,25 @@ def test_simulate_and_report_with_a_postprocess_mode_off(tmp_path, mode):
         assert len(list(csv.DictReader(fh))) == 6
 
     cfg = RunConfig.from_dict(config)
+    dtype = np.int64 if cfg.postprocess.integerize else float
+    posts = _assert_releases_hold(out, cfg, dtype)
+    if dtype is float:
+        assert all((post.counts % 1 != 0).any() for post in posts)  # really continuous
+
+
+def _assert_releases_hold(out, cfg, dtype):
+    """Every TopDown release of a run: its children sum to their parents,
+    its invariants hold and, unless switched off, it is non-negative.
+    Returns the releases."""
     world = build_world(cfg)
     spine, schema = world.spine, world.cef.schema
-    dtype = np.int64 if cfg.postprocess.integerize else float
+    posts = []
     for r in range(cfg.replicates):
         for side in "ab":
             post = read_histogram_csv(out / f"topdown_r{r:03d}_{side}.csv", spine, schema, dtype)
-            if dtype is float:
-                assert (post.counts % 1 != 0).any()  # the release really is continuous
+            posts.append(post)
+            if cfg.postprocess.nonneg:
+                assert (post.counts >= 0).all()
             for parent_lv, child_lv in zip(geo.NMF_LEVEL_ORDER, geo.NMF_LEVEL_ORDER[1:]):
                 for node, h in zip(spine.nodes_at(parent_lv), post.level_histograms(parent_lv)):
                     kids = post.node_histograms(spine.children(node))
@@ -661,6 +686,7 @@ def test_simulate_and_report_with_a_postprocess_mode_off(tmp_path, mode):
                 np.testing.assert_allclose(post.level_histograms(level) @ row,
                                            world.cef.level_histograms(level) @ row,
                                            rtol=0, atol=1e-6)
+    return posts
 
 
 # ----------------------------------------------------------------------
@@ -803,8 +829,9 @@ def test_json_readers_reject_deep_nesting(run_dir, tmp_path, capsys):
 
 
 def test_verify_rejects_malformed_criteria(capsys):
-    assert main(["verify", "--criteria", "x"]) == 1
-    assert "--criteria" in capsys.readouterr().err
+    for criteria in ("x", ""):  # the empty string too, not "every check"
+        assert main(["verify", "--criteria", criteria]) == 1
+        assert "--criteria" in capsys.readouterr().err
 
 
 def test_simulate_rejects_report_statistics_the_queries_cannot_measure(tmp_path, capsys):

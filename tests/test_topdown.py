@@ -436,6 +436,23 @@ def test_level_solver_matches_exhaustive_kkt_search_per_group(level):
         np.testing.assert_allclose(x[seg == b], want, rtol=0, atol=1e-8)
 
 
+@settings(max_examples=100, deadline=None)
+@given(node_groups())
+@example(NEEDS_RELEASE)
+@example(NEEDS_DROP)
+@example(NEEDS_PINS_NO_ROWS)
+@example(REDUNDANT_ROWS)
+def test_group_solver_does_not_depend_on_the_scale_of_the_objective(group):
+    # c * H and c * G have the minimizer of H and G, but pin multipliers
+    # c times theirs: tolerances in count units must not see c
+    H, G, E, e, parent = group
+    want = kkt_active_set_oracle(H, G, E, e, parent)
+    for c in 10.0 ** np.arange(-30, 31, 2):
+        got = _solve_level(c * H, E, c * G, e, _parents(parent), np.zeros(len(G), dtype=int),
+                           True, ["test group"])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8, err_msg=f"c = {c:g}")
+
+
 @pytest.fixture
 def dual_calls(monkeypatch):
     """The names of the groups sent to the dual active set, in order."""
@@ -628,6 +645,25 @@ def test_queries_without_detail_still_solve(noisy_world):
     out = topdown_postprocess(make_noisy_measurements(cef, q, seed=2), cef)
     for node in out.spine.nodes_at(geo.GeoLevel.STATE):
         assert int(out.node_histogram(node).sum()) == int(cef.node_histogram(node).sum())
+
+
+def test_release_does_not_depend_on_the_scale_of_the_budget():
+    # every variance times s scales each level's H and G by 1/s, which
+    # cannot move the minimizer: the same values release the same counts
+    cfg = RunConfig()
+    world = build_world(cfg)
+    q = world.query
+    for s in (1e-8, 1e4, 1e8, 1e20):
+        scaled = QueryMatrix(q.schema, BudgetSchedule(
+            {lv: {g: v * s for g, v in groups.items()} for lv, groups in q.budget.table.items()}),
+            q.groups)
+        for seed in range(10):
+            nms = make_noisy_measurements(world.cef, q, seed=seed)
+            want = topdown_postprocess(nms, world.cef, cfg.postprocess, agg=world.agg)
+            got = topdown_postprocess(NoisyMeasurements(scaled, nms.seed, nms.nodes, nms.values),
+                                      world.cef, cfg.postprocess, agg=world.agg)
+            np.testing.assert_array_equal(got.counts, want.counts,
+                                          err_msg=f"budget x {s:g}, seed {seed}")
 
 
 # ----------------------------------------------------------------------
