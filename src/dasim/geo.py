@@ -516,17 +516,17 @@ def make_synthetic_spine(spec: SpineSpec, seed: int) -> Spine:
                     if not idx.size:
                         continue
                     eq_counter[side] += 1
-                    tract_eq = f"{eq_counter[side]:04d}"
+                    # the side's geocode in field order, block fields as placeholders
+                    fixed = dict(aian_flag=side, state_fips=state, spine_opt_code="10",
+                                 county_fips=county, tract_equiv=f"{eq_counter[side]:04d}",
+                                 geoid_state=state, geoid_county=county, geoid_tract=geoid_tract)
+                    template = "".join(fixed.get(name, f"%({name})s") for name in _FIELD)
                     # optimized block groups chop a shuffled order
                     order = rng.permutation(idx.size)
                     for pos, i in enumerate(idx[order].tolist()):
-                        obg = f"{101 + pos // spec.obg_size:03d}"
-                        bf = block_codes[i]
-                        raw = (
-                            side + state + "10" + county + tract_eq + obg
-                            + state + county + geoid_tract + bf[0] + bf
-                        )
-                        county_blocks.append(raw)
+                        obg, bf = f"{101 + pos // spec.obg_size:03d}", block_codes[i]
+                        county_blocks.append(template % dict(
+                            opt_blockgroup_equiv=obg, bg_digit=bf[0], block_fips=bf))
             # VTDs partition the county's blocks across tract boundaries
             county_blocks.sort()
             perm = rng.permutation(len(county_blocks))

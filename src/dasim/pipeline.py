@@ -72,11 +72,11 @@ def build_world(cfg: RunConfig) -> World:
     """The world of a config; CoverageError unless the configured query
     groups can measure every report statistic, ParameterError unless the
     spine has units at every report level, and the post-processing's
-    errors if its invariants cannot be resolved."""
+    errors if its invariants and exact queries cannot be resolved."""
     q = QueryMatrix(DESK_SCHEMA, cfg.budget, cfg.query_groups)
     agg = default_statistics(DESK_SCHEMA)
     q.check_coverage(agg, cfg.report.statistics)
-    resolve_invariants(cfg.postprocess, agg)
+    resolve_invariants(cfg.postprocess, agg, q)
     spine = geo.make_synthetic_spine(cfg.spine, cfg.seed)
     check_report_levels(spine, cfg.report.levels)
     cef = generate_synthetic_cef(spine, cfg.seed, cfg.population)

@@ -4,10 +4,10 @@ The production optimizer is proprietary and cluster-scale; this is a
 faithful desk-scale analog with the same contract: starting from the
 root of the optimized spine, each generation of children is fitted
 jointly to its own noisy measurements by weighted least squares (weights
-are inverse noise variances, zero-variance measurements become hard
-equalities), subject to summing exactly per cell to the already-fixed
-parent, configured invariant statistics held exactly to the enumeration
-truth, and non-negativity.
+are inverse noise variances), subject to summing exactly per cell to the
+already-fixed parent, non-negativity, and one table of statistics held
+exactly to the enumeration truth: the configured invariants and the
+zero-variance queries, each at its own level and every level above.
 
 The Hessian of a generation is block diagonal, one level Hessian per
 child, and only the parent sums couple the children.  So each child's
@@ -22,16 +22,16 @@ once and refactors only re-pinned children; a group that cycles, meets
 an inconsistent pin set or reaches its cap is re-solved alone by a
 Goldfarb-Idnani dual active set, which terminates and reports
 infeasibility only when no non-negative solution exists.  Only levels
-with equality rows (invariants, exact queries: by default the root
-alone) border their children's KKT matrices, and ``_invert`` reaches a
-border through its rows' small Schur matrix, so it inverts only definite ones.
+with equality rows (by default the root alone) border their children's
+KKT matrices, and ``_invert`` reaches a border through its rows' small
+Schur matrix, so it inverts only definite ones.
 Each level's objective is first scaled, exactly, by a power of two, so
 that tolerances in count units do not depend on the scale of the budget,
 and a solve whose equality residual is large is refined once.
 
 A controlled largest-remainder rounding then integerizes each
 generation, all of its groups at once, while preserving parent sums, and
-a unit reallocation pass restores invariant statistics exactly.
+a unit reallocation pass restores the exact statistics.
 Rounding snaps to a 1e-6 grid first, so released integers do not follow
 solver float noise, and breaks ties by index order, never at random: the
 map is a deterministic, constraint-satisfying function of the noisy
@@ -44,7 +44,7 @@ import logging
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .noise import NoisyMeasurements, QueryMatrix
 
 logger = logging.getLogger(__name__)
 
-_LEVEL_INDEX = {lv: i for i, lv in enumerate(geo.NMF_LEVEL_ORDER)}
 _GRID = 10**6  # rounding snaps continuous values to multiples of 1/_GRID
 _CAP = 200  # batched active-set steps before the dual method takes over
 _EQ_TOL = 1e3  # equality residual allowed, in units of the bound tolerance
@@ -70,9 +69,10 @@ class PostProcessConfig:
 
     Invariants are (optimized-spine level, statistic label) pairs held
     exactly to the enumeration value at that level and, by aggregation,
-    at every level above it.  Invariant statistics must be 0/1 rows of
-    the aggregation matrix, and for integer output their supports must be
-    nested or disjoint (``resolve_invariants``).
+    at every level above it, as a query of zero variance is.  Invariant
+    statistics must be 0/1 rows of the aggregation matrix, and for
+    integer output the supports held at each level must be nested or
+    disjoint (``resolve_invariants``).
     """
 
     invariants: tuple[tuple[geo.GeoLevel, str], ...] = ((geo.GeoLevel.STATE, "total"),)
@@ -81,7 +81,7 @@ class PostProcessConfig:
 
     def __post_init__(self) -> None:
         for level, _ in self.invariants:
-            if level not in _LEVEL_INDEX:
+            if level not in geo.NMF_LEVEL_ORDER:
                 raise SchemaError(f"invariants: {level.value} is not an optimized-spine level")
 
 
@@ -491,30 +491,39 @@ def _round_root(x: np.ndarray, labels: Sequence[str], supports: np.ndarray,
 
 
 def resolve_invariants(
-    cfg: PostProcessConfig, agg: AggregationMatrix
+    cfg: PostProcessConfig, agg: AggregationMatrix, q: QueryMatrix
 ) -> dict[geo.GeoLevel, tuple[tuple[str, ...], np.ndarray]]:
-    """Statistics to hold exact, per spine level: their labels in
-    declaration order and a read-only (labels x cells) bool support
-    matrix.  A level inherits every invariant declared at or below it, so
-    the nation holds them all, and integer rounding needs them nested or
-    disjoint there (and so at every level)."""
-    rows = {}
-    for _, label in cfg.invariants:
-        rows[label] = agg.row(label)
-        if ((rows[label] != 0) & (rows[label] != 1)).any():
+    """Statistics to hold exact, per spine level: labels and a read-only
+    (labels x cells) bool support matrix, smallest support first, ties by
+    label.  Two sources, the config's invariants and the zero-variance
+    query rows, each held at its own level and every level above, each
+    support once; where every cell's singleton is held, they alone are
+    the table, as they imply every other row.  Integer rounding needs
+    each level's supports nested or disjoint."""
+    declared = [(level, label, agg.row(label)) for level, label in cfg.invariants]
+    for _, label, row in declared:
+        if ((row != 0) & (row != 1)).any():
             raise SchemaError(f"invariant statistic {label!r} must be a 0/1 row")
-    table = {}
-    for lv in geo.NMF_LEVEL_ORDER:
-        labels = tuple(dict.fromkeys(label for level, label in cfg.invariants
-                                     if _LEVEL_INDEX[level] >= _LEVEL_INDEX[lv]))
-        supports = np.array([rows[label] for label in labels], dtype=bool).reshape(
-            len(labels), agg.matrix.shape[1])
-        supports.flags.writeable = False
-        table[lv] = (labels, supports)
-    supports = table[geo.GeoLevel.NATION][1].astype(np.int64)
-    common, size = supports @ supports.T, supports.sum(axis=1)
-    if cfg.integerize and ((common > 0) & (common < np.minimum.outer(size, size))).any():
-        raise InfeasibleConstraints("overlapping invariant supports must be nested or disjoint")
+    declared += [(geo.NMF_LEVEL_ORDER[i], q.row_ids[r], q.matrix[r])
+                 for i, r in np.argwhere(q.variances == 0)]
+    n, table, held, last = agg.matrix.shape[1], {}, {}, None
+    for lv in reversed(geo.NMF_LEVEL_ORDER):  # the block first, each level adding its own
+        known = len(held)
+        for level, label, row in declared:
+            if level == lv:
+                held.setdefault(row.astype(bool).tobytes(), (label, row))
+        if last is None or len(held) > known:  # else the level below's table
+            rows = sorted(held.values(), key=lambda r: (int(r[1].sum()), r[0]))
+            singles = [r for r in rows if r[1].sum() == 1]
+            rows = singles if len(singles) == n else rows
+            supports = np.array([row for _, row in rows], dtype=bool).reshape(len(rows), n)
+            supports.flags.writeable = False
+            last = tuple(label for label, _ in rows), supports
+            common, size = supports.astype(np.int64) @ supports.T, supports.sum(axis=1)
+            if cfg.integerize and ((common > 0) & (common < np.minimum.outer(size, size))).any():
+                raise InfeasibleConstraints(
+                    "overlapping invariant supports must be nested or disjoint")
+        table[lv] = last
     return table
 
 
@@ -539,7 +548,8 @@ def topdown_postprocess(
     Each generation is one (nodes x cells) array in ``spine.nodes_at``
     order.  The map is fully deterministic: rounding ties are resolved
     by index order.  The first call per (enumeration, query, config,
-    aggregation) builds its ``_Plan``, and later calls reuse it.
+    aggregation) builds its ``_Plan``, and later calls reuse it.  A
+    zero-variance measurement must be the enumeration's answer.
     """
     cfg = cfg or PostProcessConfig()
     agg = agg or default_statistics(cef.schema)
@@ -554,18 +564,20 @@ def topdown_postprocess(
         plan = plans[cfg, id(agg)] = _Plan(cef, q, cfg, agg)
     per_level = plan.levels
     measured = {lv: nms.values[nms.rows(lvdat["nodes"])] for lv, lvdat in per_level.items()}
+    for lv, lvdat in per_level.items():
+        _check_exact("zero-variance measurement", measured[lv][:, ~lvdat["wmask"]],
+                     *lvdat["exact"], lvdat["nodes"])
 
     def fit(level, rows, parents, seg, where) -> np.ndarray:
         lvdat = per_level[level]
-        vals = measured[level][rows].astype(float)
-        e = np.concatenate([vals[:, ~lvdat["wmask"]], lvdat["targets"][rows]], axis=1)
-        G = vals[:, lvdat["wmask"]] @ lvdat["QtW2"].T
+        G = measured[level][rows][:, lvdat["wmask"]].astype(float) @ lvdat["QtW2"].T
+        e = lvdat["table"][2][rows].astype(float)
         return _solve_level(lvdat["H"], lvdat["E"], G, e, parents, seg, cfg.nonneg, where)
 
     solved = fit(geo.GeoLevel.NATION, [0], None, np.zeros(1, dtype=int),
                  [f"{geo.NATION_ID} (root)"])
     if cfg.integerize:
-        labels, supports, targets = per_level[geo.GeoLevel.NATION]["ranked"]
+        labels, supports, targets = per_level[geo.GeoLevel.NATION]["table"]
         solved = _round_root(solved[0], labels, supports, targets[0],
                              plan.root_partition)[None, :].astype(float)
 
@@ -578,7 +590,7 @@ def topdown_postprocess(
             x = fit(gen.level, rows, solved[multi], seg, gen.where)
             if cfg.integerize:
                 x = _largest_remainder(x, solved[multi].astype(np.int64), seg)
-                labels, supports, targets = per_level[gen.level]["ranked"]
+                labels, supports, targets = per_level[gen.level]["table"]
                 for lo, hi in zip(gen.bounds[:-1], gen.bounds[1:]) if labels else ():
                     _repair_invariants(x[lo:hi], labels, supports, targets[rows[lo:hi]], cfg.nonneg)
             kids_solved[rows] = x
@@ -588,8 +600,10 @@ def topdown_postprocess(
         cef.spine, cef.schema, solved.astype(np.int64) if cfg.integerize else solved,
         kind="postprocessed", run_seed=nms.seed,
     )
-    if cfg.integerize:
-        _validate_postprocessed(out, per_level)
+    for lv, lvdat in per_level.items() if cfg.integerize else ():
+        labels, supports, targets = lvdat["table"]
+        _check_exact("invariant", out.level_histograms(lv) @ supports.T, labels, targets,
+                     lvdat["nodes"])
     return out
 
 
@@ -626,11 +640,10 @@ class _Plan:
     """What post-processing one enumeration's measurements under one
     query, config and aggregation needs besides the measurements.
 
-    Per level: its nodes, the invariants with their targets per node (in
-    declaration order, and ranked smallest support first for rounding),
-    and the query split into weighted rows vs exact rows, which with the
-    invariant supports form every child's equality rows, and the level
-    Hessian of the weighted rows.  For integer output, the root's
+    Per level: its nodes; its ``resolve_invariants`` table with targets
+    per node, which alone gives every child's equality rows; the query's
+    weighted rows and their level Hessian; the labels and enumerated
+    answers of its zero-variance rows.  For integer output, the root's
     ``_root_partition``.  Per generation, a ``_Generation``.  Nothing
     here holds the enumeration, so the plan never keeps it alive.
     """
@@ -639,37 +652,26 @@ class _Plan:
                  agg: AggregationMatrix):
         self.agg = agg
         spine, levels = cef.spine, geo.NMF_LEVEL_ORDER
-        invariants = resolve_invariants(cfg, agg)
+        table = resolve_invariants(cfg, agg, q)
         self.levels: dict[geo.GeoLevel, dict] = {}
         qmat = q.matrix.astype(float)
         for lv in levels:
-            labels, supports = invariants[lv]
-            targets = (cef.level_histograms(lv) @ supports.T if labels
-                       else np.zeros((len(spine.nodes_at(lv)), 0), dtype=np.int64))
-            rank = sorted(range(len(labels)), key=lambda i: (int(supports[i].sum()), labels[i]))
+            labels, supports = table[lv]
+            hist = cef.level_histograms(lv)
             variances = q.variances_for(lv)
             wmask = variances > 0
             Qw = qmat[wmask]
             QtW = Qw.T * (1.0 / variances[wmask])
-            ranked = ([labels[i] for i in rank], supports[rank], targets[:, rank])
-            E, QtW2 = np.vstack([qmat[~wmask], supports]), 2.0 * QtW
-            H = _level_hessian(2.0 * (QtW @ Qw))
-            for a in (targets, *ranked[1:], wmask, E, H, QtW2):  # shared by every call
+            targets, exact = hist @ supports.T, hist @ q.matrix[~wmask].T
+            E, H, QtW2 = supports.astype(float), _level_hessian(2.0 * (QtW @ Qw)), 2.0 * QtW
+            for a in (targets, exact, wmask, E, H, QtW2):  # shared by every call
                 a.flags.writeable = False
-            self.levels[lv] = {
-                "nodes": spine.nodes_at(lv),
-                "labels": labels,
-                "supports": supports,
-                "targets": targets,
-                "ranked": ranked,
-                "wmask": wmask,
-                "E": E,
-                "H": H,
-                "QtW2": QtW2,
-            }
+            self.levels[lv] = dict(
+                nodes=spine.nodes_at(lv), table=(labels, supports, targets), wmask=wmask,
+                exact=([r for r, w in zip(q.row_ids, wmask) if not w], exact), E=E, H=H, QtW2=QtW2)
         self.root_partition = None
         if cfg.integerize:
-            labels, supports, targets = self.levels[geo.GeoLevel.NATION]["ranked"]
+            labels, supports, targets = self.levels[geo.GeoLevel.NATION]["table"]
             self.root_partition = _root_partition(labels, supports, targets[0])
             for a in self.root_partition:
                 a.flags.writeable = False
@@ -690,15 +692,12 @@ class _Plan:
                 [f"parent {parents[i]} ({child_level.value} children)" for i in multi]))
 
 
-def _validate_postprocessed(ds: HistogramDataset, per_level: Mapping[geo.GeoLevel, dict]) -> None:
-    for lv, lvdat in per_level.items():
-        if not lvdat["labels"]:
-            continue
-        got, want = ds.level_histograms(lv) @ lvdat["supports"].T, lvdat["targets"]
-        bad = np.argwhere(got.T != want.T)
-        if bad.size:
-            k, i = bad[0]
-            raise InfeasibleConstraints(
-                f"invariant {lvdat['labels'][k]!r} broken at {ds.spine.nodes_at(lv)[i]}: "
-                f"{got[i, k]} != {want[i, k]}"
-            )
+def _check_exact(what: str, got: np.ndarray, labels: Sequence[str], want: np.ndarray,
+                 nodes: Sequence[str]) -> None:
+    """InfeasibleConstraints at the first (label, node) where got != want."""
+    bad = np.argwhere(got.T != want.T)
+    if bad.size:
+        k, i = bad[0]
+        raise InfeasibleConstraints(
+            f"{what} {labels[k]!r} broken at {nodes[i]}: {got[i, k]} != {want[i, k]}"
+        )

@@ -624,17 +624,43 @@ def test_simulate_holds_its_invariants_at_large_finite_budgets(tmp_path, config)
     _assert_releases_hold(out, RunConfig.from_dict(config), np.int64)
 
 
-# exact measurements below a noisy level: the parent is fitted before its
-# children's exact queries are seen, so they cannot sum to it
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 11: exact queries at a level do not constrain its ancestors; each budget "
-    "exits 3 with 'equality constraints are mutually inconsistent' on a feasible problem"))
+# exact measurements below a noisy level: they once ended in exit 3, as the
+# parent was fitted before its children's exact queries were seen
 @pytest.mark.parametrize("budget", [{"tract": 0.0}, {"block": {"total": 0.0}}],
                          ids=["tract", "block-total"])
 def test_simulate_runs_with_exact_queries_below_a_noisy_level(tmp_path, budget):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"config_version": 1, "budget": budget}))
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+
+# zero-variance queries alone, each a budget and whether simulate runs it:
+# exact marginals of different axes overlap without nesting, and without
+# exact detail at or below their level integer rounding cannot hold them
+_EXACT_BUDGETS = {
+    **{lv.value: ({lv.value: 0.0}, True) for lv in geo.NMF_LEVEL_ORDER},
+    **{f"{lv}-{group}": ({lv: {group: 0.0}}, group != "marginal")
+       for lv in ("tract", "block") for group in ("total", "marginal", "detail")},
+    # every ancestor exact: the release once broke the county totals
+    "county-total-exact-above": ({"county": {"total": 0.0}, "state": 0.0, "nation": 0.0}, True),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7], ids=["default-world", "check-3-world"])
+@pytest.mark.parametrize("budget,runs", _EXACT_BUDGETS.values(), ids=list(_EXACT_BUDGETS))
+def test_simulate_holds_exact_queries_at_every_level_above(tmp_path, capsys, seed, budget, runs):
+    config = {"config_version": 1, "seed": seed, "budget": budget}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+    if runs:
+        assert code == 0
+        _assert_releases_hold(out, RunConfig.from_dict(config), np.int64)
+    else:
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: overlapping invariant supports must be nested or disjoint"]
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_quartiles_table_shape(run_dir):
@@ -666,8 +692,9 @@ def test_simulate_and_report_with_a_postprocess_mode_off(tmp_path, mode):
 
 def _assert_releases_hold(out, cfg, dtype):
     """Every TopDown release of a run: its children sum to their parents,
-    its invariants hold and, unless switched off, it is non-negative.
-    Returns the releases."""
+    its invariants hold, every zero-variance query row holds at its own
+    level and every level above and, unless switched off, it is
+    non-negative.  Returns the releases."""
     world = build_world(cfg)
     spine, schema = world.spine, world.cef.schema
     posts = []
@@ -686,6 +713,12 @@ def _assert_releases_hold(out, cfg, dtype):
                 np.testing.assert_allclose(post.level_histograms(level) @ row,
                                            world.cef.level_histograms(level) @ row,
                                            rtol=0, atol=1e-6)
+            for i, level in enumerate(geo.NMF_LEVEL_ORDER):
+                exact = world.query.matrix[world.query.variances_for(level) == 0].T
+                for above in geo.NMF_LEVEL_ORDER[:i + 1]:
+                    np.testing.assert_allclose(post.level_histograms(above) @ exact,
+                                               world.cef.level_histograms(above) @ exact,
+                                               rtol=0, atol=1e-6)
     return posts
 
 

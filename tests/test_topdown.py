@@ -107,7 +107,8 @@ def test_root_rounding_holds_every_support_of_a_nesting_chain():
     rows = np.array([[1, 1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 0, 0]])
     agg = AggregationMatrix(("a", "b", "c"), rows)
     cfg = PostProcessConfig(invariants=tuple((geo.GeoLevel.NATION, lb) for lb in "abc"))
-    labels, supports = resolve_invariants(cfg, agg)[geo.GeoLevel.NATION]
+    q = QueryMatrix(CellSchema((("cell", 7),)))
+    labels, supports = resolve_invariants(cfg, agg, q)[geo.GeoLevel.NATION]
     assert labels == ("a", "b", "c")  # smallest support first, as TopDown ranks them
     truth = np.array([3, 1, 4, 1, 5, 9, 2])
     x = np.array([2.6, 1.7, 4.4, 0.2, 6.3, 8.5, 2.2])
@@ -115,6 +116,32 @@ def test_root_rounding_holds_every_support_of_a_nesting_chain():
     assert (supports @ out).tolist() == (supports @ truth).tolist() == [4, 9, 14]
     assert out[5:].sum() == 11  # the rest rounds to its rounded continuous total
     assert (out >= 0).all()
+
+
+def test_exact_queries_join_the_table_at_their_level_and_above():
+    agg, levels = default_statistics(DESK_SCHEMA), geo.NMF_LEVEL_ORDER  # nation first
+
+    def table(budget, cfg=PostProcessConfig()):
+        q = QueryMatrix(DESK_SCHEMA, RunConfig.from_dict({"config_version": 1,
+                                                          "budget": budget}).budget)
+        return {lv.value: labels for lv, (labels, _) in resolve_invariants(cfg, agg, q).items()}
+
+    # the exact tract total and the state-total invariant: one support
+    assert table({"tract": {"total": 0.0}}) == {
+        "nation": ("total",), "state": ("total",), "county": ("total",), "tract": ("total",),
+        "optimized_blockgroup": (), "block": ()}
+    # exact county detail: its singletons, ranked by label, imply the rest
+    got = table({"tract": {"total": 0.0}, "county": {"detail": 0.0}})
+    assert got["tract"] == ("total",)
+    assert got["nation"] == got["state"] == got["county"] == tuple(
+        sorted(f"cell_{i}" for i in range(DESK_SCHEMA.size)))
+    # exact marginals of different axes overlap without nesting
+    with pytest.raises(InfeasibleConstraints, match="overlapping invariant supports"):
+        table({"block": {"marginal": 0.0}})
+    loose = table({"block": {"marginal": 0.0}}, PostProcessConfig(integerize=False))
+    assert [len(loose[lv.value]) for lv in levels] == [13, 13, 12, 12, 12, 12]
+    assert loose["block"][:2] == ("marginal_race_0", "marginal_race_1")  # 8 cells each
+    assert loose["state"][-1] == "total"
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +213,23 @@ def test_bound_clamps_match_exhaustive_search():
     assert oracle[0].tolist() == [1, 0] and oracle[1].tolist() == [4, 9]
     for b, want in zip(blocks, oracle):
         assert out.block_histogram(b).tolist() == want.tolist()
+
+
+def test_an_exact_answer_off_the_enumeration_is_rejected():
+    # zero-variance answers are held to the enumeration, as invariants
+    # are: one that disagrees is reported at its node, not replaced
+    spine, cef, blocks = _two_block_world()
+    q = _detail_query(1.0)
+    nms = _handmade_measurements(cef, q, {blocks[0]: [1, 2], blocks[1]: [2, 5]})
+    cfg = PostProcessConfig(invariants=())
+    topdown_postprocess(nms, cef, cfg, agg=TWO_CELL_AGG)
+    tract = spine.nodes_at(geo.GeoLevel.TRACT)[0]
+    values = nms.values.copy()
+    values[nms.rows([tract])[0], 1] += 1
+    with pytest.raises(InfeasibleConstraints, match=re.escape(
+            f"zero-variance measurement 'cell_1' broken at {tract}: 10 != 9")):
+        topdown_postprocess(NoisyMeasurements(q, None, nms.nodes, values), cef, cfg,
+                            agg=TWO_CELL_AGG)
 
 
 # ----------------------------------------------------------------------
@@ -551,8 +595,8 @@ def test_only_definite_blocks_are_inverted(monkeypatch, budget):
     # whatever rows border a child's KKT matrix, _invert inverts only its
     # block A of the level Hessian, identity at pins and pads, which a
     # Cholesky factor shows definite.  Only the root has rows: the
-    # state-total invariant, and with exact nation queries 61 more, of
-    # which all but the 48 detail rows are redundant
+    # state-total invariant or, with exact nation and state queries, the
+    # 48 cells' singletons, which imply every other row
     world = build_world(RunConfig.from_dict({"config_version": 1, "budget": budget}))
     level, inverted = [None], []
     invert, solve_level = topdown._invert, topdown._solve_level
