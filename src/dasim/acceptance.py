@@ -227,11 +227,6 @@ def _combined_variance(q: QueryMatrix, level: geo.GeoLevel, stat_row) -> float:
     return 1.0 / inv
 
 
-def _single_stat(agg: AggregationMatrix, label: str) -> AggregationMatrix:
-    i = agg.labels.index(label)
-    return AggregationMatrix((label,), agg.matrix[i : i + 1])
-
-
 # ----------------------------------------------------------------------
 # check 1: the noise sampler has exactly the advertised distribution
 
@@ -343,27 +338,24 @@ def check_measurement_unbiasedness() -> tuple[bool, str]:
     checks.expect(
         bgroup is not None, "no multi-part standard block group on the test spine"
     )
-    pairs = [
-        (block, _single_stat(agg, "total")),
-        (tract, _single_stat(agg, "hispanic")),
-        (bgroup, _single_stat(agg, "voting_age")),
-    ]
-    truths = [float(a.matrix[0] @ cef.target_histogram(t)) for t, a in pairs]
+    pairs = [(block, "total"), (tract, "hispanic"), (bgroup, "voting_age")]
+    truths = [float(agg.row(s) @ cef.target_histogram(t)) for t, s in pairs]
     needed = set().union(*(geo.compose_target(spine, target) for target, _ in pairs))
 
     reps = 10_000
     z = np.empty((reps, len(pairs)))
     for r in range(reps):
         nms = make_noisy_measurements(cef, q, seed=r, nodes=needed)
-        for j, ((target, a1), truth) in enumerate(zip(pairs, truths)):
-            (value,), (variance,) = nm_statistics(nms, q, a1, spine, target)
-            z[r, j] = (value - truth) / math.sqrt(variance)
+        for j, ((target, stat), truth) in enumerate(zip(pairs, truths)):
+            values, variances = nm_statistics(nms, q, agg, spine, target)
+            i = agg.labels.index(stat)
+            z[r, j] = (values[i] - truth) / math.sqrt(variances[i])
 
     mean_limit = 4.0 / math.sqrt(reps)
     band_lo = float(_sps.chi2.ppf(0.005, df=reps))
     band_hi = float(_sps.chi2.ppf(0.995, df=reps))
-    for j, (target, a1) in enumerate(pairs):
-        label = f"{target.level.value} {a1.labels[0]}"
+    for j, (target, stat) in enumerate(pairs):
+        label = f"{target.level.value} {stat}"
         m = float(z[:, j].mean())
         checks.expect(
             abs(m) <= mean_limit,
@@ -861,7 +853,7 @@ def check_error_ordering() -> tuple[bool, str]:
     checks = _Checks()
     world = _desk_world()
     spine, cef, q, agg = world.spine, world.cef, world.query, world.agg
-    agg_total = _single_stat(agg, "total")
+    total = agg.labels.index("total")
     sel_blocks = selection_for_level(spine, geo.GeoLevel.BLOCK, ("total",))
 
     # exact RMSE of the raw block measurements (variances are by design)
@@ -884,14 +876,14 @@ def check_error_ordering() -> tuple[bool, str]:
 
     # off-spine variance additivity, checked against an independent
     # re-derivation of the path-combination rule
-    level_var = {lv: _combined_variance(q, lv, agg_total.matrix[0]) for lv in geo.NMF_LEVEL_ORDER}
+    level_var = {lv: _combined_variance(q, lv, agg.matrix[total]) for lv in geo.NMF_LEVEL_ORDER}
     block_var = level_var[geo.GeoLevel.BLOCK]
     vtds = sorted(spine.units_at(geo.GeoLevel.VTD))
     pure = None
     for code in vtds:
         target = geo.GeoId(geo.GeoLevel.VTD, code)
         parts = geo.compose_target(spine, target)
-        _, (variance,) = nm_statistics(nms0, q, agg_total, spine, target)
+        variance = nm_statistics(nms0, q, agg, spine, target)[1][total]
         predicted = sum(level_var[geo.node_level(p)] for p in parts)
         checks.expect(
             math.isclose(variance, predicted, rel_tol=1e-9),
@@ -921,8 +913,7 @@ def check_error_ordering() -> tuple[bool, str]:
         errs = np.empty(reps_nm)
         for r in range(reps_nm):
             nms = make_noisy_measurements(cef, q, seed=9000 + r, nodes=parts)
-            (value,), _ = nm_statistics(nms, q, agg_total, spine, target)
-            errs[r] = value - truth
+            errs[r] = nm_statistics(nms, q, agg, spine, target)[0][total] - truth
         emp = math.sqrt(float((errs ** 2).mean()))
         ratio = emp / math.sqrt(reported)
         checks.expect(

@@ -192,13 +192,11 @@ class HistogramDataset:
 
     def node_histogram(self, node_id: str) -> np.ndarray:
         """Histogram of an optimized-spine node (sum of its blocks)."""
-        return self.counts[self.spine.node_rows(node_id)].sum(axis=0)
+        return self.node_histograms([node_id])[0]
 
     def node_histograms(self, nodes: Sequence[str]) -> np.ndarray:
         """Histograms of optimized-spine nodes, one row per node: one
-        gather of their block rows and one segment sum.  Integer counts
-        sum exactly; float sums may differ from ``node_histogram`` in the
-        last bit, because they add in another order."""
+        gather of their block rows and one segment sum."""
         rows = [self.spine.node_rows(n) for n in nodes]
         starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
         return np.add.reduceat(self.counts[np.concatenate(rows)], starts, axis=0)

@@ -7,7 +7,9 @@ answer is the exact count plus integer discrete Gaussian noise whose
 variance comes from a per-level budget schedule.  A statistic for any
 composable target is the sum over the target's composition parts of
 each part's estimate: the inverse-variance-weighted mean of one path per
-partition on whose parts the statistic is constant.
+partition on whose parts the statistic is constant.  A query builds one
+reader per statistics matrix, holding every statistic's paths and their
+weights at every level, so a target's statistics are read all at once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from . import geo
 from .errors import (
     CoverageError,
-    EmptyInput,
     ParameterError,
     SchemaError,
 )
@@ -239,7 +240,7 @@ class QueryMatrix:
             lv: [(float(v), np.flatnonzero(row == v)) for v in np.unique(row) if v > 0]
             for lv, row in zip(geo.NMF_LEVEL_ORDER, self.variances)
         }
-        self._statistics: dict[bytes, tuple[np.ndarray, dict]] = {}  # by int64 row bytes
+        self._readers: dict[tuple, tuple] = {}  # by matrix shape and bytes
 
     @property
     def n_rows(self) -> int:
@@ -278,19 +279,34 @@ class QueryMatrix:
             raise CoverageError("statistic is not derivable from the configured queries")
         return paths
 
-    def _statistic(self, stat_row: np.ndarray) -> tuple[np.ndarray, dict]:
-        """One statistic's paths as a (query row x path) coefficient matrix
-        and each path's variance at every level, found once per row."""
-        key = stat_row.tobytes()
-        if key not in self._statistics:
-            paths = self.paths_for_row(stat_row)
-            coefs = np.zeros((self.n_rows, len(paths)))
-            for k, (idx, coef) in enumerate(paths):
-                coefs[idx, k] = coef
-            self._statistics[key] = coefs, {
-                lv: [float((coef ** 2) @ variances[idx]) for idx, coef in paths]
-                for lv, variances in zip(geo.NMF_LEVEL_ORDER, self.variances)}
-        return self._statistics[key]
+    def reader(self, matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The reader of a statistics matrix, built once per matrix: every
+        path of every statistic as a (query row x statistic * path)
+        coefficient matrix, padded to the most paths, and per spine level
+        in NMF_LEVEL_ORDER each path's weight (level x statistic x path),
+        each statistic's summed weight and its variance (level x
+        statistic).  A path weighs its inverse variance, but where a
+        statistic has exact paths, its first weighs 1 and every other path
+        0, so the statistic is read off it with variance 0.  Padding
+        weighs 0."""
+        key = (matrix.shape, matrix.tobytes())
+        if key not in self._readers:
+            paths = [self.paths_for_row(row) for row in matrix]
+            shape = (len(paths), max(map(len, paths)))  # statistic x path
+            coefs = np.zeros((self.n_rows, *shape))
+            path_var = np.full((len(self.variances), *shape), np.inf)
+            for j, stat_paths in enumerate(paths):
+                for k, (idx, coef) in enumerate(stat_paths):
+                    coefs[idx, j, k] = coef
+                    path_var[:, j, k] = [(coef ** 2) @ v[idx] for v in self.variances]
+            exact = path_var == 0
+            has_exact = exact.any(axis=-1)
+            weights = np.where(has_exact[..., None], exact & (exact.cumsum(axis=-1) == 1),
+                               1.0 / np.where(exact, np.inf, path_var))
+            summed = weights.sum(axis=-1)
+            self._readers[key] = (coefs.reshape(self.n_rows, -1), weights, summed,
+                                  np.where(has_exact, 0.0, 1.0 / summed))
+        return self._readers[key]
 
     def check_coverage(self, agg: AggregationMatrix,
                        labels: Optional[Sequence[str]] = None) -> None:
@@ -438,24 +454,6 @@ def _digest(node_id: str) -> int:
 # combination
 
 
-def combine_estimates(values, variances) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-variance-weighted mean of independent unbiased estimates,
-    taken along the last axis.
-
-    Output variance 1 / sum(1/v_i) never exceeds the smallest input
-    variance.  Raises EmptyInput on no estimates and ParameterError on
-    non-positive variances.
-    """
-    variances = np.asarray(variances, dtype=float)
-    if variances.size == 0:
-        raise EmptyInput("no estimates to combine")
-    if (variances <= 0).any() or not np.isfinite(variances).all():
-        raise ParameterError("combination requires finite positive variances")
-    weights = 1.0 / variances
-    total = weights.sum(axis=-1)
-    return (weights * values).sum(axis=-1) / total, 1.0 / total
-
-
 def nm_statistics(
     nms: NoisyMeasurements,
     q: QueryMatrix,
@@ -466,35 +464,21 @@ def nm_statistics(
     """Unbiased noisy statistics for any composable target, and their
     variances, in label order.
 
-    Within each composition part, every query path to a statistic is
-    combined by inverse-variance weighting (an exact, zero-variance path
-    short-circuits the combination); part estimates then add, in
-    composition order, and so do their variances, because parts are
-    disjoint geographies with independent noise.  ``q`` must be the
-    measurements' own query.  The query finds each statistic's paths
-    once and the spine composes each target once, so a call repeats
-    only the work on the measurements.
+    Each composition part reads every statistic off its query paths by
+    the weights of the query's reader (``QueryMatrix.reader``); part
+    estimates then add in composition order, and so do their variances,
+    because parts are disjoint geographies with independent noise.  ``q``
+    must be the measurements' own query.  Readers and compositions are
+    built once, so a call is one gather, one product and one weighted sum.
     """
     if q is not nms.query and (q.row_ids != nms.query.row_ids
                                or not np.array_equal(q.variances, nms.query.variances)):
         raise ParameterError("q is not the query the measurements were taken with")
-    q = nms.query
+    coefs, weights, summed, variances = nms.query.reader(agg.matrix)
     parts = geo.compose_target(spine, target)
-    part_values = nms.values[nms.rows(parts)].astype(float)
-    at_level: dict[geo.GeoLevel, list[int]] = {}
-    for i, part in enumerate(parts):
-        at_level.setdefault(geo.node_level(part), []).append(i)
-    out = np.empty((len(parts), 2, len(agg.labels)))  # per part: estimates, variances
-    for j, stat_row in enumerate(agg.matrix):
-        coefs, path_var = q._statistic(stat_row)  # one column per path
-        cands = part_values @ coefs
-        for level, rows in at_level.items():
-            cand_var = path_var[level]
-            if 0.0 in cand_var:
-                out[rows, 0, j], out[rows, 1, j] = cands[rows, cand_var.index(0.0)], 0.0
-            else:
-                out[rows, 0, j], out[rows, 1, j] = combine_estimates(cands[rows], cand_var)
-    total = np.zeros((2, len(agg.labels)))
-    for part in out:  # in composition order, one part after another
-        total += part
-    return total[0], total[1]
+    levels = [geo.NMF_LEVEL_ORDER.index(geo.node_level(p)) for p in parts]
+    weights = weights[levels]  # part x statistic x path
+    paths = (nms.values[nms.rows(parts)].astype(float) @ coefs).reshape(weights.shape)
+    estimates = (weights * paths).sum(axis=-1) / summed[levels]
+    # one part after another, in composition order
+    return estimates.cumsum(axis=0)[-1], variances[levels].cumsum(axis=0)[-1]

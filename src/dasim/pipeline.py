@@ -304,10 +304,12 @@ def error_report(
                               MseEstimate(raw_mse, len(sel)).rmse,
                               np.concatenate([np.abs(release.values - noisy.values)
                                               for _, release, noisy in items])))
-            # the measurements' error is known exactly: the budget sets their variances
-            rmse = nmf_rmse_exact(noisy)
+            # the measurements' error is known exactly: the budget sets their
+            # variances, the same in every replicate, so the first one's are read
+            _, _, first_noisy = methods["topdown"][0]
+            rmse = nmf_rmse_exact(first_noisy)
             table.append(("nmf", BiasEstimate(0.0, 0.0, len(sel)), rmse**2, rmse,
-                          np.sqrt(noisy.variances)))
+                          np.sqrt(first_noisy.variances)))
             for entry in table:
                 row, quartile = _method_rows(level, stat, *entry)
                 rows.append(row)

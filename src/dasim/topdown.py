@@ -473,12 +473,10 @@ def _root_partition(labels: Sequence[str], supports: np.ndarray,
     return np.nonzero(owner == k)[0], cells, seg, exclusive[used[used < k]]
 
 
-def _round_root(x: np.ndarray, labels: Sequence[str], supports: np.ndarray,
-                target: np.ndarray, partition: Optional[tuple[np.ndarray, ...]] = None
-                ) -> np.ndarray:
-    """Integerize the root against its invariant partition, the
-    ``_root_partition`` of the other arguments unless given."""
-    rest, cells, seg, exclusive = partition or _root_partition(labels, supports, target)
+def _round_root(x: np.ndarray, partition: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Integerize the root against its invariant partition, a
+    ``_root_partition``."""
+    rest, cells, seg, exclusive = partition
     if rest.size:
         exclusive = np.append(exclusive, int(round(float(x[rest].sum()))))
     out = np.zeros(x.size, dtype=np.int64)
@@ -577,9 +575,7 @@ def topdown_postprocess(
     solved = fit(geo.GeoLevel.NATION, [0], None, np.zeros(1, dtype=int),
                  [f"{geo.NATION_ID} (root)"])
     if cfg.integerize:
-        labels, supports, targets = per_level[geo.GeoLevel.NATION]["table"]
-        solved = _round_root(solved[0], labels, supports, targets[0],
-                             plan.root_partition)[None, :].astype(float)
+        solved = _round_root(solved[0], plan.root_partition)[None, :].astype(float)
 
     # descend one generation at a time, every node group of it at once
     for gen in plan.generations:

@@ -236,6 +236,12 @@ def test_level_histograms_match_node_histograms(sweep_world):
     nodes = [spine.blocks[-1], spine.nodes_at(GeoLevel.COUNTY)[0], "US"]
     np.testing.assert_array_equal(cef.node_histograms(nodes),
                                   [cef.node_histogram(n) for n in nodes])
+    # a float release sums in one order too, bit for bit
+    released = HistogramDataset(spine, cef.schema, cef.counts / 3.0, "postprocessed")
+    for level in NMF_LEVEL_ORDER:
+        got = released.level_histograms(level)
+        want = np.array([released.node_histogram(n) for n in spine.nodes_at(level)])
+        assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------

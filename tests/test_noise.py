@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dasim import noise
-from dasim.errors import CoverageError, EmptyInput, ParameterError
+from dasim.errors import CoverageError, ParameterError
 from dasim.geo import NMF_LEVEL_ORDER, GeoId, GeoLevel, SpineSpec, make_synthetic_spine
 from dasim.histograms import (
     DESK_SCHEMA,
@@ -27,7 +27,6 @@ from dasim.noise import (
     MIN_VARIANCE,
     BudgetSchedule,
     QueryMatrix,
-    combine_estimates,
     make_noisy_measurements,
     nm_statistics,
     sample_discrete_gaussian_array,
@@ -130,42 +129,26 @@ def test_node_seed_streams_differ():
 
 
 # ----------------------------------------------------------------------
-# combination
+# the statistics reader
+
+_VARIANCE = st.one_of(st.just(0.0), st.floats(MIN_VARIANCE, MAX_VARIANCE))
 
 
-def test_combine_two_equal_variances():
-    assert combine_estimates([10.0, 14.0], [4.0, 4.0]) == (12.0, 2.0)
-
-
-def test_combine_unequal_variances():
-    value, variance = combine_estimates([10.0, 20.0], [1.0, 4.0])
-    assert value == pytest.approx(12.0)
-    assert variance == pytest.approx(0.8)
-
-
-def test_combine_errors():
-    with pytest.raises(EmptyInput):
-        combine_estimates([], [])
-    with pytest.raises(ParameterError):
-        combine_estimates([1.0], [0.0])
-    with pytest.raises(ParameterError):
-        combine_estimates([1.0], [-2.0])
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(-1e6, 1e6),
-            st.floats(0.01, 1e6),
-        ),
-        min_size=1,
-        max_size=8,
-    )
-)
-@settings(max_examples=100)
-def test_combine_variance_never_exceeds_best_input(estimates):
-    _, variance = combine_estimates(*zip(*estimates))
-    assert variance <= min(v for _, v in estimates) + 1e-9
+@given(st.lists(st.tuples(_VARIANCE, _VARIANCE, _VARIANCE), min_size=6, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_reader_never_reads_a_statistic_worse_than_its_best_path(table):
+    # one (detail, total, marginal) variance triple per level, zeros included
+    budget = BudgetSchedule({lv: dict(zip(noise.QUERY_GROUPS, row))
+                             for lv, row in zip(NMF_LEVEL_ORDER, table)})
+    q = QueryMatrix(DESK_SCHEMA, budget)
+    agg = default_statistics(DESK_SCHEMA)
+    _, weights, summed, read_variances = q.reader(agg.matrix)
+    np.testing.assert_array_equal(weights.sum(axis=-1), summed)
+    for variances, stat_variances in zip(q.variances, read_variances):
+        for row, variance in zip(agg.matrix, stat_variances):
+            path_var = [(coef ** 2) @ variances[idx] for idx, coef in q.paths_for_row(row)]
+            assert variance <= min(path_var) * (1 + 1e-12)
+            assert (variance == 0.0) == (0.0 in path_var)
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from dasim.topdown import (
     _invert,
     _largest_remainder,
     _repair_invariants,
+    _root_partition,
     _round_root,
     _solve_level,
     resolve_invariants,
@@ -112,7 +113,7 @@ def test_root_rounding_holds_every_support_of_a_nesting_chain():
     assert labels == ("a", "b", "c")  # smallest support first, as TopDown ranks them
     truth = np.array([3, 1, 4, 1, 5, 9, 2])
     x = np.array([2.6, 1.7, 4.4, 0.2, 6.3, 8.5, 2.2])
-    out = _round_root(x, labels, supports, supports @ truth)
+    out = _round_root(x, _root_partition(labels, supports, supports @ truth))
     assert (supports @ out).tolist() == (supports @ truth).tolist() == [4, 9, 14]
     assert out[5:].sum() == 11  # the rest rounds to its rounded continuous total
     assert (out >= 0).all()
@@ -510,6 +511,19 @@ def dual_calls(monkeypatch):
     return sent
 
 
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """The shapes of the matrices ``_solve`` sends to least squares, in order."""
+    sent, lstsq = [], np.linalg.lstsq
+
+    def counted(a, b, rcond=None):
+        sent.append(a.shape)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return sent
+
+
 def test_a_group_sent_to_the_safeguard_leaves_its_batch_mates_alone(dual_calls, monkeypatch,
                                                                      caplog):
     # three groups of one width: two solve in one step, the middle one
@@ -574,7 +588,8 @@ def test_cap_hit_is_attributed_and_the_safeguard_agrees(noisy_world, monkeypatch
         np.testing.assert_array_equal(got.block_histogram(raw), want.block_histogram(raw))
 
 
-def test_the_dual_safeguard_stays_idle_on_the_default_and_check_3_worlds(dual_calls):
+def test_the_dual_safeguard_stays_idle_on_the_default_and_check_3_worlds(dual_calls,
+                                                                         lstsq_calls):
     cfg = RunConfig()
     world = build_world(cfg)
     for seed in replicate_seeds(cfg.seed, 0):
@@ -586,6 +601,18 @@ def test_the_dual_safeguard_stays_idle_on_the_default_and_check_3_worlds(dual_ca
     q = QueryMatrix(DESK_SCHEMA, BudgetSchedule.default())
     for seed in range(200):
         topdown_postprocess(make_noisy_measurements(cef, q, seed=seed), cef)
+    assert dual_calls == [] and lstsq_calls == []
+
+
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: with exact block totals, "
+                   "_active_set hands block-children groups to the dual safeguard")
+def test_the_dual_safeguard_stays_idle_with_exact_block_totals(dual_calls):
+    cfg = RunConfig.from_dict({"config_version": 1, "seed": 7,
+                               "budget": {"block": {"total": 0.0}}})
+    world = build_world(cfg)
+    for seed in range(10):
+        nms = make_noisy_measurements(world.cef, world.query, seed=seed)
+        topdown_postprocess(nms, world.cef, cfg.postprocess, agg=world.agg)
     assert dual_calls == []
 
 
