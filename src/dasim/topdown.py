@@ -29,13 +29,13 @@ Each level's objective is first scaled, exactly, by a power of two, so
 that tolerances in count units do not depend on the scale of the budget,
 and a solve whose equality residual is large is refined once.
 
-A controlled largest-remainder rounding then integerizes each
-generation, all of its groups at once, while preserving parent sums, and
-a unit reallocation pass restores the exact statistics.
-Rounding snaps to a 1e-6 grid first, so released integers do not follow
-solver float noise, and breaks ties by index order, never at random: the
-map is a deterministic, constraint-satisfying function of the noisy
-measurements, which is all the estimators downstream require.
+Rounding releases the integer point nearest in L1 to the solution under
+the same constraints.  A level's cells fall into regions, the smallest
+held support over each, which round alone: the root by largest
+remainder, and a generation by largest remainder per column, then
+successive shortest paths between siblings that miss a region's target.
+Values snap to a 1e-6 grid first and ties go by index order, so released
+integers follow neither solver float noise nor chance.
 """
 
 from __future__ import annotations
@@ -378,6 +378,11 @@ def _solve_level(H: np.ndarray, E: np.ndarray, G: np.ndarray, e: np.ndarray,
 # controlled rounding
 
 
+def _units(values) -> np.ndarray:
+    """Non-negative values snapped to the 1e-6 grid, in integer grid units."""
+    return np.rint(np.clip(np.asarray(values, dtype=float), 0.0, None) * _GRID).astype(np.int64)
+
+
 def _largest_remainder(values: np.ndarray, target,
                        seg: Optional[np.ndarray] = None) -> np.ndarray:
     """Round non-negative values to integers summing exactly to target.
@@ -389,8 +394,7 @@ def _largest_remainder(values: np.ndarray, target,
     of rows with one (ascending) ``seg`` id against its own targets.
     """
     shape = np.shape(values)
-    units = np.clip(np.asarray(values, dtype=float).reshape(shape[0], -1), 0.0, None) * _GRID
-    out, frac = np.divmod(np.rint(units).astype(np.int64), _GRID)
+    out, frac = np.divmod(_units(values).reshape(shape[0], -1), _GRID)
     seg = np.zeros(len(out), dtype=np.intp) if seg is None else np.asarray(seg)
     targets = np.asarray(target, dtype=np.int64).reshape(-1, out.shape[1])
     sizes = np.bincount(seg, minlength=len(targets))
@@ -416,72 +420,68 @@ def _largest_remainder(values: np.ndarray, target,
     return out.reshape(shape)
 
 
-def _repair_invariants(X: np.ndarray, labels: Sequence[str], supports: np.ndarray,
-                       targets: np.ndarray, nonneg: bool) -> None:
-    """Unit moves between siblings, inside one invariant's exclusive
-    cells, until every invariant statistic is exact.  Supports come
-    smallest first, targets one column per support.  Moves happen at a
-    single cell at a time, so per-cell parent sums are untouched."""
-    done = np.zeros(X.shape[1], dtype=bool)
-    for label, support, target in zip(labels, supports, targets.T):
-        free = np.nonzero(support & ~done)[0]
-        s = X[:, support].sum(axis=1).astype(np.int64) - target
-        if s.sum() != 0:
-            raise InfeasibleConstraints(
-                f"invariant {label!r} targets do not sum to the parent value"
-            )
-        while (s > 0).any():
-            i = int(np.nonzero(s > 0)[0][0])
-            j = int(np.nonzero(s < 0)[0][0])
-            movable = free[X[i, free] >= 1]
-            if movable.size == 0 and nonneg:
-                raise InfeasibleConstraints(
-                    f"no movable mass to repair invariant {label!r}"
-                )
-            cell = movable[0] if movable.size else free[np.argmax(X[i, free])]
-            X[[i, j], cell] += (-1, 1)
-            s[[i, j]] += (-1, 1)
-        done |= support
-
-
-def _root_partition(labels: Sequence[str], supports: np.ndarray,
-                    target: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The root's invariant partition, which the measurements do not move.
-
-    Supports come smallest first and are nested or disjoint.  Cells are
-    grouped by the smallest support containing them, and each group rounds
-    to its exclusive integer target.  Returns the cells under no
-    invariant, every cell in group order, each one's group, and the
-    targets of the groups but the last if that holds the cells under no
-    invariant: they round to their rounded continuous total.
-    """
-    k = len(labels)
-    # the smallest support holding each cell, k for none; inner[j, i]: j inside i
+def _regions(supports: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A level's rounding partition: each cell's region, the smallest of the
+    supports (smallest first, nested or disjoint) holding it, len(supports)
+    for none; and per node each support's exclusive target, its target less
+    those of the supports directly inside it.  Support sums hold exactly
+    when every region sums to its exclusive target, so regions round alone."""
     owner = np.vstack([supports, np.ones((1, supports.shape[1]), dtype=bool)]).argmax(axis=0)
-    inner = (supports.astype(np.int64) @ supports.T) == supports.sum(axis=1)[:, None]
-    exclusive = np.zeros(k, dtype=np.int64)
-    for i, label in enumerate(labels):
-        # exclusive targets of inner supports partition their mass, so
-        # subtracting them never double-counts on deeper nesting chains
-        exclusive[i] = int(target[i]) - exclusive[:i][inner[:i, i]].sum()
-        if exclusive[i] < 0 or (not (owner == i).any() and exclusive[i] != 0):
-            raise InfeasibleConstraints(
-                f"invariant {label!r} leaves an unroundable exclusive target"
-            )
+    # inside[j, i]: support j lies in the larger i; the first such i holds j directly
+    inside = np.triu(supports.astype(np.int64) @ supports.T == supports.sum(axis=1)[:, None], 1)
+    return owner, targets - targets @ (inside & (np.cumsum(inside, axis=1) == 1))
+
+
+def _round_root(x: np.ndarray, owner: np.ndarray, ex: np.ndarray) -> np.ndarray:
+    """Integerize the root x: each of its ``_regions`` to its exclusive
+    target, ex[0], and the cells under none to their snapped total."""
+    rest = (_units(x[owner == ex.shape[1]]).sum() + _GRID // 2) // _GRID  # half up
     cells = np.argsort(owner, kind="stable")
     used, seg = np.unique(owner[cells], return_inverse=True)
-    return np.nonzero(owner == k)[0], cells, seg, exclusive[used[used < k]]
-
-
-def _round_root(x: np.ndarray, partition: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Integerize the root against its invariant partition, a
-    ``_root_partition``."""
-    rest, cells, seg, exclusive = partition
-    if rest.size:
-        exclusive = np.append(exclusive, int(round(float(x[rest].sum()))))
     out = np.zeros(x.size, dtype=np.int64)
-    out[cells] = _largest_remainder(x[cells], exclusive, seg)
+    out[cells] = _largest_remainder(x[cells], np.append(ex[0], rest)[used], seg)
     return out
+
+
+def _round_generation(x: np.ndarray, parents: np.ndarray, gen: "_Generation",
+                      owner: np.ndarray, ex: np.ndarray) -> np.ndarray:
+    """Integerize a generation's node groups x against their parents' rows,
+    each child meeting its exclusive targets of ``_regions``, ex per node,
+    at the least L1 distance to the snapped x.  Columns round by largest
+    remainder, L1-optimal per column, and a (group, region) that misses a
+    target gets successive shortest paths on its siblings: an edge i -> j
+    costs the least change of L1, in grid units, of moving a unit from i
+    to j at one cell where X[i] has one, and each step moves a unit along a
+    cheapest path, by Bellman-Ford from every child over its target, to
+    the nearest one under it, ties to the lowest index.  No edge is
+    negative at the start, so no cycle ever is, and the end is the nearest
+    integer point (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 9)."""
+    X, bounds = _largest_remainder(x, parents, gen.seg), gen.bounds
+    region = owner[:, None] == np.arange(ex.shape[1])
+    over = X @ region - ex[gen.rows]
+    for b, r in np.argwhere(np.logical_or.reduceat(over != 0, bounds[:-1], axis=0)):
+        rows, cells = slice(bounds[b], bounds[b + 1]), region[:, r]
+        Y, units, excess = X[rows, cells], _units(x[rows, cells]), over[rows, r]
+        while (excess > 0).any():
+            gap = _GRID * Y - units
+            give = np.where(Y >= 1, np.abs(gap - _GRID) - np.abs(gap), np.inf)
+            move = give + (np.abs(gap + _GRID) - np.abs(gap))[:, None]  # [j, i, c]: i to j at c
+            cell, cost = move.argmin(axis=2), move.min(axis=2)
+            dist, prev = np.where(excess > 0, 0.0, np.inf), np.full(len(Y), -1)
+            for _ in range(len(Y)):  # Bellman-Ford from every child over its target
+                via = cost + dist
+                new, best = via.min(axis=1), via.argmin(axis=1)
+                dist, prev = np.minimum(dist, new), np.where(new < dist, best, prev)
+            j = int(np.where(excess < 0, dist, np.inf).argmin())
+            if excess[j] >= 0 or dist[j] == np.inf:
+                raise InfeasibleConstraints(f"no integer point meets exact rows at {gen.where[b]}")
+            excess[j] += 1
+            while prev[j] >= 0:
+                Y[[prev[j], j], cell[j, prev[j]]] += (-1, 1)
+                j = prev[j]
+            excess[j] -= 1
+        X[rows, cells] = Y
+    return X
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +575,7 @@ def topdown_postprocess(
     solved = fit(geo.GeoLevel.NATION, [0], None, np.zeros(1, dtype=int),
                  [f"{geo.NATION_ID} (root)"])
     if cfg.integerize:
-        solved = _round_root(solved[0], plan.root_partition)[None, :].astype(float)
+        solved[0] = _round_root(solved[0], *per_level[geo.GeoLevel.NATION]["regions"])
 
     # descend one generation at a time, every node group of it at once
     for gen in plan.generations:
@@ -585,10 +585,7 @@ def topdown_postprocess(
             multi, rows, seg = gen.multi, gen.rows, gen.seg
             x = fit(gen.level, rows, solved[multi], seg, gen.where)
             if cfg.integerize:
-                x = _largest_remainder(x, solved[multi].astype(np.int64), seg)
-                labels, supports, targets = per_level[gen.level]["table"]
-                for lo, hi in zip(gen.bounds[:-1], gen.bounds[1:]) if labels else ():
-                    _repair_invariants(x[lo:hi], labels, supports, targets[rows[lo:hi]], cfg.nonneg)
+                x = _round_generation(x, solved[multi], gen, *per_level[gen.level]["regions"])
             kids_solved[rows] = x
         solved = kids_solved
 
@@ -639,8 +636,8 @@ class _Plan:
     Per level: its nodes; its ``resolve_invariants`` table with targets
     per node, which alone gives every child's equality rows; the query's
     weighted rows and their level Hessian; the labels and enumerated
-    answers of its zero-variance rows.  For integer output, the root's
-    ``_root_partition``.  Per generation, a ``_Generation``.  Nothing
+    answers of its zero-variance rows; for integer output, its
+    ``_regions``.  Per generation, a ``_Generation``.  Nothing
     here holds the enumeration, so the plan never keeps it alive.
     """
 
@@ -660,17 +657,13 @@ class _Plan:
             QtW = Qw.T * (1.0 / variances[wmask])
             targets, exact = hist @ supports.T, hist @ q.matrix[~wmask].T
             E, H, QtW2 = supports.astype(float), _level_hessian(2.0 * (QtW @ Qw)), 2.0 * QtW
-            for a in (targets, exact, wmask, E, H, QtW2):  # shared by every call
+            regions = _regions(supports, targets) if cfg.integerize else ()
+            for a in (targets, exact, wmask, E, H, QtW2, *regions):  # shared by every call
                 a.flags.writeable = False
             self.levels[lv] = dict(
                 nodes=spine.nodes_at(lv), table=(labels, supports, targets), wmask=wmask,
-                exact=([r for r, w in zip(q.row_ids, wmask) if not w], exact), E=E, H=H, QtW2=QtW2)
-        self.root_partition = None
-        if cfg.integerize:
-            labels, supports, targets = self.levels[geo.GeoLevel.NATION]["table"]
-            self.root_partition = _root_partition(labels, supports, targets[0])
-            for a in self.root_partition:
-                a.flags.writeable = False
+                exact=([r for r, w in zip(q.row_ids, wmask) if not w], exact), E=E, H=H, QtW2=QtW2,
+                regions=regions)
         position = {n: i for lv in levels for i, n in enumerate(spine.nodes_at(lv))}
         self.generations = []
         for parent_level, child_level in zip(levels, levels[1:]):

@@ -128,6 +128,37 @@ def kkt_active_set_oracle(H, G, E, e, parent):
     raise ValueError("no KKT point: the group is infeasible")
 
 
+def l1_rounding_oracle(x, parent, supports, targets) -> float:
+    """The least L1 distance from an integer X >= 0 to x-hat, the
+    (children x cells) x clipped at 0 and snapped to the 1e-6 grid, under
+    the per-cell sums parent and the per-child support sums targets
+    (children x supports), by a linear program (HiGHS).
+
+    Each X = floor(x-hat) + p + q - m, with p in [0, 1] at cost 1 - 2 frac,
+    q >= 0 at cost 1 and m in [0, floor] at cost 1, prices exactly the L1
+    distance of every integer X.  Parent sums and nested or disjoint
+    support sums are two laminar families, so the constraint matrix is
+    totally unimodular (Schrijver, Combinatorial Optimization, 2003), its
+    copies and negation too, and the LP optimum is the integer optimum."""
+    from scipy.optimize import linprog
+
+    xhat = np.rint(np.clip(np.asarray(x, dtype=float), 0.0, None) * 1e6) / 1e6
+    low = np.floor(xhat)
+    frac = (xhat - low).ravel()
+    k, C = xhat.shape
+    cols = np.vstack([np.tile(np.eye(C), (1, k)),  # per-cell sums, then per-child supports
+                      np.kron(np.eye(k), np.asarray(supports, dtype=float))])
+    rhs = np.concatenate([parent, np.asarray(targets).ravel()]) - cols @ low.ravel()
+    n = k * C
+    res = linprog(np.concatenate([1.0 - 2.0 * frac, np.ones(2 * n)]),
+                  A_eq=np.hstack([cols, cols, -cols]), b_eq=rhs,
+                  bounds=[(0, 1)] * n + [(0, None)] * n + [(0, f) for f in low.ravel()],
+                  method="highs")
+    if res.status != 0:
+        raise ValueError(f"no integer point meets the constraints: {res.message}")
+    return float(frac.sum() + res.fun)
+
+
 def paths_for_row_loop(q, stat_row) -> list[tuple[np.ndarray, np.ndarray]]:
     """The query paths of one statistic by one rule per query group, with
     rows looked up by id: a detail path over the statistic's support, the

@@ -3,6 +3,7 @@
 import gc
 import re
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,15 +33,15 @@ from dasim.topdown import (
     _dual_active_set,
     _invert,
     _largest_remainder,
-    _repair_invariants,
-    _root_partition,
+    _regions,
+    _round_generation,
     _round_root,
     _solve_level,
     resolve_invariants,
     topdown_postprocess,
 )
 
-from oracles import brute_force_integer_fit, kkt_active_set_oracle
+from oracles import brute_force_integer_fit, kkt_active_set_oracle, l1_rounding_oracle
 
 
 # ----------------------------------------------------------------------
@@ -93,14 +94,27 @@ def test_largest_remainder_rejects_impossible_target():
         _largest_remainder(np.zeros(2), -1)
 
 
+def _one_group(k):
+    """A generation of one node group of k children, as ``_round_generation`` reads it."""
+    return SimpleNamespace(rows=np.arange(k), seg=np.zeros(k, dtype=np.intp),
+                           bounds=np.array([0, k]), where=["test group"])
+
+
 def test_invariant_repair_moves_single_units():
-    X = np.array([[2, 0], [0, 3]], dtype=np.int64)
-    supports = np.array([[True, False]])
-    targets = np.array([[1], [1]], dtype=np.int64)  # one column per support
-    _repair_invariants(X, ["total_cell0"], supports, targets, nonneg=True)
+    x = np.array([[2.0, 0.0], [0.0, 3.0]])
+    owner, ex = _regions(np.array([[True, False]]), np.array([[1], [1]]))  # one column per support
+    X = _round_generation(x, x.sum(axis=0)[None], _one_group(2), owner, ex)
     assert X[:, 0].tolist() == [1, 1]
     assert X[:, 1].tolist() == [0, 3]  # untouched cells stay put
     assert X.sum() == 5
+
+
+def test_generation_rounding_names_a_group_it_cannot_repair():
+    # cell 0's one unit must leave child 0, and no sibling may take it
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    owner, ex = _regions(np.array([[True, False]]), np.array([[0], [0]]))
+    with pytest.raises(InfeasibleConstraints, match="test group"):
+        _round_generation(x, x.sum(axis=0)[None], _one_group(2), owner, ex)
 
 
 def test_root_rounding_holds_every_support_of_a_nesting_chain():
@@ -113,10 +127,141 @@ def test_root_rounding_holds_every_support_of_a_nesting_chain():
     assert labels == ("a", "b", "c")  # smallest support first, as TopDown ranks them
     truth = np.array([3, 1, 4, 1, 5, 9, 2])
     x = np.array([2.6, 1.7, 4.4, 0.2, 6.3, 8.5, 2.2])
-    out = _round_root(x, _root_partition(labels, supports, supports @ truth))
+    owner, ex = _regions(supports, (supports @ truth)[None, :])
+    assert owner.tolist() == [0, 0, 1, 1, 2, 3, 3] and ex.tolist() == [[4, 5, 5]]
+    out = _round_root(x, owner, ex)
     assert (supports @ out).tolist() == (supports @ truth).tolist() == [4, 9, 14]
     assert out[5:].sum() == 11  # the rest rounds to its rounded continuous total
     assert (out >= 0).all()
+
+
+def test_root_rounding_of_the_uncovered_cells_ignores_float_noise():
+    # the cells under no support sum to 0.5 on the grid: rounded from their
+    # raw float sum, they once released 1 or 0 by the sign of 1e-12
+    owner, ex = _regions(np.array([[True, True, False, False]]), np.array([[3]]))
+    released = {tuple(_round_root(np.array([1.5, 1.5, 0.25 + noise, 0.25]), owner, ex))
+                for noise in (1e-12, -1e-12)}
+    assert len(released) == 1
+    assert sum(next(iter(released))[:2]) == 3
+
+
+def _l1(X, x):
+    """L1 distance of X to x clipped at 0 and snapped to the 1e-6 grid."""
+    return float(np.abs(X - np.rint(np.clip(x, 0.0, None) * 1e6) / 1e6).sum())
+
+
+@st.composite
+def rounding_groups(draw):
+    """A node group of 2-5 children over 1-8 cells with nested or disjoint
+    supports, smallest first, and x an integer truth plus a perturbation
+    that keeps every parent sum and every child's support sums.  Returns
+    x, the parent row, the supports and each child's support sums."""
+    k, n = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    supports = []
+    for at, width in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n)),
+                                   max_size=4)):
+        s = np.zeros(n, dtype=bool)
+        s[list(order[at:at + width])] = True
+        common = [int((s & t).sum()) for t in supports]
+        if all(c in (0, s.sum(), t.sum()) and not (s == t).all()
+               for c, t in zip(common, supports)):
+            supports.append(s)
+    supports = np.array(sorted(supports, key=lambda t: t.sum()), dtype=bool).reshape(-1, n)
+    truth = np.array(draw(st.lists(st.integers(0, 5), min_size=k * n, max_size=k * n)))
+    truth = truth.reshape(k, n)
+    shake = np.array(draw(st.lists(st.sampled_from((-1.5, -0.5, -0.25, 0.0, 0.3, 0.5, 1.0)),
+                                   min_size=k * n, max_size=k * n))).reshape(k, n)
+    # regions, the smallest support holding a cell: a region's entries of a
+    # child sum to 0 and every column to 0, except off every support
+    region = np.array([next((i for i, t in enumerate(supports) if t[c]), -1) for c in range(n)])
+    for r in np.unique(region):
+        block = shake[:, region == r] - shake[:, region == r].mean(axis=0)
+        if r >= 0:
+            block -= block.mean(axis=1, keepdims=True)
+        shake[:, region == r] = block
+    return truth + shake, truth.sum(axis=0), supports, truth @ supports.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounding_groups())
+def test_generation_rounding_is_l1_nearest(group):
+    x, parent, supports, targets = group
+    X = _round_generation(x, parent[None], _one_group(len(x)), *_regions(supports, targets))
+    assert (X >= 0).all()
+    np.testing.assert_array_equal(X.sum(axis=0), parent)
+    np.testing.assert_array_equal(X @ supports.T, targets)
+    assert _l1(X, x) == pytest.approx(l1_rounding_oracle(x, parent, supports, targets), abs=1e-6)
+
+
+# worlds whose node groups have exact rows below the root: block invariants
+# on check 3's world and another, both kinds at once, and the default state
+# totals on a two-state world
+_EXACT_ROW_WORLDS = {
+    "check-3-block-voting-age": {"seed": 7, "postprocess": {"invariants": [["block",
+                                                                            "voting_age"]]}},
+    "seed-1-block-total": {"seed": 1, "postprocess": {"invariants": [["block", "total"]]}},
+    "check-3-tract-voting-age-block-total": {
+        "seed": 7, "postprocess": {"invariants": [["tract", "voting_age"], ["block", "total"]]}},
+    "two-states": {"seed": 3, "spine": {"states": 2, "counties_per_state": 2}},
+}
+
+
+def test_generation_rounding_is_l1_nearest_on_worlds_with_exact_rows(monkeypatch):
+    rounded, rounder = [], topdown._round_generation
+
+    def recorded(x, parents, gen, owner, ex):
+        X = rounder(x, parents, gen, owner, ex)
+        rounded.append((x, parents, gen, X))
+        return X
+
+    monkeypatch.setattr(topdown, "_round_generation", recorded)
+    for name, body in _EXACT_ROW_WORLDS.items():
+        world = build_world(RunConfig.from_dict({"config_version": 1, **body}))
+        cfg, checked = world.config.postprocess, 0
+        table = resolve_invariants(cfg, world.agg, world.query)
+        for seed in range(3):
+            rounded.clear()
+            nms = make_noisy_measurements(world.cef, world.query, seed=seed)
+            topdown_postprocess(nms, world.cef, cfg, agg=world.agg)
+            for x, parents, gen, X in rounded:
+                _, supports = table[gen.level]
+                if not len(supports):
+                    continue
+                truth = world.cef.level_histograms(gen.level)[gen.rows] @ supports.T
+                for b, (lo, hi) in enumerate(zip(gen.bounds[:-1], gen.bounds[1:])):
+                    want = l1_rounding_oracle(x[lo:hi], parents[b], supports, truth[lo:hi])
+                    assert _l1(X[lo:hi], x[lo:hi]) == pytest.approx(want, abs=1e-6), \
+                        (name, seed, gen.where[b])
+                    checked += 1
+        assert checked, name
+
+
+def test_releases_ignore_solver_noise(monkeypatch):
+    # the snapped grid and integer costs keep every rounding decision when
+    # the solver's output moves by a relative 1e-9
+    worlds = [build_world(RunConfig.from_dict({"config_version": 1, **body}))
+              for body in ({}, _EXACT_ROW_WORLDS["check-3-block-voting-age"],
+                           {"seed": 7, "postprocess": {"invariants": [["block", "total"]]}},
+                           _EXACT_ROW_WORLDS["two-states"])]
+
+    def releases():
+        for world in worlds:
+            for seed in range(40):
+                nms = make_noisy_measurements(world.cef, world.query, seed=seed)
+                yield topdown_postprocess(nms, world.cef, world.config.postprocess,
+                                          agg=world.agg).level_histograms(geo.GeoLevel.BLOCK)
+
+    clean = list(releases())
+    solve_level, rng = topdown._solve_level, np.random.default_rng(0)
+
+    def shaken(*args):
+        x = solve_level(*args)
+        return x * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, x.shape))
+
+    monkeypatch.setattr(topdown, "_solve_level", shaken)
+    for want, got in zip(clean, releases(), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_exact_queries_join_the_table_at_their_level_and_above():
